@@ -1,12 +1,18 @@
-"""P1 assembly: stiffness, load, boundary lumped mass and trace Gram matrices.
+"""P1 assembly, quadrature rules, boundary lumped mass and trace Gram matrices.
 
 The stiffness integral is exact (piecewise-constant gradients).  The load is
 integrated with a fixed symmetric triangle rule of degree >= 4, with two
 refinements where the integrand is not smooth: cells crossed by a known
-vertical jump or kink line of the load are cut along it and integrated
-piecewise, and cells near a transmission point optionally get one extra
-quadrisection to control the square-root kink there.  Assembly is serial
-and deterministic: repeated runs produce bit-identical matrices.
+vertical jump or kink line of the load are cut along it, and cells near a
+transmission point optionally get one extra quadrisection to control the
+square-root kink there.  Regular cells are evaluated in chunks of whole
+cells; all cut and quadrisected pieces are gathered into one batch, so the
+load is evaluated once per chunk and scattered once.  Assembly is serial
+and deterministic: repeated runs produce bit-identical vectors.
+
+The module also holds the rules the error norms share: quadrisection and
+areas of batches of triangles, and ``quad``, a vectorized adaptive
+Gauss-Kronrod (G10/K21) integrator over many intervals at once.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh, TraceMap, point_triangle_distances, trace_map
+
+#: Triangles per batch of load and volume-norm evaluations, which bounds the
+#: memory of fine levels.
+TRIANGLE_CHUNK = 1 << 16
 
 # Symmetric 6-point triangle rule of degree 4 (two orbits, barycentric).
 _D4_A1 = 0.445948490915965
@@ -57,12 +67,142 @@ def tri_quadrature(degree: int = 4):
     return bary, w
 
 
-def _triangle_geometry(mesh: TriMesh):
-    p = mesh.vertices[mesh.triangles]  # (t, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    return p, area
+# QUADPACK qk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
+# Kronrod extension of the 10-point Gauss rule on [-1, 1], listed from the
+# left end to the centre; the Gauss nodes are every second one from index 1.
+_XK = np.array(
+    [
+        0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+        0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+        0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+        0.14887433898163122, 0.0,
+    ]
+)
+_WK = np.array(
+    [
+        0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+        0.14773910490133849, 0.1494455540029169,
+    ]
+)
+_WG = np.array(
+    [
+        0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+        0.26926671930999635, 0.29552422471475287,
+    ]
+)
+_GK_NODES = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _WG
+_GK_GAUSS[11:20:2] = _WG[::-1]
+_EPMACH = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+# Bisection rounds before quad gives up.  A square-root endpoint singularity
+# under the default tolerances needs about 55; by 64 every piece near a point
+# of order one has shrunk to a few units in the last place.
+_MAX_ROUNDS = 64
+# Open pieces before quad gives up: a count that keeps doubling means the
+# integrand is not resolved anywhere near, and memory would run out first.
+_MAX_PIECES = 1 << 16
+
+
+def _kronrod21(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
+    """qk21 on every piece [a, b] at once: integrals and error estimates."""
+    half = 0.5 * (b - a)
+    s = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
+    vals = np.asarray(f(s, np.broadcast_to(owner[:, None], s.shape)), dtype=float)
+    vals = np.broadcast_to(vals, s.shape)
+    resk = vals @ _GK_KRONROD
+    resg = vals @ _GK_GAUSS
+    dh = np.abs(half)
+    resabs = (np.abs(vals) @ _GK_KRONROD) * dh
+    resasc = (np.abs(vals - 0.5 * resk[:, None]) @ _GK_KRONROD) * dh
+    err = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (err != 0.0)
+    err[scaled] = resasc[scaled] * np.minimum(1.0, (200.0 * err[scaled] / resasc[scaled]) ** 1.5)
+    # roundoff floor: an estimate below it says nothing more
+    floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+    return resk * half, np.maximum(err, floor), err <= floor
+
+
+def quad(f, lo, hi, breaks=(), epsabs: float = 1e-14, epsrel: float = 1e-10) -> np.ndarray:
+    """Integrals of f over every interval [lo[i], hi[i]] by adaptive G10/K21.
+
+    f(s, i) takes an array of points s and the same-shaped array i of the
+    interval each point belongs to, and returns the integrand values.  Each
+    interval is first split at the breakpoints strictly inside it.  Every
+    round evaluates f once on all open pieces with the 21-point Kronrod rule
+    and QUADPACK's error estimate; a piece is accepted when its estimate is
+    at most its length share of its interval's tolerance
+    max(epsabs, epsrel * |I|), with I the interval's current integral, or
+    when the estimate is QUADPACK's roundoff floor 50 eps * int |f|, which
+    bisection cannot lower.  Every other piece is bisected.  A non-finite
+    value, or pieces still open after the round or piece cap, raise
+    ValueError.  The integrand must be bounded: the piece next to a pole,
+    even an integrable one such as s^(-1/2), never meets its share.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    n = lo.shape[0]
+    if not np.all(hi > lo):
+        raise ValueError("quad needs intervals with lo < hi")
+    inner = [np.where((lo < c) & (c < hi), c, np.nan) for c in np.unique(breaks)]
+    edges = np.sort(np.column_stack([lo, *inner, hi]), axis=1)  # absent breaks sort last as nan
+    a = edges[:, :-1].ravel()
+    b = edges[:, 1:].ravel()
+    owner = np.repeat(np.arange(n), edges.shape[1] - 1)
+    piece = ~np.isnan(b)
+    a, b, owner = a[piece], b[piece], owner[piece]
+    length = hi - lo
+    done = np.zeros(n)
+    for _ in range(_MAX_ROUNDS):
+        if a.size > _MAX_PIECES:
+            raise ValueError(f"quad: {a.size} pieces above tolerance, more than {_MAX_PIECES}")
+        val, err, at_floor = _kronrod21(f, a, b, owner)
+        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(err))):
+            raise ValueError("quad met a non-finite integrand value")
+        tol = np.maximum(epsabs, epsrel * np.abs(done + np.bincount(owner, val, minlength=n)))
+        ok = (err <= tol[owner] * ((b - a) / length[owner])) | at_floor
+        done += np.bincount(owner[ok], val[ok], minlength=n)
+        if ok.all():
+            return done
+        a, b, owner = a[~ok], b[~ok], owner[~ok]
+        mid = 0.5 * (a + b)
+        a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
+    raise ValueError(
+        f"quad: {a.size // 2} pieces of {np.unique(owner).size} intervals still above "
+        f"tolerance after {_MAX_ROUNDS} bisection rounds"
+    )
+
+
+def quadrisect(tri: np.ndarray) -> np.ndarray:
+    """Split triangles (t, 3, 2) through their edge midpoints into (t, 4, 3, 2).
+
+    Children keep the orientation of their parent: the three corner
+    triangles at a, b, c first, the midpoint triangle last.
+    """
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    mab = 0.5 * (a + b)
+    mbc = 0.5 * (b + c)
+    mca = 0.5 * (c + a)
+    return np.stack(
+        [
+            np.stack([a, mab, mca], axis=1),
+            np.stack([b, mbc, mab], axis=1),
+            np.stack([c, mca, mbc], axis=1),
+            np.stack([mab, mbc, mca], axis=1),
+        ],
+        axis=1,
+    )
+
+
+def triangle_areas(tri: np.ndarray) -> np.ndarray:
+    """Unsigned areas of triangles given as coordinates (t, 3, 2)."""
+    d1 = tri[:, 1] - tri[:, 0]
+    d2 = tri[:, 2] - tri[:, 0]
+    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def element_gradients(mesh: TriMesh):
@@ -70,7 +210,8 @@ def element_gradients(mesh: TriMesh):
 
     Returns (grads, area) with grads of shape (t, 2, 3).
     """
-    p, area = _triangle_geometry(mesh)
+    p = mesh.vertices[mesh.triangles]
+    area = mesh.signed_areas()
     x = p[..., 0]
     y = p[..., 1]
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
@@ -158,14 +299,15 @@ def assemble_load(
     of one of the points get one extra quadrisection of the rule.
     """
     bary, w = tri_quadrature(degree)
-    coords, area = _triangle_geometry(mesh)
+    coords = mesh.vertices[mesh.triangles]
+    area = mesh.signed_areas()
     load = np.zeros(mesh.num_vertices)
 
     near = np.zeros(mesh.num_triangles, dtype=bool)
     if refine_near is not None:
         points, radius = refine_near
         for pt in np.atleast_2d(points):
-            near |= point_triangle_distances(pt, mesh) <= radius
+            near |= point_triangle_distances(pt, coords) <= radius
     crossing = np.zeros(mesh.num_triangles, dtype=bool)
     xs = coords[..., 0]
     for c in split_x:
@@ -173,49 +315,42 @@ def assemble_load(
     special = near | crossing
 
     regular = np.flatnonzero(~special)
-    for start in range(0, regular.shape[0], 1 << 16):
-        sel = regular[start : start + (1 << 16)]
+    for start in range(0, regular.shape[0], TRIANGLE_CHUNK):
+        sel = regular[start : start + TRIANGLE_CHUNK]
         pts = np.einsum("qk,tkd->tqd", bary, coords[sel])
         vals = f(pts[..., 0], pts[..., 1])
         contrib = np.einsum("tq,q,qk->tk", vals, w, bary) * area[sel, None]
         np.add.at(load, mesh.triangles[sel].ravel(), contrib.ravel())
 
     special_idx = np.flatnonzero(special)
-    grads = element_gradients(mesh)[0] if special_idx.size else None
+    if not special_idx.size:
+        return load
+    # every cut or quadrisected piece with the triangle it belongs to
+    pieces = []
+    parent = []
     for t in special_idx:
-        pieces = _split_by_lines(coords[t], split_x) if crossing[t] else [coords[t]]
-        if near[t]:
-            pieces = [child for piece in pieces for child in _split_coords_once(piece)]
-        v0 = coords[t, 0]
-        g = grads[t]  # (2, 3), gradients of the parent hat functions
-        for sub in pieces:
-            pts = bary @ sub  # (q, 2)
-            vals = f(pts[:, 0], pts[:, 1])
-            rel = pts - v0
-            hats = rel @ g  # (q, 3) via affine hat representation
-            hats[:, 0] += 1.0
-            a = _tri_area_coords(sub)
-            load[mesh.triangles[t]] += a * np.einsum("q,q,qk->k", vals, w, hats)
+        cut = _split_by_lines(coords[t], split_x) if crossing[t] else [coords[t]]
+        pieces += cut
+        parent += [t] * len(cut)
+    pieces = np.asarray(pieces)
+    parent = np.asarray(parent)
+    refined = near[parent]
+    if np.any(refined):
+        children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
+        pieces = np.concatenate([pieces[~refined], children])
+        parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
+    grads = element_gradients(mesh)[0]
+    for start in range(0, pieces.shape[0], TRIANGLE_CHUNK):
+        sub = pieces[start : start + TRIANGLE_CHUNK]
+        owner = parent[start : start + TRIANGLE_CHUNK]
+        pts = np.einsum("qk,pkd->pqd", bary, sub)
+        vals = f(pts[..., 0], pts[..., 1])
+        # parent hat functions at the points, from their affine representation
+        hats = np.einsum("pqd,pdk->pqk", pts - coords[owner, None, 0], grads[owner])
+        hats[..., 0] += 1.0
+        contrib = np.einsum("pq,q,pqk->pk", vals, w, hats) * triangle_areas(sub)[:, None]
+        np.add.at(load, mesh.triangles[owner].ravel(), contrib.ravel())
     return load
-
-
-def _tri_area_coords(tri_coords: np.ndarray) -> float:
-    d1 = tri_coords[1] - tri_coords[0]
-    d2 = tri_coords[2] - tri_coords[0]
-    return 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-
-
-def _split_coords_once(tri_coords: np.ndarray):
-    a, b, c = tri_coords
-    mab = 0.5 * (a + b)
-    mbc = 0.5 * (b + c)
-    mca = 0.5 * (c + a)
-    return (
-        np.stack([a, mab, mca]),
-        np.stack([b, mbc, mab]),
-        np.stack([c, mca, mbc]),
-        np.stack([mab, mbc, mca]),
-    )
 
 
 def boundary_lumped_mass(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:

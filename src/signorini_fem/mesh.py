@@ -256,11 +256,14 @@ def prolong(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
     return 0.5 * (coarse_values[pairs[:, 0]] + coarse_values[pairs[:, 1]])
 
 
-def point_triangle_distances(point: np.ndarray, mesh: TriMesh) -> np.ndarray:
-    """Distance from a point to the closure of each triangle (0 if inside)."""
+def point_triangle_distances(point: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Distance from a point to the closure of each triangle (0 if inside).
+
+    tri holds the vertex coordinates of counterclockwise triangles, shape
+    (t, 3, 2), e.g. mesh.vertices[mesh.triangles].
+    """
     p = np.asarray(point, dtype=float)
-    tri = mesh.vertices[mesh.triangles]  # (t, 3, 2)
-    d2 = np.full(mesh.num_triangles, np.inf)
+    d2 = np.full(tri.shape[0], np.inf)
     for i, j in ((0, 1), (1, 2), (2, 0)):
         a = tri[:, i]
         ab = tri[:, j] - a
@@ -271,7 +274,7 @@ def point_triangle_distances(point: np.ndarray, mesh: TriMesh) -> np.ndarray:
         d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     dist = np.sqrt(d2)
     # inside test via barycentric signs (triangles are counterclockwise)
-    inside = np.ones(mesh.num_triangles, dtype=bool)
+    inside = np.ones(tri.shape[0], dtype=bool)
     for i, j in ((0, 1), (1, 2), (2, 0)):
         a = tri[:, i]
         ab = tri[:, j] - a

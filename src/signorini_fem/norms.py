@@ -1,13 +1,17 @@
 """Error norms of the benchmark study.
 
-Volume norms use per-triangle quadrature with graded quadrisection near the
-transmission points, where the exact solution has fractional regularity.
-Trace norms are adaptive 1D integrals split at the known kink locations.
-The negative-order boundary norm is a discrete dual norm on a fine reference
-trace space: the coarse nodal multiplier is prolongated exactly, the exact
-flux is interpolated, and the dual norm against the H1 Gram matrix of the
-reference space is evaluated by a sparse solve.  Fractional norms are the
-geometric-mean surrogates sqrt(H1 * L2) and sqrt(H-1 * L2).
+Volume norms use a fixed triangle rule per cell, with graded quadrisection
+near the transmission points, where the exact solution has fractional
+regularity.  The subdivision runs breadth first: all pieces of one depth
+form one batch, so the exact solution is evaluated a few times per depth
+rather than once per piece.  Trace norms are adaptive G10/K21 integrals
+(``quad``) over all trace elements at once, split at the known kink
+locations.  The negative-order boundary norm is a discrete dual norm on a
+fine reference trace space: the coarse nodal multiplier is prolongated
+exactly, the exact flux is interpolated, and the dual norm against the H1
+Gram matrix of the reference space is evaluated by a sparse solve.
+Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
+sqrt(H-1 * L2).
 """
 
 from __future__ import annotations
@@ -16,9 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.integrate import quad
 
-from .assembly import element_gradients, line_grams, tri_quadrature
+from .assembly import (
+    TRIANGLE_CHUNK,
+    element_gradients,
+    line_grams,
+    quad,
+    quadrisect,
+    tri_quadrature,
+    triangle_areas,
+)
 from .biortho import postprocess_multiplier
 from .mesh import TriMesh, TraceMap, point_triangle_distances
 
@@ -53,12 +64,12 @@ def fractional_dual(h_minus1: float, l2: float) -> float:
 
 def _affine_data(mesh: TriMesh, u_values: np.ndarray):
     """Per-triangle affine representation (c0, cx, cy) and gradient of u_h."""
-    grads, area = element_gradients(mesh)  # (t, 2, 3)
+    grads, _ = element_gradients(mesh)  # (t, 2, 3)
     vals = u_values[mesh.triangles]  # (t, 3)
     g = np.einsum("tdk,tk->td", grads, vals)  # (t, 2)
     v0 = mesh.vertices[mesh.triangles[:, 0]]
     c0 = vals[:, 0] - np.einsum("td,td->t", g, v0)
-    return c0, g, area
+    return c0, g
 
 
 def volume_errors(
@@ -73,120 +84,58 @@ def volume_errors(
     """L2 and H1-seminorm errors of a nodal function against sol.
 
     Triangles whose closure is within near_radius_factor * h of a
-    transmission point are integrated by recursive quadrisection up to
-    max_depth, graded by the local diameter (or uniformly when
-    graded=False); everywhere else a single fixed rule of the given degree
+    transmission point are integrated by repeated quadrisection up to
+    max_depth, graded by the local diameter (a piece splits while a
+    transmission point lies within twice its diameter) or uniformly when
+    graded=False; everywhere else a single fixed rule of the given degree
     is used.
     """
     bary, w = tri_quadrature(degree)
-    c0, g, area = _affine_data(mesh, u_values)
-    coords = mesh.vertices[mesh.triangles]
-
-    h = mesh.max_edge_length()
+    c0, g = _affine_data(mesh, u_values)
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
-    near = np.zeros(mesh.num_triangles, dtype=bool)
-    for pt in tps:
-        near |= point_triangle_distances(pt, mesh) <= near_radius_factor * h
 
-    def batch_values(pts, tri_sel):
-        x = pts[..., 0]
-        y = pts[..., 1]
-        ue = sol.u(x, y)
-        uex, uey = sol.grad_u(x, y)
-        uh = c0[tri_sel, None] + g[tri_sel, 0, None] * x + g[tri_sel, 1, None] * y
-        sq_val = (ue - uh) ** 2
-        sq_grad = (uex - g[tri_sel, 0, None]) ** 2 + (uey - g[tri_sel, 1, None]) ** 2
-        return sq_val, sq_grad
+    def distance(tri):
+        return np.minimum(*(point_triangle_distances(pt, tri) for pt in tps))
 
-    total_l2 = 0.0
-    total_h1 = 0.0
-    regular = np.flatnonzero(~near)
-    # chunked to bound memory on fine levels
-    for start in range(0, regular.shape[0], 1 << 16):
-        sel = regular[start : start + (1 << 16)]
-        pts = np.einsum("qk,tkd->tqd", bary, coords[sel])
-        sq_val, sq_grad = batch_values(pts, sel)
-        total_l2 += float(np.einsum("tq,q,t->", sq_val, w, area[sel]))
-        total_h1 += float(np.einsum("tq,q,t->", sq_grad, w, area[sel]))
-
-    def leaf_integral(tri_coords, tri_id):
-        pts = np.einsum("qk,kd->qd", bary, tri_coords)
-        x = pts[:, 0]
-        y = pts[:, 1]
-        ue = sol.u(x, y)
-        uex, uey = sol.grad_u(x, y)
-        uh = c0[tri_id] + g[tri_id, 0] * x + g[tri_id, 1] * y
-        a = _tri_area(tri_coords)
-        l2 = a * float(np.dot(w, (ue - uh) ** 2))
-        h1 = a * float(np.dot(w, (uex - g[tri_id, 0]) ** 2 + (uey - g[tri_id, 1]) ** 2))
+    def leaf_sums(tri, owner, leaves):
+        l2 = h1 = 0.0
+        for start in range(0, leaves.shape[0], TRIANGLE_CHUNK):
+            sel = leaves[start : start + TRIANGLE_CHUNK]
+            cells = tri[sel]
+            t = owner[sel, None]
+            pts = np.einsum("qk,tkd->tqd", bary, cells)
+            x = pts[..., 0]
+            y = pts[..., 1]
+            ue = sol.u(x, y)
+            uex, uey = sol.grad_u(x, y)
+            uh = c0[t] + g[t, 0] * x + g[t, 1] * y
+            area = triangle_areas(cells)
+            l2 += float(np.einsum("tq,q,t->", (ue - uh) ** 2, w, area))
+            h1 += float(np.einsum("tq,q,t->", (uex - g[t, 0]) ** 2 + (uey - g[t, 1]) ** 2, w, area))
         return l2, h1
 
-    def recurse(tri_coords, tri_id, depth):
-        if depth < max_depth and (not graded or _needs_split(tri_coords, tps)):
-            l2 = h1 = 0.0
-            for child in _split_coords(tri_coords):
-                cl2, ch1 = recurse(child, tri_id, depth + 1)
-                l2 += cl2
-                h1 += ch1
-            return l2, h1
-        return leaf_integral(tri_coords, tri_id)
-
-    for t in np.flatnonzero(near):
-        l2, h1 = recurse(coords[t], t, 0)
+    tri = mesh.vertices[mesh.triangles]
+    owner = np.arange(mesh.num_triangles)
+    split = distance(tri) <= near_radius_factor * mesh.max_edge_length()
+    total_l2 = total_h1 = 0.0
+    for depth in range(max_depth + 1):
+        if depth == max_depth:
+            split[:] = False
+        elif graded:
+            near = tri[split]
+            edges = near - np.roll(near, -1, axis=1)
+            diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
+            split[split] = distance(near) <= 2.0 * diam
+        l2, h1 = leaf_sums(tri, owner, np.flatnonzero(~split))
         total_l2 += l2
         total_h1 += h1
+        if not split.any():
+            break
+        tri = quadrisect(tri[split]).reshape(-1, 3, 2)
+        owner = np.repeat(owner[split], 4)
+        split = np.ones(tri.shape[0], dtype=bool)
 
     return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
-
-
-def _tri_area(tri_coords: np.ndarray) -> float:
-    d1 = tri_coords[1] - tri_coords[0]
-    d2 = tri_coords[2] - tri_coords[0]
-    return 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-
-
-def _split_coords(tri_coords: np.ndarray):
-    a, b, c = tri_coords
-    mab = 0.5 * (a + b)
-    mbc = 0.5 * (b + c)
-    mca = 0.5 * (c + a)
-    return (
-        np.stack([a, mab, mca]),
-        np.stack([b, mbc, mab]),
-        np.stack([c, mca, mbc]),
-        np.stack([mab, mbc, mca]),
-    )
-
-
-def _needs_split(tri_coords: np.ndarray, tps: np.ndarray) -> bool:
-    diam = max(
-        float(np.hypot(*(tri_coords[i] - tri_coords[j]))) for i, j in ((0, 1), (1, 2), (2, 0))
-    )
-    return _dist_to_triangle(tps, tri_coords) <= 2.0 * diam
-
-
-def _dist_to_triangle(points: np.ndarray, tri_coords: np.ndarray) -> float:
-    best = np.inf
-    for p in points:
-        d2 = np.inf
-        inside = True
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            a = tri_coords[i]
-            ab = tri_coords[j] - a
-            t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
-            diff = a + t * ab - p
-            d2 = min(d2, float(np.dot(diff, diff)))
-            if ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0]) < 0.0:
-                inside = False
-        best = min(best, 0.0 if inside else float(np.sqrt(d2)))
-    return best
-
-
-def _piecewise_linear(x_nodes: np.ndarray, values: np.ndarray):
-    def fn(s):
-        return np.interp(s, x_nodes, values)
-
-    return fn
 
 
 def _kinks(sol):
@@ -194,13 +143,14 @@ def _kinks(sol):
     return getattr(sol, "kink_x", (sol.x_left, sol.x_right))
 
 
-def _trace_integral(fn, x_nodes, kinks, epsabs, epsrel):
-    total = 0.0
-    for lo, hi in zip(x_nodes[:-1], x_nodes[1:]):
-        pts = [k for k in kinks if lo < k < hi]
-        val, _ = quad(fn, lo, hi, points=pts or None, epsabs=epsabs, epsrel=epsrel, limit=200)
-        total += val
-    return total
+def _l2_gap_sq(fn, x, values, kinks, epsabs, epsrel) -> float:
+    """Squared L2 distance between fn and the P1 function with nodal values on x."""
+    slopes = np.diff(values) / np.diff(x)
+
+    def sq_err(s, e):
+        return (fn(s) - (values[e] + slopes[e] * (s - x[e]))) ** 2
+
+    return float(np.sum(quad(sq_err, x[:-1], x[1:], kinks, epsabs, epsrel)))
 
 
 def trace_errors(
@@ -215,24 +165,13 @@ def trace_errors(
     x = tmap.x
     vals = u_values[tmap.vertices]
     kinks = _kinks(sol)
-    uh = _piecewise_linear(x, vals)
     slopes = np.diff(vals) / np.diff(x)
 
-    def sq_err(s):
-        return (sol.u_trace(s) - uh(s)) ** 2
+    def dsq_err(s, e):
+        return (sol.u_trace_d1(s) - slopes[e]) ** 2
 
-    l2_sq = _trace_integral(sq_err, x, kinks, epsabs, epsrel)
-
-    h1_sq = 0.0
-    for e, (lo, hi) in enumerate(zip(x[:-1], x[1:])):
-        pts = [k for k in kinks if lo < k < hi]
-
-        def dsq_err(s, slope=slopes[e]):
-            return (sol.u_trace_d1(s) - slope) ** 2
-
-        val, _ = quad(dsq_err, lo, hi, points=pts or None, epsabs=epsabs, epsrel=epsrel, limit=200)
-        h1_sq += val
-
+    l2_sq = _l2_gap_sq(sol.u_trace, x, vals, kinks, epsabs, epsrel)
+    h1_sq = float(np.sum(quad(dsq_err, x[:-1], x[1:], kinks, epsabs, epsrel)))
     l2 = float(np.sqrt(l2_sq))
     h1 = float(np.sqrt(l2_sq + h1_sq))
     return l2, h1, geometric_mean(h1, l2)
@@ -247,12 +186,7 @@ def multiplier_l2_error(
     epsrel: float = 1e-10,
 ) -> float:
     """L2(Gamma_S) distance between the nodal multiplier and the exact flux."""
-    lam_h = _piecewise_linear(tmap.x, hat_values)
-
-    def sq_err(s):
-        return (flux_fn(s) - lam_h(s)) ** 2
-
-    return float(np.sqrt(_trace_integral(sq_err, tmap.x, kinks, epsabs, epsrel)))
+    return float(np.sqrt(_l2_gap_sq(flux_fn, tmap.x, hat_values, kinks, epsabs, epsrel)))
 
 
 def reference_trace_grid(level: int, width: float) -> np.ndarray:

@@ -73,6 +73,14 @@ class StudyError(RuntimeError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Knobs of one study run; defaults reproduce the benchmark setup.
@@ -101,13 +109,39 @@ class StudyConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name, spec in self.__dataclass_fields__.items():
+            value = getattr(self, name)
+            if spec.type == "int" and not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if spec.type == "float" and not _is_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            if spec.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
         if not 1 <= self.min_level <= self.max_level <= 11:
             raise ValueError(
                 f"levels must satisfy 1 <= min <= max <= 11, got {self.min_level}..{self.max_level}"
             )
+        knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
+        if not (knots_ok and all(_is_real(k) for k in self.knots)):
+            raise ValueError(f"knots must be two real numbers, got {self.knots!r}")
         s0, s1 = self.knots
         if not 0.0 < s0 < s1:
             raise ValueError(f"cut-off knots must satisfy 0 < s0 < s1, got {self.knots}")
+        lower_bounds = dict(
+            pdas_max_iter=1,
+            load_quad_degree=1,
+            volume_quad_degree=1,
+            volume_quad_depth=0,
+            ref_offset=0,
+        )
+        for name, least in lower_bounds.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("weight", "pdas_c"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
 
     def solution(self) -> ExactSolution:
         return ExactSolution(weight=self.weight, cutoff=CutoffSpline(*self.knots))
@@ -381,10 +415,12 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
 def config_from_file(path) -> dict:
     """Parse a flat key-value config file into StudyConfig keyword arguments.
 
-    Lines look like "max_level = 6"; '#' starts a comment.  Knots are two
-    comma-separated reals.  Unknown keys raise.
+    Lines look like "max_level = 6"; '#' starts a comment.  Each value is
+    read as the type of its StudyConfig field: knots are two comma-separated
+    reals, switches are exactly "true" or "false".  Unknown keys and values
+    that do not parse raise ValueError naming the line.
     """
-    valid = set(StudyConfig.__dataclass_fields__)
+    fields = StudyConfig.__dataclass_fields__
     kwargs = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -394,28 +430,28 @@ def config_from_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in valid:
+        if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        kwargs[key] = _parse_value(key, value)
+        try:
+            kwargs[key] = _parse_value(fields[key].type, value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return kwargs
 
 
-def _parse_value(key: str, value: str):
-    if key == "knots":
+def _parse_value(kind: str, value: str):
+    """Read value as a StudyConfig field of the annotated type kind."""
+    if kind == "bool":
+        if value not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value == "true"
+    if kind == "int":
+        return int(value)
+    if kind == "float":
+        return float(value)
+    if kind == "tuple[float, float]":
         parts = value.split(",")
         if len(parts) != 2:
-            raise ValueError(f"knots need two comma-separated reals, got {value!r}")
+            raise ValueError(f"expected two comma-separated reals, got {value!r}")
         return (float(parts[0]), float(parts[1]))
-    if key == "out_dir":
-        return value
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
     return value

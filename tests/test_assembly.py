@@ -102,6 +102,36 @@ def test_load_split_lines_matter(sol):
     assert np.abs(plain - ref).max() > 1e-4
 
 
+def _load_oracle(m, f, degree, refine_near, split_x):
+    """Per-triangle load assembly: cut, quadrisect and scatter one cell at a time."""
+    bary, w = assembly.tri_quadrature(degree)
+    grads, _ = assembly.element_gradients(m)
+    points, radius = refine_near
+    load = np.zeros(m.num_vertices)
+    for t, tri in enumerate(m.vertices[m.triangles]):
+        near = min(msh.point_triangle_distances(p, tri[None])[0] for p in points) <= radius
+        pieces = assembly._split_by_lines(tri, split_x)
+        if near:
+            pieces = [child for piece in pieces for child in assembly.quadrisect(piece[None])[0]]
+        for sub in pieces:
+            pts = bary @ sub
+            hats = (pts - tri[0]) @ grads[t]
+            hats[:, 0] += 1.0
+            d1, d2 = sub[1] - sub[0], sub[2] - sub[0]
+            area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+            load[m.triangles[t]] += area * np.einsum("q,q,qk->k", f(pts[:, 0], pts[:, 1]), w, hats)
+    return load
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_batched_load_matches_per_triangle_oracle(sol, level):
+    m = msh.mesh_at_level(level)
+    refine_near = (np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]]), 2.0 * m.max_edge_length())
+    load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    oracle = _load_oracle(m, sol.rhs, 4, refine_near, sol.load_split_x)
+    assert np.abs(load - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
 def test_load_polynomial_exactness():
     m = msh.mesh_at_level(1)
 

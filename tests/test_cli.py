@@ -63,3 +63,22 @@ def test_bad_knots_flag():
     runner = CliRunner()
     result = runner.invoke(main, ["study", "--knots", "0.5"])
     assert result.exit_code != 0
+
+
+def test_invalid_config_value_exits_nonzero(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("min_level = 2\nwarm_start = yes\n")
+    runner = CliRunner()
+    result = runner.invoke(main, ["study", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert "study.cfg:2" in result.output
+    assert "expected true or false" in result.output
+
+
+def test_out_of_range_config_value_exits_nonzero(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("min_level = 2\nmax_level = 2\npdas_c = -1\n")
+    runner = CliRunner()
+    result = runner.invoke(main, ["study", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert "pdas_c must be > 0" in result.output

@@ -172,11 +172,12 @@ def test_mesh_at_level_validates():
 
 def test_point_triangle_distances():
     m = msh.build_initial()
-    d = msh.point_triangle_distances(np.array([0.0, 0.0]), m)
+    tri = m.vertices[m.triangles]
+    d = msh.point_triangle_distances(np.array([0.0, 0.0]), tri)
     assert d.min() == 0.0
-    inside = msh.point_triangle_distances(np.array([0.1, 0.1]), m)
+    inside = msh.point_triangle_distances(np.array([0.1, 0.1]), tri)
     assert inside.min() == 0.0
-    far = msh.point_triangle_distances(np.array([-1.0, -1.0]), m)
+    far = msh.point_triangle_distances(np.array([-1.0, -1.0]), tri)
     assert far.min() > 1.0
 
 

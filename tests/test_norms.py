@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from signorini_fem import (
     ExactSolution,
@@ -12,12 +13,14 @@ from signorini_fem import (
     trace_map,
     volume_errors,
 )
-from signorini_fem.assembly import line_grams
+from signorini_fem.assembly import element_gradients, line_grams, quad, tri_quadrature
+from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import (
     multiplier_l2_error,
     prolong_trace_values,
     reference_trace_grid,
 )
+from signorini_fem.solver import solve_vi
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +201,174 @@ def test_reference_level_stability_quick(sol):
     a = h_minus1_error(hat, level, sol.flux, ref_level=level + 3, width=sol.width)
     b = h_minus1_error(hat, level, sol.flux, ref_level=level + 4, width=sol.width)
     assert abs(a - b) <= 0.02 * max(a, b)
+
+
+# ------------------------------------------------------------------ oracles
+# The loops below are the per-element and per-cell quadratures that the
+# batched rules replaced; they stay here as references.
+
+
+def _trace_integral_oracle(fn, x, kinks, epsabs=1e-14, epsrel=1e-10):
+    """Sum over elements of one scipy quad call each; fn(s, e) on element e."""
+    total = 0.0
+    for e, (lo, hi) in enumerate(zip(x[:-1], x[1:])):
+        pts = [k for k in kinks if lo < k < hi]
+        val, _ = scipy_quad(
+            lambda s: fn(s, e), lo, hi, points=pts or None, epsabs=epsabs, epsrel=epsrel, limit=200
+        )
+        total += val
+    return total
+
+
+def _trace_errors_oracle(tm, u_values, sol):
+    x = tm.x
+    vals = u_values[tm.vertices]
+    slopes = np.diff(vals) / np.diff(x)
+    l2_sq = _trace_integral_oracle(lambda s, e: (sol.u_trace(s) - np.interp(s, x, vals)) ** 2, x, sol.kink_x)
+    h1_sq = _trace_integral_oracle(lambda s, e: (sol.u_trace_d1(s) - slopes[e]) ** 2, x, sol.kink_x)
+    return np.sqrt(l2_sq), np.sqrt(l2_sq + h1_sq)
+
+
+def _multiplier_l2_oracle(tm, hat, flux, kinks):
+    return np.sqrt(_trace_integral_oracle(lambda s, e: (flux(s) - np.interp(s, tm.x, hat)) ** 2, tm.x, kinks))
+
+
+def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, graded=True, degree=4):
+    """Per-triangle depth-first quadrisection with scalar geometry."""
+    bary, w = tri_quadrature(degree)
+    grads, _ = element_gradients(mesh)
+    vals = u_values[mesh.triangles]
+    g = np.einsum("tdk,tk->td", grads, vals)
+    c0 = vals[:, 0] - np.einsum("td,td->t", g, mesh.vertices[mesh.triangles[:, 0]])
+    tps = [np.array([sol.x_left, 0.0]), np.array([sol.x_right, 0.0])]
+    edges = ((0, 1), (1, 2), (2, 0))
+
+    def dist(tri):
+        best = np.inf
+        for p in tps:
+            d2 = np.inf
+            inside = True
+            for i, j in edges:
+                a = tri[i]
+                ab = tri[j] - a
+                t = np.clip(np.dot(p - a, ab) / np.dot(ab, ab), 0.0, 1.0)
+                diff = a + t * ab - p
+                d2 = min(d2, float(np.dot(diff, diff)))
+                if ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0]) < 0.0:
+                    inside = False
+            best = min(best, 0.0 if inside else float(np.sqrt(d2)))
+        return best
+
+    def leaf(tri, t):
+        pts = bary @ tri
+        x, y = pts[:, 0], pts[:, 1]
+        uex, uey = sol.grad_u(x, y)
+        d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
+        area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
+        l2 = area * np.dot(w, (sol.u(x, y) - c0[t] - g[t, 0] * x - g[t, 1] * y) ** 2)
+        h1 = area * np.dot(w, (uex - g[t, 0]) ** 2 + (uey - g[t, 1]) ** 2)
+        return l2, h1
+
+    def recurse(tri, t, depth):
+        diam = max(np.hypot(*(tri[i] - tri[j])) for i, j in edges)
+        if depth < max_depth and (not graded or dist(tri) <= 2.0 * diam):
+            a, b, c = tri
+            mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+            children = ([a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca])
+            return np.sum([recurse(np.array(ch), t, depth + 1) for ch in children], axis=0)
+        return np.array(leaf(tri, t))
+
+    h = mesh.max_edge_length()
+    total = np.zeros(2)
+    for t, tri in enumerate(mesh.vertices[mesh.triangles]):
+        total += recurse(tri, t, 0) if dist(tri) <= 2.0 * h else np.array(leaf(tri, t))
+    return tuple(np.sqrt(total))
+
+
+@pytest.fixture(scope="module")
+def solved_levels(sol):
+    """Discrete contact solutions of levels 2..5: (mesh, trace map, u, lambda hat)."""
+    out = {}
+    for level in range(2, 6):
+        m = mesh_at_level(level)
+        tm = trace_map(m)
+        vi = solve_vi(m, tm, sol)
+        out[level] = (m, tm, vi.u.values, postprocess_multiplier(vi.multiplier, tm))
+    return out
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_trace_errors_match_per_element_quad(sol, solved_levels, level):
+    m, tm, u, _ = solved_levels[level]
+    l2, h1, _ = trace_errors(m, tm, u, sol)
+    l2_ref, h1_ref = _trace_errors_oracle(tm, u, sol)
+    assert abs(l2 - l2_ref) <= 1e-10 * l2_ref
+    assert abs(h1 - h1_ref) <= 1e-10 * h1_ref
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_multiplier_l2_error_matches_per_element_quad(sol, solved_levels, level):
+    _, tm, _, hat = solved_levels[level]
+    for nodal in (hat, 0.9 * sol.flux(tm.x)):
+        err = multiplier_l2_error(tm, nodal, sol.flux, kinks=sol.kink_x)
+        ref = _multiplier_l2_oracle(tm, nodal, sol.flux, sol.kink_x)
+        assert abs(err - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_volume_errors_match_recursive_oracle(sol, solved_levels, level):
+    m, _, u, _ = solved_levels[level]
+    batched = volume_errors(m, u, sol)
+    oracle = _volume_errors_oracle(m, u, sol)
+    assert np.allclose(batched, oracle, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("level, depth", [(2, 3), (3, 2), (3, 0)])
+def test_uniform_volume_errors_match_recursive_oracle(sol, solved_levels, level, depth):
+    m, _, u, _ = solved_levels[level]
+    batched = volume_errors(m, u, sol, max_depth=depth, graded=False)
+    oracle = _volume_errors_oracle(m, u, sol, max_depth=depth, graded=False)
+    assert np.allclose(batched, oracle, rtol=1e-13, atol=0.0)
+
+
+def test_quad_integrates_sqrt_singularities_per_interval():
+    # sqrt(|x - c|) with c at a breakpoint inside the first interval and at
+    # an end of the second; exact values from the antiderivative
+    c = 0.3
+    lo = np.array([0.0, 0.3, 1.0])
+    hi = np.array([0.7, 1.1, 2.0])
+
+    def f(s, i):
+        return np.sqrt(np.abs(s - c)) * (1.0 + i)
+
+    def exact(a, b):
+        prim = lambda s: np.sign(s - c) * (2.0 / 3.0) * np.abs(s - c) ** 1.5
+        return prim(b) - prim(a)
+
+    got = quad(f, lo, hi, breaks=(c,))
+    want = np.array([exact(a, b) * (1.0 + i) for i, (a, b) in enumerate(zip(lo, hi))])
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_quad_is_exact_for_high_degree_polynomials():
+    lo = np.linspace(-1.0, 0.5, 4)
+    hi = lo + 0.5
+    got = quad(lambda s, i: s**20 - 3.0 * s**7, lo, hi)
+    want = (hi**21 - lo**21) / 21.0 - 3.0 * (hi**8 - lo**8) / 8.0
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "f, breaks, message",
+    [
+        (lambda s, i: np.where(s > 0.45, np.nan, s), (), "non-finite"),
+        # not integrable: the open pieces around the pole keep multiplying
+        (lambda s, i: 1.0 / np.abs(s - 0.3), (), "pieces above tolerance"),
+        (lambda s, i: 1.0 / np.abs(s - 0.3), (0.3,), "pieces above tolerance"),
+        # unbounded at an end: the piece there never meets its share
+        (lambda s, i: np.abs(s) ** -0.5, (), "bisection rounds"),
+    ],
+)
+def test_quad_raises_instead_of_returning_quietly(f, breaks, message):
+    with pytest.raises(ValueError, match=message):
+        quad(f, np.array([0.0, 0.5]), np.array([0.5, 1.0]), breaks=breaks)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad as scipy_quad
 
 from signorini_fem import (
     ExactSolution,
@@ -186,6 +187,38 @@ def test_trace_moments_of_linear_function():
     smap = SteklovMap(m, tm)
     moments = trace_moments(one, tm)
     assert np.allclose(moments, smap.lumped, rtol=1e-12)
+
+
+def _trace_moments_oracle(fn, tm, kinks, epsabs=1e-12):
+    """One scipy quad call per element and dual function: the loop that the
+    batched integrator replaced, kept as its reference."""
+    x = tm.x
+    moments = []
+    for p in np.flatnonzero(tm.interior):
+        total = 0.0
+        for lo, hi, slope, offset in ((x[p - 1], x[p], 3.0, -1.0), (x[p], x[p + 1], -3.0, 2.0)):
+            pts = [k for k in kinks if lo < k < hi]
+            val, _ = scipy_quad(
+                lambda s: fn(s) * (offset + slope * (s - lo) / (hi - lo)),
+                lo,
+                hi,
+                points=pts or None,
+                epsabs=epsabs,
+                epsrel=1e-10,
+                limit=200,
+            )
+            total += val
+        moments.append(total)
+    return np.array(moments)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_trace_moments_match_per_element_quad(sol, level):
+    tm = trace_map(mesh_at_level(level))
+    for fn in (sol.u_trace, sol.flux):
+        moments = trace_moments(fn, tm, kinks=sol.kink_x, epsabs=1e-12)
+        oracle = _trace_moments_oracle(fn, tm, sol.kink_x)
+        assert np.abs(moments - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
 def test_exact_trace_flux_reproduces_discrete_flux_of_p1_data(sol):

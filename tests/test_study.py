@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from signorini_fem import StudyConfig, StudyError, averaged_rate, emit_reports, run_study
+from signorini_fem import StudyConfig, StudyError, averaged_rate, emit_reports, run_study, study
+from signorini_fem.solver import SolverError
 from signorini_fem.study import CSV_COLUMNS, config_from_file
 
 
@@ -42,6 +43,36 @@ def test_config_validation():
         StudyConfig(max_level=12)
     with pytest.raises(ValueError):
         StudyConfig(knots=(1.0, 0.5))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(pdas_c=-1.0), "pdas_c must be > 0"),
+        (dict(pdas_c=0), "pdas_c must be > 0"),
+        (dict(pdas_max_iter=0), "pdas_max_iter must be >= 1"),
+        (dict(ref_offset=-2), "ref_offset must be >= 0"),
+        (dict(load_quad_degree=0), "load_quad_degree must be >= 1"),
+        (dict(volume_quad_degree=0), "volume_quad_degree must be >= 1"),
+        (dict(volume_quad_depth=-3), "volume_quad_depth must be >= 0"),
+        (dict(weight=-0.7), "weight must be > 0"),
+        (dict(warm_start="yes"), "warm_start must be true or false"),
+        (dict(compute_lambda_tilde=1), "compute_lambda_tilde must be true or false"),
+        (dict(max_level=6.0), "max_level must be an integer"),
+        (dict(ref_offset=True), "ref_offset must be an integer"),
+        (dict(pdas_c=float("nan")), "pdas_c must be a finite real number"),
+        (dict(knots=(0.5,)), "knots must be two real numbers"),
+        (dict(out_dir=3), "out_dir must be a path string"),
+    ],
+)
+def test_config_validation_types_and_ranges(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        StudyConfig(**kwargs)
+
+
+def test_config_accepts_boundary_values():
+    config = StudyConfig(pdas_max_iter=1, ref_offset=0, volume_quad_depth=0, pdas_c=2)
+    assert config.ref_offset == 0 and config.pdas_c == 2
 
 
 def test_degenerate_single_level():
@@ -118,9 +149,14 @@ def test_determinism_modulo_seconds(tmp_path):
     assert strip_json(tmp_path / "a" / "results.json") == strip_json(tmp_path / "b" / "results.json")
 
 
-def test_emit_reports_empty_records_error(tmp_path):
+def test_emit_reports_empty_records_error(monkeypatch):
+    # every level fails in the solver, so no record exists
+    def failing_solve(*args, **kwargs):
+        raise SolverError("PDAS did not converge")
+
+    monkeypatch.setattr(study, "solve_vi", failing_solve)
     with pytest.raises(StudyError):
-        run_study(StudyConfig(min_level=2, max_level=3, pdas_max_iter=0, out_dir=None))
+        run_study(StudyConfig(min_level=2, max_level=3, out_dir=None))
 
 
 def test_lambda_tilde_optional(tmp_path):
@@ -171,3 +207,20 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     path.write_text("min_level 2\n")
     with pytest.raises(ValueError):
         config_from_file(path)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("warm_start = yes", "expected true or false"),
+        ("compute_lambda_tilde = True", "expected true or false"),
+        ("max_level = 6.5", "max_level"),
+        ("knots = 0.5", "two comma-separated reals"),
+    ],
+)
+def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"# study\nmin_level = 2\n{line}\n")
+    with pytest.raises(ValueError, match=message) as err:
+        config_from_file(path)
+    assert f"{path}:3:" in str(err.value)
