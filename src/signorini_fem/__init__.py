@@ -1,115 +1,29 @@
 """P1 finite elements for the Poisson problem with unilateral contact
 boundary conditions, a biorthogonal multiplier discretization, and a
-boundary-norm convergence study on a manufactured benchmark."""
+boundary-norm convergence study on a manufactured benchmark.
 
-from .assembly import (
-    FeFunction,
-    FeSystem,
-    assemble_load,
-    assemble_stiffness,
-    boundary_lumped_mass,
-    build_system,
-    trace_grams,
-)
-from .biortho import (
-    MultiplierFunction,
-    coupling_diagonal,
-    dual_shape_values,
-    postprocess_multiplier,
-)
-from .manufactured import CutoffSpline, ExactSolution, singular_term
-from .mesh import (
-    DIRICHLET,
-    HEIGHT,
-    SIGNORINI,
-    WIDTH,
-    TraceMap,
-    TriMesh,
-    build_initial,
-    mesh_at_level,
-    prolong,
-    refine,
-    trace_map,
-)
-from .norms import (
-    ErrorReport,
-    dual_norm,
-    error_report,
-    fractional_dual,
-    h_minus1_error,
-    trace_errors,
-    volume_errors,
-)
-from .solver import (
-    SolverError,
-    VISolution,
-    discrete_transmission_points,
-    linear_subsolve,
-    solve_vi,
-)
-from .steklov import (
-    SteklovMap,
-    schur_complement_dense,
-    schur_consistency,
-    solve_schur_vi,
-    trace_moments,
-)
-from .study import (
-    ConvergenceRecord,
-    StudyConfig,
-    StudyError,
-    averaged_rate,
-    emit_reports,
-    run_study,
-)
+The package root holds the names of the README's library example and of the
+study runner; everything else is imported from its defining module."""
+
+from .assembly import build_system
+from .manufactured import ExactSolution
+from .mesh import mesh_at_level, trace_map
+from .norms import error_report
+from .solver import SolverError, solve_vi
+from .steklov import SteklovMap
+from .study import StudyConfig, StudyError, config_from_file, run_study
 
 __all__ = [
-    "DIRICHLET",
-    "HEIGHT",
-    "SIGNORINI",
-    "WIDTH",
-    "ConvergenceRecord",
-    "CutoffSpline",
-    "ErrorReport",
     "ExactSolution",
-    "FeFunction",
-    "FeSystem",
-    "MultiplierFunction",
     "SolverError",
     "SteklovMap",
     "StudyConfig",
     "StudyError",
-    "TraceMap",
-    "TriMesh",
-    "VISolution",
-    "assemble_load",
-    "assemble_stiffness",
-    "averaged_rate",
-    "boundary_lumped_mass",
-    "build_initial",
     "build_system",
-    "coupling_diagonal",
-    "discrete_transmission_points",
-    "dual_norm",
-    "dual_shape_values",
-    "emit_reports",
+    "config_from_file",
     "error_report",
-    "fractional_dual",
-    "h_minus1_error",
-    "linear_subsolve",
     "mesh_at_level",
-    "postprocess_multiplier",
-    "prolong",
-    "refine",
     "run_study",
-    "schur_complement_dense",
-    "schur_consistency",
-    "singular_term",
-    "solve_schur_vi",
     "solve_vi",
-    "trace_errors",
-    "trace_grams",
     "trace_map",
-    "trace_moments",
-    "volume_errors",
 ]

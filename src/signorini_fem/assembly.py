@@ -390,11 +390,20 @@ def trace_grams(mesh: TriMesh, tmap: TraceMap) -> tuple[sp.csr_matrix, sp.csr_ma
     return mass, (mass + stiff).tocsr()
 
 
-def dirichlet_vertices(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
-    """Vertices carrying Dirichlet data: boundary minus interior Gamma_S."""
-    on_boundary = np.unique(mesh.boundary_edges.ravel())
-    interior_trace = set(tmap.multiplier_vertices.tolist())
-    return np.asarray([v for v in on_boundary if v not in interior_trace], dtype=np.int64)
+def dof_partition(mesh: TriMesh, tmap: TraceMap):
+    """Dirichlet / free / interior split of the vertices.
+
+    The Dirichlet vertices are the boundary vertices that are not multiplier
+    DOFs (interior Gamma_S vertices); every other vertex is free, and the
+    free vertices that are not multiplier DOFs are interior.  Returns
+    (dirichlet_idx, free_mask, interior_idx) with sorted index arrays.
+    """
+    dirichlet_idx = np.setdiff1d(mesh.boundary_edges, tmap.multiplier_vertices)
+    free_mask = np.ones(mesh.num_vertices, dtype=bool)
+    free_mask[dirichlet_idx] = False
+    interior_mask = free_mask.copy()
+    interior_mask[tmap.multiplier_vertices] = False
+    return dirichlet_idx, free_mask, np.flatnonzero(interior_mask)
 
 
 @dataclass(frozen=True)
@@ -443,22 +452,17 @@ def build_system(
         refine_near=refine_near,
         split_x=sol.load_split_x,
     )
-    lumped = boundary_lumped_mass(mesh, tmap)
-    dir_idx = dirichlet_vertices(mesh, tmap)
+    dir_idx, free_mask, interior_idx = dof_partition(mesh, tmap)
     dir_vals = sol.u(mesh.vertices[dir_idx, 0], mesh.vertices[dir_idx, 1])
-    free_mask = np.ones(mesh.num_vertices, dtype=bool)
-    free_mask[dir_idx] = False
-    interior_mask = free_mask.copy()
-    interior_mask[tmap.multiplier_vertices] = False
     return FeSystem(
         mesh=mesh,
         tmap=tmap,
         stiffness=stiffness,
         load=load,
-        lumped_mass=lumped,
+        lumped_mass=boundary_lumped_mass(mesh, tmap),
         dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
         trace_dofs=tmap.multiplier_vertices,
         free_mask=free_mask,
-        interior_idx=np.flatnonzero(interior_mask),
+        interior_idx=interior_idx,
     )

@@ -5,9 +5,10 @@ functions psi_i associated with the interior Gamma_S vertices, scaled so that
 <phi_j, psi_i> = delta_ij <phi_j, 1>.  On the reference trace element the
 local pair is (2 - 3t, 3t - 1).  The discrete cone is the set of multipliers
 with non-negative coefficients, and the trace coupling matrix is diagonal,
-which is what the active-set solver exploits.  No crosspoint modification is
-applied at the endpoints of Gamma_S: the contact set of the benchmark stays
-compactly inside.
+D_j = <phi_j, 1> (``assembly.boundary_lumped_mass``), which is what the
+active-set solver exploits.  No crosspoint modification is applied at the
+endpoints of Gamma_S: the contact set of the benchmark stays compactly
+inside.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import boundary_lumped_mass
 from .mesh import TriMesh, TraceMap
 
 
@@ -39,15 +39,6 @@ def dual_shape_values(t):
     """Values (psi_left, psi_right) of the dual pair on the reference element."""
     t = np.asarray(t, dtype=float)
     return 2.0 - 3.0 * t, 3.0 * t - 1.0
-
-
-def coupling_diagonal(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
-    """Diagonal D of the trace coupling: D_j = <phi_j, 1> on Gamma_S.
-
-    The discrete pairing of a trace function v and a multiplier mu is then
-    sum_j v_j mu_j D_j.
-    """
-    return boundary_lumped_mass(mesh, tmap)
 
 
 def assemble_coupling(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:

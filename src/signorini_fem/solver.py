@@ -116,7 +116,6 @@ def solve_vi(
 
     u = np.zeros(mesh.num_vertices)
     u[system.dirichlet_idx] = system.dirichlet_values
-    lam = np.zeros(n_mult)
 
     if warm_start:
         x = tmap.multiplier_x
@@ -124,27 +123,19 @@ def solve_vi(
     else:
         active = np.zeros(n_mult, dtype=bool)
 
-    iterations = 0
-    converged = False
-    resid_vec = F - A @ u
-    for k in range(1, max_iter + 1):
-        iterations = k
-        fixed_mask = ~system.free_mask.copy()
+    def solve_fixed(active):
+        fixed_mask = ~system.free_mask
         fixed_mask[trace[active]] = True
         u[trace[active]] = g[active]
         free = np.flatnonzero(~fixed_mask)
         fixed = np.flatnonzero(fixed_mask)
         rhs = F[free] - A[free][:, fixed] @ u[fixed]
         u[free] = linear_subsolve(A[free][:, free], rhs)
-        resid_vec = F - A @ u
         lam = np.zeros(n_mult)
-        lam[active] = resid_vec[trace[active]] / D[active]
-        new_active = (lam + c * (u[trace] - g) / D) > 0.0
-        if np.array_equal(new_active, active):
-            converged = True
-            break
-        active = new_active
+        lam[active] = (F - A @ u)[trace[active]] / D[active]
+        return u[trace], lam
 
+    active, lam, iterations, converged = pdas(solve_fixed, g, D, active, c, max_iter)
     level = mesh.level
     solution = VISolution(
         u=FeFunction(level, u),
@@ -156,6 +147,27 @@ def solve_vi(
     if not converged:
         raise SolverError(f"PDAS did not converge within {max_iter} iterations", solution)
     return solution
+
+
+def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, c: float, max_iter: int):
+    """Primal-dual active set iteration on a nodal complementarity system.
+
+    solve_fixed(active) solves the system with the trace fixed to g on the
+    active DOFs and the multiplier zero off them, and returns the trace
+    values t and the multiplier lam.  The next active set is
+    { j : lam_j + c (t_j - g_j) / D_j > 0 }; the iteration has converged
+    when it repeats.  Returns (active, lam, iterations, converged), where
+    lam is the last step's multiplier and active the set that follows it.
+    """
+    lam = np.zeros(g.shape[0])
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        t, lam = solve_fixed(active)
+        new_active = (lam + c * (t - g) / D) > 0.0
+        if np.array_equal(new_active, active):
+            return active, lam, iterations, True
+        active = new_active
+    return active, lam, iterations, False
 
 
 def _saddle_residual(system: FeSystem, u: np.ndarray, lam: np.ndarray) -> float:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_stiffness, boundary_lumped_mass, dirichlet_vertices, quad
+from .assembly import assemble_stiffness, boundary_lumped_mass, dof_partition, quad
 from .biortho import MultiplierFunction
 from .mesh import TriMesh, TraceMap, trace_map
-from .solver import SolverError
+from .solver import SolverError, pdas
 
 
 class SteklovMap:
@@ -37,12 +37,7 @@ class SteklovMap:
         self.stiffness = assemble_stiffness(mesh) if stiffness is None else stiffness
         self.lumped = boundary_lumped_mass(mesh, tmap) if lumped is None else lumped
         self.trace_dofs = tmap.multiplier_vertices
-        self.dirichlet_idx = dirichlet_vertices(mesh, tmap)
-        free = np.ones(mesh.num_vertices, dtype=bool)
-        free[self.dirichlet_idx] = False
-        interior = free.copy()
-        interior[self.trace_dofs] = False
-        self.interior_idx = np.flatnonzero(interior)
+        self.dirichlet_idx, _, self.interior_idx = dof_partition(mesh, tmap)
         A = self.stiffness
         self._a_ii = A[self.interior_idx][:, self.interior_idx].tocsc()
         self._a_it = A[self.interior_idx][:, self.trace_dofs].tocsr()
@@ -176,13 +171,8 @@ def schur_complement_dense(mesh: TriMesh, tmap: TraceMap | None = None, stiffnes
     if tmap is None:
         tmap = trace_map(mesh)
     A = assemble_stiffness(mesh) if stiffness is None else stiffness
-    dir_idx = dirichlet_vertices(mesh, tmap)
-    free = np.ones(mesh.num_vertices, dtype=bool)
-    free[dir_idx] = False
+    _, _, ii = dof_partition(mesh, tmap)
     trace = tmap.multiplier_vertices
-    interior = free.copy()
-    interior[trace] = False
-    ii = np.flatnonzero(interior)
     a_tt = A[trace][:, trace].toarray()
     a_ti = A[trace][:, ii].toarray()
     a_ii = A[ii][:, ii].toarray()
@@ -219,8 +209,8 @@ def solve_schur_vi(
     sigma = smap.dense_matrix()
     nu = smap.newton_potential(load, dirichlet_values=dirichlet_values).values
     t = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+
+    def solve_fixed(active):
         inact = ~active
         t[active] = g[active]
         if np.any(inact):
@@ -228,8 +218,10 @@ def solve_schur_vi(
             t[inact] = np.linalg.solve(sigma[inact][:, inact], rhs)
         lam = np.zeros(n)
         lam[active] = nu[active] - sigma[active] @ t
-        new_active = (lam + c * (t - g) / smap.lumped) > 0.0
-        if np.array_equal(new_active, active):
-            return t, lam, active
-        active = new_active
-    raise SolverError("boundary PDAS did not converge")
+        return t, lam
+
+    start = np.zeros(n, dtype=bool)
+    active, lam, _, converged = pdas(solve_fixed, g, smap.lumped, start, c, max_iter)
+    if not converged:
+        raise SolverError("boundary PDAS did not converge")
+    return t, lam, active

@@ -45,30 +45,6 @@ RATE_KEYS = (
     "e_Hminushalf_lambda_tilde",
 )
 
-CSV_COLUMNS = (
-    "level",
-    "h",
-    "e_L2_omega",
-    "rate_L2_omega",
-    "e_L2_gammaS",
-    "rate_L2_gammaS",
-    "e_L2_lambda",
-    "rate_L2_lambda",
-    "e_Hhalf",
-    "rate_Hhalf",
-    "e_Hmhalf_lambda",
-    "rate_Hmhalf_lambda",
-    "e_Hmhalf_lambda_tilde",
-    "rate_Hmhalf_lambda_tilde",
-    "xl_dist",
-    "xl_ratio",
-    "xr_dist",
-    "xr_ratio",
-    "iters",
-    "seconds",
-)
-
-
 class StudyError(RuntimeError):
     pass
 
@@ -237,8 +213,10 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
     )
     lam_tilde = None
     if config.compute_lambda_tilde:
-        smap = SteklovMap(mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass)
-        lam_tilde = smap.exact_trace_flux(sol, system.load)
+        # no name keeps the map, so its interior factor is freed before the norms
+        lam_tilde = SteklovMap(
+            mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass
+        ).exact_trace_flux(sol, system.load)
 
     report = error_report(
         mesh,
@@ -303,46 +281,36 @@ def _fill_rates(records: list[ConvergenceRecord]) -> None:
                     rec.rates_stepwise[key] = math.log2(prev.errors[key] / err)
 
 
-_CSV_RATE_OF = {
-    "rate_L2_omega": "e_L2_omega",
-    "rate_L2_gammaS": "e_L2_gammaS",
-    "rate_L2_lambda": "e_L2_lambda",
-    "rate_Hhalf": "e_Hhalf_gammaS",
-    "rate_Hmhalf_lambda": "e_Hminushalf_lambda",
-    "rate_Hmhalf_lambda_tilde": "e_Hminushalf_lambda_tilde",
-}
-_CSV_ERR_OF = {
-    "e_L2_omega": "e_L2_omega",
-    "e_L2_gammaS": "e_L2_gammaS",
-    "e_L2_lambda": "e_L2_lambda",
-    "e_Hhalf": "e_Hhalf_gammaS",
-    "e_Hmhalf_lambda": "e_Hminushalf_lambda",
-    "e_Hmhalf_lambda_tilde": "e_Hminushalf_lambda_tilde",
-}
+def _cell(value, spec: str) -> str:
+    return "" if value is None else format(value, spec)
 
 
-def _csv_row(rec: ConvergenceRecord) -> list[str]:
-    row = []
-    for col in CSV_COLUMNS:
-        if col == "level":
-            row.append(str(rec.level))
-        elif col == "h":
-            row.append(f"{rec.h:.6e}")
-        elif col in _CSV_ERR_OF:
-            err = rec.errors.get(_CSV_ERR_OF[col])
-            row.append("" if err is None else f"{err:.6e}")
-        elif col in _CSV_RATE_OF:
-            rate = rec.rates.get(_CSV_RATE_OF[col])
-            row.append("" if rate is None else f"{rate:.4f}")
-        elif col in ("xl_dist", "xr_dist"):
-            row.append(f"{getattr(rec, col):.6e}")
-        elif col in ("xl_ratio", "xr_ratio"):
-            row.append(f"{getattr(rec, col):.4f}")
-        elif col == "iters":
-            row.append(str(rec.iterations))
-        elif col == "seconds":
-            row.append(f"{rec.seconds:.3f}")
-    return row
+def _error_and_rate(name: str, key: str) -> tuple:
+    """The error column e_<name> and its averaged rate column rate_<name>."""
+    return (
+        (f"e_{name}", lambda rec: _cell(rec.errors.get(key), ".6e")),
+        (f"rate_{name}", lambda rec: _cell(rec.rates.get(key), ".4f")),
+    )
+
+
+#: results.csv columns in order, each with the formatter of its cell.
+_CSV_TABLE = (
+    ("level", lambda rec: str(rec.level)),
+    ("h", lambda rec: f"{rec.h:.6e}"),
+    *_error_and_rate("L2_omega", "e_L2_omega"),
+    *_error_and_rate("L2_gammaS", "e_L2_gammaS"),
+    *_error_and_rate("L2_lambda", "e_L2_lambda"),
+    *_error_and_rate("Hhalf", "e_Hhalf_gammaS"),
+    *_error_and_rate("Hmhalf_lambda", "e_Hminushalf_lambda"),
+    *_error_and_rate("Hmhalf_lambda_tilde", "e_Hminushalf_lambda_tilde"),
+    ("xl_dist", lambda rec: f"{rec.xl_dist:.6e}"),
+    ("xl_ratio", lambda rec: f"{rec.xl_ratio:.4f}"),
+    ("xr_dist", lambda rec: f"{rec.xr_dist:.6e}"),
+    ("xr_ratio", lambda rec: f"{rec.xr_ratio:.4f}"),
+    ("iters", lambda rec: str(rec.iterations)),
+    ("seconds", lambda rec: f"{rec.seconds:.3f}"),
+)
+CSV_COLUMNS = tuple(column for column, _ in _CSV_TABLE)
 
 
 def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir) -> dict:
@@ -360,7 +328,7 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            writer.writerow(_csv_row(rec))
+            writer.writerow([cell(rec) for _, cell in _CSV_TABLE])
     paths["csv"] = csv_path
 
     json_path = out / "results.json"

@@ -14,17 +14,17 @@ from signorini_fem import (
     ExactSolution,
     SteklovMap,
     StudyConfig,
-    averaged_rate,
     build_system,
     mesh_at_level,
     run_study,
-    schur_consistency,
     solve_vi,
     trace_map,
 )
-from signorini_fem.assembly import assemble_stiffness
-from signorini_fem.biortho import assemble_coupling, coupling_diagonal, postprocess_multiplier
+from signorini_fem.assembly import assemble_stiffness, boundary_lumped_mass
+from signorini_fem.biortho import assemble_coupling, postprocess_multiplier
 from signorini_fem.norms import h_minus1_error
+from signorini_fem.steklov import schur_consistency
+from signorini_fem.study import averaged_rate
 
 
 @pytest.fixture(scope="session")
@@ -199,7 +199,7 @@ def test_criterion_7_discretization_conformity(sol):
         mesh = mesh_at_level(level)
         tmap = trace_map(mesh)
         coupling = assemble_coupling(mesh, tmap)
-        d = coupling_diagonal(mesh, tmap)
+        d = boundary_lumped_mass(mesh, tmap)
         expected = np.zeros_like(coupling)
         expected[tmap.interior, np.arange(tmap.num_multipliers)] = d
         worst_coupling = max(worst_coupling, np.abs(coupling - expected).max() / d.max())

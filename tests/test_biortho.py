@@ -33,16 +33,10 @@ def test_coupling_matrix_diagonal(level):
     m = msh.mesh_at_level(level)
     tm = msh.trace_map(m)
     coupling = biortho.assemble_coupling(m, tm)
-    d = biortho.coupling_diagonal(m, tm)
+    d = boundary_lumped_mass(m, tm)
     expected = np.zeros_like(coupling)
     expected[tm.interior, np.arange(tm.num_multipliers)] = d
     assert np.abs(coupling - expected).max() <= 1e-12 * d.max()
-
-
-def test_coupling_diagonal_delegates():
-    m = msh.mesh_at_level(3)
-    tm = msh.trace_map(m)
-    assert np.array_equal(biortho.coupling_diagonal(m, tm), boundary_lumped_mass(m, tm))
 
 
 def test_pairing_of_unit_trace_function():
@@ -51,7 +45,7 @@ def test_pairing_of_unit_trace_function():
     tm = msh.trace_map(m)
     coupling = biortho.assemble_coupling(m, tm)
     ones = np.ones(tm.x.shape[0])
-    d = biortho.coupling_diagonal(m, tm)
+    d = boundary_lumped_mass(m, tm)
     assert np.allclose(ones @ coupling, d, rtol=1e-13)
 
 
@@ -79,7 +73,7 @@ def test_postprocess_preserves_mean():
     m = msh.mesh_at_level(3)
     tm = msh.trace_map(m)
     coeffs = rng.uniform(0.0, 1.0, tm.num_multipliers)
-    d = biortho.coupling_diagonal(m, tm)
+    d = boundary_lumped_mass(m, tm)
     nodal = biortho.postprocess_multiplier(biortho.MultiplierFunction(3, coeffs), tm)
     from signorini_fem.assembly import line_grams
 

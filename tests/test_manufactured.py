@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from signorini_fem import CutoffSpline, ExactSolution, singular_term
+from signorini_fem.manufactured import CutoffSpline, ExactSolution, singular_term
 
 
 @pytest.fixture(scope="module")

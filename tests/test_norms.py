@@ -2,24 +2,20 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from signorini_fem import (
-    ExactSolution,
-    averaged_rate,
-    dual_norm,
-    fractional_dual,
-    h_minus1_error,
-    mesh_at_level,
-    trace_errors,
-    trace_map,
-    volume_errors,
-)
+from signorini_fem import ExactSolution, mesh_at_level, trace_map
 from signorini_fem.assembly import element_gradients, line_grams, quad, tri_quadrature
 from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import (
+    dual_norm,
+    fractional_dual,
+    h_minus1_error,
     multiplier_l2_error,
     prolong_trace_values,
     reference_trace_grid,
+    trace_errors,
+    volume_errors,
 )
+from signorini_fem.study import averaged_rate
 from signorini_fem.solver import solve_vi
 
 

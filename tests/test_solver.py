@@ -5,18 +5,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from signorini_fem import (
-    ExactSolution,
-    SolverError,
-    build_system,
-    discrete_transmission_points,
-    linear_subsolve,
-    mesh_at_level,
-    solve_vi,
-    trace_map,
-)
+from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem.biortho import MultiplierFunction
-from signorini_fem.solver import VISolution
+from signorini_fem.solver import VISolution, discrete_transmission_points, linear_subsolve
 from signorini_fem.assembly import FeFunction
 
 

@@ -4,18 +4,21 @@ from scipy.integrate import quad as scipy_quad
 
 from signorini_fem import (
     ExactSolution,
+    SolverError,
     SteklovMap,
     build_system,
     mesh_at_level,
-    schur_complement_dense,
-    schur_consistency,
-    solve_schur_vi,
     solve_vi,
     trace_map,
-    trace_moments,
 )
 from signorini_fem import mesh as msh
 from signorini_fem.assembly import assemble_stiffness
+from signorini_fem.steklov import (
+    schur_complement_dense,
+    schur_consistency,
+    solve_schur_vi,
+    trace_moments,
+)
 
 
 @pytest.fixture(scope="module")
@@ -277,3 +280,16 @@ def test_exact_trace_flux_zero_problem():
     smap = SteklovMap(m, tm)
     lam = smap.exact_trace_flux(Zero(), np.zeros(m.num_vertices))
     assert np.abs(lam.values).max() <= 1e-14
+
+
+def test_schur_vi_nonconvergence_raises(sol):
+    # from the empty start the level-3 contact set takes three steps, as in solve_vi
+    m = mesh_at_level(3)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    for max_iter in (1, 2):
+        with pytest.raises(SolverError, match="boundary PDAS did not converge"):
+            solve_schur_vi(smap, system.load, system.dirichlet_values, max_iter=max_iter)
+    t, lam, active = solve_schur_vi(smap, system.load, system.dirichlet_values, max_iter=3)
+    assert np.array_equal(active, solve_vi(m, tm, sol, system=system, warm_start=False).active)

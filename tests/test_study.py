@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from signorini_fem import StudyConfig, StudyError, averaged_rate, emit_reports, run_study, study
-from signorini_fem.solver import SolverError
-from signorini_fem.study import CSV_COLUMNS, config_from_file
+from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
+from signorini_fem.study import CSV_COLUMNS, averaged_rate, config_from_file, emit_reports
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +223,45 @@ def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message)
     with pytest.raises(ValueError, match=message) as err:
         config_from_file(path)
     assert f"{path}:3:" in str(err.value)
+
+
+def test_csv_rows_of_a_synthetic_record(tmp_path):
+    # one error (lambda tilde, with its rate) and one rate (L2 lambda) missing
+    errors = dict(
+        e_L2_omega=7.3098e-03,
+        e_H1_omega=0.5,  # not a CSV column
+        e_L2_gammaS=1.2345678e-03,
+        e_L2_lambda=0.25,
+        e_Hhalf_gammaS=3.0e-2,
+        e_Hminushalf_lambda=1.7964e-02,
+    )
+    rates = dict(
+        e_L2_omega=1.89,
+        e_H1_omega=1.0,
+        e_L2_gammaS=1.923456,
+        e_Hhalf_gammaS=1.5,
+        e_Hminushalf_lambda=1.73649,
+    )
+    record = study.ConvergenceRecord(
+        level=3,
+        h=0.16289,
+        errors=errors,
+        rates=rates,
+        xl_dist=0.0,
+        xl_ratio=0.0,
+        xr_dist=0.0123456,
+        xr_ratio=0.4567,
+        iterations=2,
+        seconds=12.3456789,
+    )
+    emit_reports([record], StudyConfig(min_level=3, max_level=3), tmp_path)
+    lines = (tmp_path / "results.csv").read_text(encoding="ascii").splitlines()
+    assert lines == [
+        "level,h,e_L2_omega,rate_L2_omega,e_L2_gammaS,rate_L2_gammaS,e_L2_lambda,"
+        "rate_L2_lambda,e_Hhalf,rate_Hhalf,e_Hmhalf_lambda,rate_Hmhalf_lambda,"
+        "e_Hmhalf_lambda_tilde,rate_Hmhalf_lambda_tilde,xl_dist,xl_ratio,xr_dist,"
+        "xr_ratio,iters,seconds",
+        "3,1.628900e-01,7.309800e-03,1.8900,1.234568e-03,1.9235,2.500000e-01,,"
+        "3.000000e-02,1.5000,1.796400e-02,1.7365,,,0.000000e+00,0.0000,"
+        "1.234560e-02,0.4567,2,12.346",
+    ]
