@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, point_triangle_distances, trace_map
+from .mesh import TriMesh, TraceMap, cells_near, trace_map
 
 #: Triangles per batch of load and volume-norm evaluations, which bounds the
 #: memory of fine levels.
@@ -303,11 +303,10 @@ def assemble_load(
     area = mesh.signed_areas()
     load = np.zeros(mesh.num_vertices)
 
-    near = np.zeros(mesh.num_triangles, dtype=bool)
-    if refine_near is not None:
-        points, radius = refine_near
-        for pt in np.atleast_2d(points):
-            near |= point_triangle_distances(pt, coords) <= radius
+    if refine_near is None:
+        near = np.zeros(mesh.num_triangles, dtype=bool)
+    else:
+        near = cells_near(coords, *refine_near)
     crossing = np.zeros(mesh.num_triangles, dtype=bool)
     xs = coords[..., 0]
     for c in split_x:

@@ -31,7 +31,7 @@ from .assembly import (
     triangle_areas,
 )
 from .biortho import postprocess_multiplier
-from .mesh import TriMesh, TraceMap, point_triangle_distances
+from .mesh import TriMesh, TraceMap, cells_near
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,6 @@ def volume_errors(
     c0, g = _affine_data(mesh, u_values)
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
 
-    def distance(tri):
-        return np.minimum(*(point_triangle_distances(pt, tri) for pt in tps))
-
     def leaf_sums(tri, owner, leaves):
         l2 = h1 = 0.0
         for start in range(0, leaves.shape[0], TRIANGLE_CHUNK):
@@ -116,7 +113,7 @@ def volume_errors(
 
     tri = mesh.vertices[mesh.triangles]
     owner = np.arange(mesh.num_triangles)
-    split = distance(tri) <= near_radius_factor * mesh.max_edge_length()
+    split = cells_near(tri, tps, near_radius_factor * mesh.max_edge_length())
     total_l2 = total_h1 = 0.0
     for depth in range(max_depth + 1):
         if depth == max_depth:
@@ -125,7 +122,7 @@ def volume_errors(
             near = tri[split]
             edges = near - np.roll(near, -1, axis=1)
             diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
-            split[split] = distance(near) <= 2.0 * diam
+            split[split] = cells_near(near, tps, 2.0 * diam)
         l2, h1 = leaf_sums(tri, owner, np.flatnonzero(~split))
         total_l2 += l2
         total_h1 += h1

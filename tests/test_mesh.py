@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from signorini_fem import ExactSolution, build_system, trace_map
+from signorini_fem import assembly, norms
 from signorini_fem import mesh as msh
 
 
@@ -179,6 +181,54 @@ def test_point_triangle_distances():
     assert inside.min() == 0.0
     far = msh.point_triangle_distances(np.array([-1.0, -1.0]), tri)
     assert far.min() > 1.0
+
+
+def test_elimination_order_is_a_nested_dissection_permutation():
+    m = msh.build_initial()
+    assert np.array_equal(msh.elimination_order(m), np.arange(m.num_vertices))  # one leaf
+    for level in range(2, 9):
+        m = msh.refine(m)
+        order = msh.elimination_order(m)
+        assert order.dtype.kind == "i"
+        assert np.array_equal(np.sort(order), np.arange(m.num_vertices))
+        # the first separator is the middle grid column, listed last, after
+        # every vertex left of it and before that every vertex right of it
+        x = m.vertices[order, 0]
+        ny = 2 ** level
+        assert np.all(x[-(ny + 1) :] == 0.5 * msh.WIDTH)
+        rest = x[: -(ny + 1)]
+        assert np.flatnonzero(rest < 0.5 * msh.WIDTH).max() < np.flatnonzero(rest > 0.5 * msh.WIDTH).min()
+
+
+def _full_scan(tri, points, radius):
+    radius = np.broadcast_to(radius, tri.shape[:1])
+    near = np.zeros(tri.shape[0], dtype=bool)
+    for pt in np.atleast_2d(points):
+        near |= msh.point_triangle_distances(pt, tri) <= radius
+    return near
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_cells_near_selects_what_a_full_scan_selects(level, monkeypatch):
+    # every mask the load and the volume norms select, graded depths included
+    sol = ExactSolution()
+    m = msh.mesh_at_level(level)
+    calls = []
+
+    def recording(tri, points, radius):
+        mask = msh.cells_near(tri, points, radius)
+        calls.append((tri, points, radius, mask))
+        return mask
+
+    monkeypatch.setattr(assembly, "cells_near", recording)
+    monkeypatch.setattr(norms, "cells_near", recording)
+    build_system(m, trace_map(m), sol)
+    assert len(calls) == 1
+    norms.volume_errors(m, sol.u(m.vertices[:, 0], m.vertices[:, 1]), sol)
+    assert len(calls) > 2
+    for tri, points, radius, mask in calls:
+        assert mask.any()
+        assert np.array_equal(mask, _full_scan(tri, points, radius))
 
 
 def test_write_text_roundtrip(tmp_path):

@@ -1,13 +1,16 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem import ExactSolution, SolverError, SteklovMap, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem import solver
 from signorini_fem.biortho import MultiplierFunction
-from signorini_fem.solver import VISolution, discrete_transmission_points, linear_subsolve
+from signorini_fem.mesh import elimination_order
+from signorini_fem.solver import LU_OPTIONS, VISolution, discrete_transmission_points, linear_subsolve
 from signorini_fem.assembly import FeFunction
 
 
@@ -84,6 +87,66 @@ def test_linear_subsolve_cg_path():
     b = rng.standard_normal(n)
     x = linear_subsolve(A, b, direct_limit=10)
     assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_linear_subsolve_always_refines_once(monkeypatch):
+    # a factor of (1 + 1e-6) A leaves a first-solve residual of 1e-6, which
+    # already meets rtol = 1e-4; the refinement step must still run
+    n = 60
+    A = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    b = np.linspace(1.0, 2.0, n)
+    solves = []
+
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs)
+            return self.lu.solve(rhs)
+
+    fake = types.SimpleNamespace(splu=lambda m, **kw: Perturbed(spla.splu((1.0 + 1e-6) * m, **kw)))
+    monkeypatch.setattr(solver, "spla", fake)
+    x = linear_subsolve(A, b, rtol=1e-4)
+    assert len(solves) == 2
+    assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_elimination_order_fills_less_than_colamd(sol):
+    # a count, not a time: L + U entries of the level-6 free and interior blocks
+    mesh, tmap, system = make_problem(6, sol)
+    A = system.stiffness
+    order = elimination_order(mesh)
+    free = order[system.free_mask[order]]
+    nd = spla.splu(A[free][:, free].tocsc(), **LU_OPTIONS)
+    free = np.flatnonzero(system.free_mask)
+    colamd = spla.splu(A[free][:, free].tocsc(), permc_spec="COLAMD")
+    assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+    smap = SteklovMap(mesh, tmap, stiffness=A, lumped=system.lumped_mass)
+    ii = system.interior_idx
+    colamd = spla.splu(A[ii][:, ii].tocsc(), permc_spec="COLAMD")
+    assert smap._lu.L.nnz + smap._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("obstacle", ["zero", "affine"])
+def test_solve_vi_matches_colamd_reference(level, warm_start, obstacle, sol, monkeypatch):
+    mesh, tmap, system = make_problem(level, sol)
+    g = 0.0 if obstacle == "zero" else -1e-3 + 1e-3 * tmap.multiplier_x
+    vi = solve_vi(mesh, tmap, sol, g=g, system=system, warm_start=warm_start)
+
+    def colamd_subsolve(matrix, rhs):
+        return spla.spsolve(matrix.tocsc(), rhs, permc_spec="COLAMD", use_umfpack=False)
+
+    monkeypatch.setattr(solver, "linear_subsolve", colamd_subsolve)
+    ref = solve_vi(mesh, tmap, sol, g=g, system=system, warm_start=warm_start)
+    assert ref.active.any()
+    assert np.array_equal(vi.active, ref.active)
+    assert vi.iterations == ref.iterations
+    gap = np.abs(vi.u.values - ref.u.values).max()
+    assert gap <= 1e-10 * np.abs(ref.u.values).max()
 
 
 def test_unconstrained_fallback(sol):
