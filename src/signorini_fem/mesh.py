@@ -12,11 +12,14 @@ quadrisected through its edge midpoints, so level k holds a
 per-vertex lineage records, for every fine vertex, the coarse edge (or coarse
 vertex) it came from, which realizes exact nodal prolongation.
 
-Meshes are immutable after construction and safe to share between threads.
+Meshes are immutable after construction and safe to share between threads;
+the one value a mesh computes lazily, its elimination order, depends on
+nothing else, so two threads that race to compute it store equal arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,6 +95,13 @@ class TriMesh:
 
     def dirichlet_edges(self) -> np.ndarray:
         return self.boundary_edges[self.boundary_tags == DIRICHLET]
+
+    @functools.cached_property
+    def _elimination_order(self) -> np.ndarray:
+        # cached_property writes the instance dict, which a frozen dataclass allows
+        order = _nested_dissection(self)
+        order.flags.writeable = False
+        return order
 
 
 @dataclass(frozen=True)
@@ -259,6 +269,15 @@ def prolong(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
     return 0.5 * (coarse_values[pairs[:, 0]] + coarse_values[pairs[:, 1]])
 
 
+def grid_index(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Grid column and row of every vertex, and the grid's quad counts nx, ny."""
+    scale = 2 ** (mesh.level - 1)
+    nx, ny = _NX0 * scale, _NY0 * scale
+    ix = np.rint(mesh.vertices[:, 0] * (nx / WIDTH)).astype(np.int64)
+    iy = np.rint(mesh.vertices[:, 1] * (ny / HEIGHT)).astype(np.int64)
+    return ix, iy, nx, ny
+
+
 def elimination_order(mesh: TriMesh) -> np.ndarray:
     """Vertex permutation by geometric nested dissection of the grid.
 
@@ -266,20 +285,26 @@ def elimination_order(mesh: TriMesh) -> np.ndarray:
     the middle grid line; the lower half comes first, then the upper half,
     then the separator line.  Boxes of at most _ND_LEAF vertices are not
     split.  The diagonals run from lower left to upper right, so every edge
-    joins vertices at most one grid line apart and one line separates.
-    Listing the unknowns of a sparse SPD block (any subset of the vertices)
-    in this order keeps the fill of its factorization low (George, SINUM
-    1973).
+    joins vertices at most one grid line apart and one line separates.  From
+    level 2 on, the first separator is the middle grid column, ``nx // 2``
+    of ``grid_index``.  Listing the unknowns of a sparse SPD block (any subset
+    of the vertices) in this order keeps the fill of its factorization low
+    (George, SINUM 1973).
+
+    The order is computed once per mesh and returned read-only.
+    """
+    return mesh._elimination_order
+
+
+def _nested_dissection(mesh: TriMesh) -> np.ndarray:
+    """The order of ``elimination_order``, computed.
 
     All boxes of one dissection depth are split in one vectorized pass:
     each vertex gathers one base-3 digit per depth (0 lower half, 1 upper
     half, 2 separator, 0 once settled), so a stable sort by these keys
     lists every box in post order and the vertices of one leaf by index.
     """
-    scale = 2 ** (mesh.level - 1)
-    nx, ny = _NX0 * scale, _NY0 * scale
-    ix = np.rint(mesh.vertices[:, 0] * (nx / WIDTH)).astype(np.int64)
-    iy = np.rint(mesh.vertices[:, 1] * (ny / HEIGHT)).astype(np.int64)
+    ix, iy, nx, ny = grid_index(mesh)
     n = mesh.num_vertices
     # the box each vertex is in: inclusive grid index ranges
     x0 = np.zeros(n, dtype=np.int64)

@@ -200,6 +200,27 @@ def test_elimination_order_is_a_nested_dissection_permutation():
         assert np.flatnonzero(rest < 0.5 * msh.WIDTH).max() < np.flatnonzero(rest > 0.5 * msh.WIDTH).min()
 
 
+def test_elimination_order_is_computed_once_per_mesh_and_read_only(monkeypatch):
+    calls = []
+    dissect = msh._nested_dissection
+
+    def counted(mesh):
+        calls.append(mesh)
+        return dissect(mesh)
+
+    monkeypatch.setattr(msh, "_nested_dissection", counted)
+    m = msh.mesh_at_level(4)
+    first = msh.elimination_order(m)
+    assert msh.elimination_order(m) is first
+    assert len(calls) == 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = first[1]
+    # another mesh of the same level has its own order
+    msh.elimination_order(msh.mesh_at_level(4))
+    assert len(calls) == 2
+
+
 def _full_scan(tri, points, radius):
     radius = np.broadcast_to(radius, tri.shape[:1])
     near = np.zeros(tri.shape[0], dtype=bool)

@@ -1,5 +1,9 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad as scipy_quad
 
 from signorini_fem import (
@@ -12,6 +16,7 @@ from signorini_fem import (
     trace_map,
 )
 from signorini_fem import mesh as msh
+from signorini_fem import steklov
 from signorini_fem.assembly import assemble_stiffness
 from signorini_fem.steklov import (
     schur_complement_dense,
@@ -140,13 +145,68 @@ def test_schur_hand_computed_single_interior_vertex():
     assert np.allclose(smap.dense_matrix_dscaled(), [[7.0 / 4.0]], rtol=1e-13)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3, 4])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6, 7])
 def test_operator_positive_definite(level):
     m = mesh_at_level(level)
     smap = SteklovMap(m, trace_map(m))
     dense = smap.dense_matrix_dscaled()
+    assert np.abs(dense - dense.T).max() <= 1e-13 * np.abs(dense).max()
+    np.linalg.cholesky(dense)  # raises unless positive definite
     eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     assert eigs.min() > 0.0
+
+
+def apply_columns(smap):
+    """The operator applied to every unit vector, one extension per column."""
+    n = smap.num_multipliers
+    cols = np.empty((n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        cols[:, k] = smap.apply(e).values
+    return cols
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5, 6])
+def test_dense_matrix_equals_column_by_column_application(level):
+    m = mesh_at_level(level)
+    smap = SteklovMap(m, trace_map(m))
+    ref = apply_columns(smap)
+    assert np.abs(smap.dense_matrix() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_dense_matrix_solves_no_extension(monkeypatch):
+    m = mesh_at_level(4)
+    smap = SteklovMap(m, trace_map(m))
+    monkeypatch.setattr(SteklovMap, "extension", None)
+    assert smap.dense_matrix().shape == (smap.num_multipliers,) * 2
+
+
+def test_dense_matrix_refuses_a_reordered_factorization(monkeypatch):
+    m = mesh_at_level(4)
+    smap = SteklovMap(m, trace_map(m))
+
+    def colamd_splu(matrix, **options):
+        return spla.splu(matrix, **{**options, "permc_spec": "COLAMD"})
+
+    monkeypatch.setattr(steklov, "spla", types.SimpleNamespace(splu=colamd_splu))
+    with pytest.raises(SolverError, match="permuted"):
+        smap.dense_matrix()
+
+
+def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
+    # move one interior vertex of the middle column far enough right that it
+    # rounds into the next column: it joins the right half, yet the
+    # stiffness still couples it to the left half
+    m = mesh_at_level(3)
+    ix, iy, nx, ny = msh.grid_index(m)
+    moved = np.flatnonzero((ix == nx // 2) & (iy == ny // 2))
+    vertices = m.vertices.copy()
+    vertices[moved, 0] += 0.6 * msh.WIDTH / nx
+    shifted = dataclasses.replace(m, vertices=vertices)
+    smap = SteklovMap(shifted, trace_map(shifted), stiffness=assemble_stiffness(m))
+    with pytest.raises(SolverError, match="does not separate"):
+        smap.dense_matrix()
 
 
 def test_newton_potential_zero_data(sol):
@@ -177,6 +237,28 @@ def test_schur_path_reproduces_vi_solution(sol):
     assert np.abs(t - vi.u.values[system.trace_dofs]).max() <= 1e-8
     assert np.abs(lam - vi.multiplier.values).max() <= 1e-8
     assert np.array_equal(active, vi.active)
+
+
+@pytest.mark.parametrize("seed", [501, 502])
+def test_schur_path_matches_cold_vi_on_seeded_obstacles(seed):
+    # level 6, drawn as the contact benchmark draws them: an affine obstacle
+    # and a scaled load and Dirichlet data, no exact solution for the solver
+    m = mesh_at_level(6)
+    tm = trace_map(m)
+    base = build_system(m, tm, ExactSolution())
+    rng = np.random.default_rng([seed, 2])
+    a, b = rng.uniform(-2e-3, 2e-3, size=2)
+    s = rng.uniform(0.5, 2.0)
+    system = dataclasses.replace(base, load=s * base.load, dirichlet_values=s * base.dirichlet_values)
+    g = a + b * tm.multiplier_x
+    vi = solve_vi(m, tm, None, g=g, system=system, warm_start=False)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    t, lam, active = solve_schur_vi(smap, system.load, system.dirichlet_values, g=g)
+    trace = vi.u.values[system.trace_dofs]
+    assert 0 < np.count_nonzero(vi.active) < vi.active.shape[0]
+    assert np.array_equal(active, vi.active)
+    assert np.abs(t - trace).max() <= 1e-9 * np.abs(trace).max()
+    assert np.abs(lam - vi.multiplier.values).max() <= 1e-9 * np.abs(vi.multiplier.values).max()
 
 
 def test_trace_moments_of_linear_function():
