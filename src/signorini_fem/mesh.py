@@ -190,53 +190,46 @@ def refine(mesh: TriMesh) -> TriMesh:
     edges (0,1), (1,2), (2,0)).  Boundary edges split into two children that
     inherit the parent tag.
     """
-    midpoint: dict[tuple[int, int], int] = {}
-    next_id = mesh.num_vertices
-    new_coords = []
-
-    def mid(a: int, b: int) -> int:
-        nonlocal next_id
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint.get(key)
-        if idx is None:
-            idx = next_id
-            midpoint[key] = idx
-            next_id += 1
-            new_coords.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        mab = mid(a, b)
-        mbc = mid(b, c)
-        mca = mid(c, a)
-        tris.append((a, mab, mca))
-        tris.append((b, mbc, mab))
-        tris.append((c, mca, mbc))
-        tris.append((mab, mbc, mca))
-
-    edges = []
-    tags = []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = mid(int(a), int(b))
-        edges.append((a, m))
-        edges.append((m, b))
-        tags.extend((tag, tag))
-
-    vertices = np.vstack([mesh.vertices, np.asarray(new_coords)])
     n_old = mesh.num_vertices
-    parent_pairs = np.empty((vertices.shape[0], 2), dtype=np.int64)
-    parent_pairs[:n_old, 0] = np.arange(n_old)
-    parent_pairs[:n_old, 1] = np.arange(n_old)
-    for (a, b), idx in midpoint.items():
-        parent_pairs[idx] = (a, b)
+    tri = mesh.triangles
+    # every triangle's local edges (0,1), (1,2), (2,0) in encounter order,
+    # each as one integer key of its sorted vertex pair
+    ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    keys, first, inverse = np.unique(lo * (n_old + 1) + hi, return_index=True, return_inverse=True)
+    # rank the unique edges by first encounter
+    rank = np.empty(keys.shape[0], dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(keys.shape[0])
+    mab, mbc, mca = (n_old + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    a, b, c = tri.T
+    tris = np.stack(
+        [
+            np.column_stack([a, mab, mca]),
+            np.column_stack([b, mbc, mab]),
+            np.column_stack([c, mca, mbc]),
+            np.column_stack([mab, mbc, mca]),
+        ],
+        axis=1,
+    ).reshape(-1, 3)
+
+    ea, eb = mesh.boundary_edges.T
+    key = np.minimum(ea, eb) * (n_old + 1) + np.maximum(ea, eb)
+    m = n_old + rank[np.searchsorted(keys, key)]
+    edges = np.stack([np.column_stack([ea, m]), np.column_stack([m, eb])], axis=1).reshape(-1, 2)
+
+    # the unique edges' end pairs, listed in midpoint order
+    pairs = np.empty((keys.shape[0], 2), dtype=np.int64)
+    pairs[rank] = np.column_stack([lo[first], hi[first]])
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])])
+    own = np.arange(n_old)
+    parent_pairs = np.vstack([np.column_stack([own, own]), pairs])
 
     return TriMesh(
         level=mesh.level + 1,
         vertices=vertices,
-        triangles=np.asarray(tris, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags, dtype=np.int64),
+        triangles=tris.astype(np.int64),
+        boundary_edges=edges.astype(np.int64),
+        boundary_tags=np.repeat(mesh.boundary_tags, 2).astype(np.int64),
         parent_pairs=parent_pairs,
     )
 
@@ -387,21 +380,3 @@ def cells_near(tri: np.ndarray, points, radius) -> np.ndarray:
         cand = np.flatnonzero((x_lo <= px) & (px <= x_hi) & (y_lo <= py) & (py <= y_hi))
         near[cand] |= point_triangle_distances(pt, tri[cand]) <= radius[cand]
     return near
-
-
-def write_text(mesh: TriMesh, path) -> None:
-    """Dump the mesh in plain text.
-
-    First line: vertex, triangle and boundary-edge counts.  Then one vertex
-    per line ("x y"), one triangle per line ("i j k"), one boundary edge per
-    line ("i j tag") with tag "dirichlet" or "signorini".
-    """
-    names = {DIRICHLET: "dirichlet", SIGNORINI: "signorini"}
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{mesh.num_vertices} {mesh.num_triangles} {len(mesh.boundary_edges)}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x!r} {y!r}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-            fh.write(f"{a} {b} {names[int(tag)]}\n")

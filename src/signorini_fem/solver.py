@@ -57,43 +57,30 @@ class VISolution:
     residual: float  # inf-norm of the saddle-point residual on free rows
 
 
-def linear_subsolve(
-    matrix: sp.spmatrix,
-    rhs: np.ndarray,
-    direct_limit: int = 600_000,
-    rtol: float = 1e-12,
-):
-    """Solve an SPD system to relative residual rtol.
+def linear_subsolve(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-12):
+    """Solve an SPD system to relative residual rtol by sparse LU.
 
-    Direct sparse factorization up to direct_limit unknowns, diagonally
-    preconditioned conjugate gradients beyond.  The factorization keeps
-    the order in which the caller lists the unknowns, so list them in
-    ``elimination_order``.  One step of iterative refinement always follows
-    the first solve, and up to two more run while the residual is above
-    rtol, so the contract holds also for ill-conditioned fine-level systems.
+    The factorization keeps the order in which the caller lists the
+    unknowns, so list them in ``elimination_order``.  One step of iterative
+    refinement always follows the first solve, and up to two more run while
+    the residual is above rtol, so the contract holds also for
+    ill-conditioned fine-level systems.
     """
     matrix = matrix.tocsc()
-    n = matrix.shape[0]
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    if n <= direct_limit:
-        try:
-            lu = spla.splu(matrix, **LU_OPTIONS)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"sparse factorization failed: {exc}") from exc
-        x = lu.solve(rhs)
-        x = x + lu.solve(rhs - matrix @ x)
-        for _ in range(2):
-            r = rhs - matrix @ x
-            if np.linalg.norm(r) <= rtol * rhs_norm:
-                break
-            x = x + lu.solve(r)
-    else:
-        precond = sp.diags(1.0 / matrix.diagonal())
-        x, info = spla.cg(matrix, rhs, rtol=rtol / 10.0, atol=0.0, M=precond, maxiter=20 * n)
-        if info != 0:
-            raise SolverError(f"conjugate gradients did not converge (info={info})")
+    try:
+        lu = spla.splu(matrix, **LU_OPTIONS)
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    x = lu.solve(rhs)
+    x = x + lu.solve(rhs - matrix @ x)
+    for _ in range(2):
+        r = rhs - matrix @ x
+        if np.linalg.norm(r) <= rtol * rhs_norm:
+            break
+        x = x + lu.solve(r)
     res = float(np.linalg.norm(rhs - matrix @ x))
     if not np.isfinite(res) or res > rtol * rhs_norm * 10.0:
         raise SolverError(f"linear solve residual {res:.3e} exceeds contract")

@@ -250,16 +250,3 @@ def test_cells_near_selects_what_a_full_scan_selects(level, monkeypatch):
     for tri, points, radius, mask in calls:
         assert mask.any()
         assert np.array_equal(mask, _full_scan(tri, points, radius))
-
-
-def test_write_text_roundtrip(tmp_path):
-    m = msh.build_initial()
-    path = tmp_path / "mesh.txt"
-    msh.write_text(m, path)
-    lines = path.read_text().strip().splitlines()
-    nv, nt, nb = (int(s) for s in lines[0].split())
-    assert (nv, nt, nb) == (15, 16, 12)
-    assert len(lines) == 1 + nv + nt + nb
-    assert lines[1 + nv + nt].split()[2] in ("dirichlet", "signorini")
-    tags = [ln.split()[2] for ln in lines[1 + nv + nt :]]
-    assert tags.count("signorini") == 4

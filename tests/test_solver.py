@@ -78,17 +78,6 @@ def test_linear_subsolve_random_spd():
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_linear_subsolve_cg_path():
-    # force the iterative branch with a tiny direct limit
-    rng = np.random.default_rng(3)
-    n = 80
-    main = 2.0 + rng.uniform(0.0, 1.0, n)
-    A = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csr")
-    b = rng.standard_normal(n)
-    x = linear_subsolve(A, b, direct_limit=10)
-    assert np.linalg.norm(b - A @ x) <= 1e-11 * np.linalg.norm(b)
-
-
 def test_linear_subsolve_always_refines_once(monkeypatch):
     # a factor of (1 + 1e-6) A leaves a first-solve residual of 1e-6, which
     # already meets rtol = 1e-4; the refinement step must still run
