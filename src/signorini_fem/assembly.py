@@ -383,12 +383,6 @@ def line_grams(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return mass, stiff
 
 
-def trace_grams(mesh: TriMesh, tmap: TraceMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """L2 and H1 Gram matrices of the P1 trace space over all Gamma_S vertices."""
-    mass, stiff = line_grams(tmap.x)
-    return mass, (mass + stiff).tocsr()
-
-
 def dof_partition(mesh: TriMesh, tmap: TraceMap):
     """Dirichlet / free / interior split of the vertices.
 

@@ -191,12 +191,15 @@ def refine(mesh: TriMesh) -> TriMesh:
     inherit the parent tag.
     """
     n_old = mesh.num_vertices
+
+    def edge_key(p, q):
+        # one integer per edge, from its sorted vertex pair
+        return np.minimum(p, q) * (n_old + 1) + np.maximum(p, q)
+
     tri = mesh.triangles
-    # every triangle's local edges (0,1), (1,2), (2,0) in encounter order,
-    # each as one integer key of its sorted vertex pair
+    # every triangle's local edges (0,1), (1,2), (2,0), in encounter order
     ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    keys, first, inverse = np.unique(lo * (n_old + 1) + hi, return_index=True, return_inverse=True)
+    keys, first, inverse = np.unique(edge_key(*ends.T), return_index=True, return_inverse=True)
     # rank the unique edges by first encounter
     rank = np.empty(keys.shape[0], dtype=np.int64)
     rank[np.argsort(first)] = np.arange(keys.shape[0])
@@ -213,13 +216,12 @@ def refine(mesh: TriMesh) -> TriMesh:
     ).reshape(-1, 3)
 
     ea, eb = mesh.boundary_edges.T
-    key = np.minimum(ea, eb) * (n_old + 1) + np.maximum(ea, eb)
-    m = n_old + rank[np.searchsorted(keys, key)]
+    m = n_old + rank[np.searchsorted(keys, edge_key(ea, eb))]
     edges = np.stack([np.column_stack([ea, m]), np.column_stack([m, eb])], axis=1).reshape(-1, 2)
 
     # the unique edges' end pairs, listed in midpoint order
     pairs = np.empty((keys.shape[0], 2), dtype=np.int64)
-    pairs[rank] = np.column_stack([lo[first], hi[first]])
+    pairs[rank] = np.sort(ends[first], axis=1)
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])])
     own = np.arange(n_old)
     parent_pairs = np.vstack([np.column_stack([own, own]), pairs])

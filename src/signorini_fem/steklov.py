@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import assemble_stiffness, boundary_lumped_mass, dof_partition, quad
-from .biortho import MultiplierFunction
-from .mesh import TriMesh, TraceMap, elimination_order, grid_index, trace_map
+from .biortho import MultiplierFunction, dual_shape_values
+from .mesh import TriMesh, TraceMap, elimination_order, grid_index
 from .solver import LU_OPTIONS, SolverError, pdas
 
 
@@ -84,24 +84,16 @@ class SteklovMap:
             r = r + load
         return r[self.trace_dofs] / self.lumped
 
-    def apply(self, z: np.ndarray, moments: bool = False, return_extension: bool = False):
-        """Apply the operator to trace data z.
+    def apply(self, z: np.ndarray) -> MultiplierFunction:
+        """Apply the operator to nodal trace values z at the multiplier DOFs.
 
-        z holds nodal values of a trace function at the multiplier DOFs, or
-        moments <z, psi_j> when moments=True (equivalent up to D-scaling).
         Returns the multiplier representing the negative boundary flux of
         the harmonic extension.
         """
-        z = np.asarray(z, dtype=float)
-        if moments:
-            z = z / self.lumped
-        w = self.extension(z)
-        result = MultiplierFunction(self.mesh.level, -self._boundary_flux(w))
-        if return_extension:
-            return result, w
-        return result
+        w = self.extension(np.asarray(z, dtype=float))
+        return MultiplierFunction(self.mesh.level, -self._boundary_flux(w))
 
-    def newton_potential(self, load: np.ndarray, dirichlet_values=None, return_extension: bool = False):
+    def newton_potential(self, load: np.ndarray, dirichlet_values=None) -> MultiplierFunction:
         """Multiplier of the saddle point with volume load and zero trace moments.
 
         Dirichlet values, when given, lift inhomogeneous data on Gamma_D into
@@ -110,10 +102,7 @@ class SteklovMap:
         """
         z = np.zeros(self.num_multipliers)
         w = self.extension(z, dirichlet_values=dirichlet_values, load=load)
-        result = MultiplierFunction(self.mesh.level, self._boundary_flux(w, load))
-        if return_extension:
-            return result, w
-        return result
+        return MultiplierFunction(self.mesh.level, self._boundary_flux(w, load))
 
     def exact_trace_flux(self, sol, load: np.ndarray, moments_epsabs: float = 1e-12):
         """Multiplier of the linear saddle point fed with the exact trace.
@@ -163,10 +152,6 @@ class SteklovMap:
         s_tt, s_tg, s_gt, s_gg = s_bb[:n, :n], s_bb[:n, n:], s_bb[n:, :n], s_bb[n:, n:]
         return (s_tt - s_tg @ np.linalg.solve(s_gg, s_gt)) / self.lumped[:, None]
 
-    def dense_matrix_dscaled(self) -> np.ndarray:
-        """D-scaled operator matrix, the one comparable to the Schur complement."""
-        return self.lumped[:, None] * self.dense_matrix()
-
 
 def _boundary_schur(A, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A_bb - A_bh A_hh^-1 A_hb, densely, from one LU with b listed last.
@@ -189,7 +174,8 @@ def trace_moments(fn, tmap: TraceMap, kinks=(), epsabs: float = 1e-12) -> np.nda
     """Moments <fn, psi_j> of a scalar function against the dual basis.
 
     The dual function of multiplier vertex p is the local right dual 3t - 1
-    on its left element and the local left dual 2 - 3t on its right element.
+    on its left element and the local left dual 2 - 3t on its right element,
+    both from ``biortho.dual_shape_values``.
     All these element integrals are one call of the adaptive G10/K21
     integrator ``quad``, with the known kink locations as breakpoints.
     """
@@ -198,43 +184,13 @@ def trace_moments(fn, tmap: TraceMap, kinks=(), epsabs: float = 1e-12) -> np.nda
     m = p.shape[0]
     lo = np.concatenate([x[p - 1], x[p]])
     hi = np.concatenate([x[p], x[p + 1]])
-    slope = np.repeat([3.0, -3.0], m)
-    offset = np.repeat([-1.0, 2.0], m)
 
     def integrand(s, i):
-        return fn(s) * (offset[i] + slope[i] * ((s - lo[i]) / (hi[i] - lo[i])))
+        psi_left, psi_right = dual_shape_values((s - lo[i]) / (hi[i] - lo[i]))
+        return fn(s) * np.where(i < m, psi_right, psi_left)
 
     vals = quad(integrand, lo, hi, kinks, epsabs=epsabs, epsrel=1e-10)
     return vals[:m] + vals[m:]
-
-
-def schur_complement_dense(mesh: TriMesh, tmap: TraceMap | None = None, stiffness=None) -> np.ndarray:
-    """Algebraic Schur complement onto the multiplier DOFs, densely.
-
-    Eliminates every non-Gamma_S free vertex from the stiffness matrix with
-    dense linear algebra; intended for low levels as the independent
-    counterpart of the operator materialization.
-    """
-    if tmap is None:
-        tmap = trace_map(mesh)
-    A = assemble_stiffness(mesh) if stiffness is None else stiffness
-    _, _, ii = dof_partition(mesh, tmap)
-    trace = tmap.multiplier_vertices
-    a_tt = A[trace][:, trace].toarray()
-    a_ti = A[trace][:, ii].toarray()
-    a_ii = A[ii][:, ii].toarray()
-    a_it = A[ii][:, trace].toarray()
-    return a_tt - a_ti @ np.linalg.solve(a_ii, a_it)
-
-
-def schur_consistency(mesh: TriMesh) -> float:
-    """Relative Frobenius gap between Schur complement and D-scaled operator."""
-    tmap = trace_map(mesh)
-    stiffness = assemble_stiffness(mesh)
-    smap = SteklovMap(mesh, tmap, stiffness=stiffness)
-    dense_op = smap.dense_matrix_dscaled()
-    schur = schur_complement_dense(mesh, tmap, stiffness=stiffness)
-    return float(np.linalg.norm(dense_op - schur) / np.linalg.norm(schur))
 
 
 def solve_schur_vi(

@@ -45,6 +45,12 @@ RATE_KEYS = (
     "e_Hminushalf_lambda_tilde",
 )
 
+# Level 10 ran through the direct path in 118 s at a peak RSS of 4040 MiB on
+# a 7.8 GiB host (BENCH_level10.json); the sparse factors' fill grows about
+# 4.8x per level, so level 11 does not fit such a host.
+MAX_LEVEL = 10
+
+
 class StudyError(RuntimeError):
     pass
 
@@ -61,11 +67,12 @@ def _is_real(value) -> bool:
 class StudyConfig:
     """Knobs of one study run; defaults reproduce the benchmark setup.
 
-    The default window spans eight refinements starting from the once
-    refined initial mesh (mesh levels 2..9).  The 4 x 2 initial mesh is
-    genuinely pre-asymptotic for the benchmark (15 vertices cannot resolve
-    the cut-off features), and including it as the baseline of the averaged
-    rates would understate every order by a constant offset.
+    Levels run from 1 to MAX_LEVEL.  The default window spans eight
+    refinements starting from the once refined initial mesh (mesh levels
+    2..9).  The 4 x 2 initial mesh is genuinely pre-asymptotic for the
+    benchmark (15 vertices cannot resolve the cut-off features), and
+    including it as the baseline of the averaged rates would understate
+    every order by a constant offset.
     """
 
     min_level: int = 2
@@ -93,9 +100,12 @@ class StudyConfig:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
             if spec.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{name} must be true or false, got {value!r}")
-        if not 1 <= self.min_level <= self.max_level <= 11:
+        if not 1 <= self.min_level <= self.max_level:
+            raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
+        if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"levels must satisfy 1 <= min <= max <= 11, got {self.min_level}..{self.max_level}"
+                f"max_level {self.max_level} is above {MAX_LEVEL}: level 10 peaked at 4040 MiB RSS, "
+                "and the sparse factors' fill grows about 4.8x per level"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):

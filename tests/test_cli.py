@@ -1,8 +1,11 @@
 import json
+import time
 
 from click.testing import CliRunner
 
+from signorini_fem import study as study_module
 from signorini_fem.cli import main
+from signorini_fem.study import MAX_LEVEL
 
 
 def test_study_command_runs(tmp_path):
@@ -82,3 +85,14 @@ def test_out_of_range_config_value_exits_nonzero(tmp_path):
     result = runner.invoke(main, ["study", "--config", str(cfg)])
     assert result.exit_code != 0
     assert "pdas_c must be > 0" in result.output
+
+
+def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):
+    built = []
+    monkeypatch.setattr(study_module, "build_initial", lambda: built.append(1))
+    start = time.perf_counter()
+    result = CliRunner().invoke(main, ["study", "--max-level", str(MAX_LEVEL + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code != 0
+    assert "4040 MiB" in result.output
+    assert not built

@@ -7,6 +7,8 @@ from signorini_fem import ExactSolution, build_system, trace_map
 from signorini_fem import assembly, norms
 from signorini_fem import mesh as msh
 
+from oracles import refine_loop
+
 
 def shoelace(vertices, triangles):
     p = vertices[triangles]
@@ -45,6 +47,20 @@ def test_refine_counts():
     assert m2.num_vertices == 45
     assert m2.num_triangles == 64
     assert m2.level == 2
+
+
+def test_refine_equals_the_per_triangle_loop():
+    # the same arrays, dtypes included, as the loop that numbers midpoints
+    # by first encounter, from level 1 to level 8
+    m = msh.build_initial()
+    for _ in range(7):
+        fine, ref = msh.refine(m), refine_loop(m)
+        assert fine.level == ref.level
+        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "parent_pairs"):
+            got, want = getattr(fine, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        m = fine
 
 
 def test_vertex_counts_formula():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
-from signorini_fem.study import CSV_COLUMNS, averaged_rate, config_from_file, emit_reports
+from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, averaged_rate, config_from_file, emit_reports
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,14 @@ def test_config_validation():
         StudyConfig(max_level=12)
     with pytest.raises(ValueError):
         StudyConfig(knots=(1.0, 0.5))
+
+
+def test_level_cap_names_the_measured_reason():
+    assert MAX_LEVEL == 10
+    with pytest.raises(ValueError, match="level 10 peaked at 4040 MiB RSS") as err:
+        StudyConfig(max_level=11)
+    assert "4.8x per level" in str(err.value)
+    assert StudyConfig(max_level=10).max_level == 10
 
 
 @pytest.mark.parametrize(
