@@ -46,6 +46,12 @@ def singular_term(r, theta):
     return r**1.5 * np.sin(1.5 * theta)
 
 
+def _singular_with_gradient(r, theta):
+    """singular_term and its partial derivatives along and across its axis."""
+    sq = 1.5 * np.sqrt(r)
+    return singular_term(r, theta), sq * np.sin(0.5 * theta), sq * np.cos(0.5 * theta)
+
+
 @dataclass(frozen=True)
 class CutoffSpline:
     """Quartic cut-off: 1 for s <= s0, 0 for s >= s1, C2 at s0 and C1 at s1.
@@ -141,10 +147,8 @@ class ExactSolution:
         """Solution value at (x, y) in the closed domain."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        r1, t1 = self._polar(x - self.x_left, y)
-        r2, t2 = self._polar(self.x_right - x, y)
-        s1 = r1**1.5 * np.sin(1.5 * t1)
-        s2 = r2**1.5 * np.sin(1.5 * t2)
+        s1 = singular_term(*self._polar(x - self.x_left, y))
+        s2 = singular_term(*self._polar(self.x_right - x, y))
         c1 = self.cutoff(x)
         c2 = self.cutoff(REFLECTION_OFFSET - x)
         return (s1 * c1 + self.weight * s2 * c2) * (1.0 - y**2)
@@ -154,16 +158,8 @@ class ExactSolution:
         gradient vanishes like r^(1/2) and is continuously extended by 0."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        r1, t1 = self._polar(x - self.x_left, y)
-        r2, t2 = self._polar(self.x_right - x, y)
-        sq1 = 1.5 * np.sqrt(r1)
-        sq2 = 1.5 * np.sqrt(r2)
-        s1 = r1**1.5 * np.sin(1.5 * t1)
-        s2 = r2**1.5 * np.sin(1.5 * t2)
-        s1x = sq1 * np.sin(0.5 * t1)
-        s1y = sq1 * np.cos(0.5 * t1)
-        s2xi = sq2 * np.sin(0.5 * t2)
-        s2y = sq2 * np.cos(0.5 * t2)
+        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
+        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
         c1 = self.cutoff(x)
         c2 = self.cutoff(REFLECTION_OFFSET - x)
         c1p = self.cutoff.d1(x)
@@ -183,16 +179,8 @@ class ExactSolution:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        r1, t1 = self._polar(x - self.x_left, y)
-        r2, t2 = self._polar(self.x_right - x, y)
-        sq1 = 1.5 * np.sqrt(r1)
-        sq2 = 1.5 * np.sqrt(r2)
-        s1 = r1**1.5 * np.sin(1.5 * t1)
-        s2 = r2**1.5 * np.sin(1.5 * t2)
-        s1x = sq1 * np.sin(0.5 * t1)
-        s1y = sq1 * np.cos(0.5 * t1)
-        s2xi = sq2 * np.sin(0.5 * t2)
-        s2y = sq2 * np.cos(0.5 * t2)
+        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
+        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
         c1 = self.cutoff(x)
         c2 = self.cutoff(REFLECTION_OFFSET - x)
         c1p = self.cutoff.d1(x)

@@ -90,12 +90,6 @@ class TriMesh:
             h = max(h, float(np.sqrt(np.max(d[:, 0] ** 2 + d[:, 1] ** 2))))
         return h
 
-    def signorini_edges(self) -> np.ndarray:
-        return self.boundary_edges[self.boundary_tags == SIGNORINI]
-
-    def dirichlet_edges(self) -> np.ndarray:
-        return self.boundary_edges[self.boundary_tags == DIRICHLET]
-
     @functools.cached_property
     def _elimination_order(self) -> np.ndarray:
         # cached_property writes the instance dict, which a frozen dataclass allows

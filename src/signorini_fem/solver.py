@@ -72,8 +72,8 @@ def linear_subsolve(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-12):
         return np.zeros_like(rhs)
     try:
         lu = spla.splu(matrix, **LU_OPTIONS)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    except (RuntimeError, MemoryError) as exc:  # singular, or no room for the factors
+        raise SolverError(f"sparse factorization of {matrix.shape[0]} unknowns failed: {exc!r}") from exc
     x = lu.solve(rhs)
     x = x + lu.solve(rhs - matrix @ x)
     for _ in range(2):

@@ -54,8 +54,9 @@ class SteklovMap:
         self._a_id = rows[:, self.dirichlet_idx].tocsr()
         try:
             self._lu = spla.splu(rows[:, self.interior_idx].tocsc(), **LU_OPTIONS)
-        except RuntimeError as exc:
-            raise SolverError(f"interior factorization failed: {exc}") from exc
+        except (RuntimeError, MemoryError) as exc:
+            n = self.interior_idx.shape[0]
+            raise SolverError(f"interior factorization of {n} unknowns failed: {exc!r}") from exc
 
     @property
     def num_multipliers(self) -> int:
@@ -163,8 +164,8 @@ def _boundary_schur(A, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, k = idx.shape[0], h.shape[0]
     try:
         lu = spla.splu(A[idx][:, idx].tocsc(), **LU_OPTIONS)
-    except RuntimeError as exc:
-        raise SolverError(f"half-domain factorization failed: {exc}") from exc
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"half-domain factorization of {n} unknowns failed: {exc!r}") from exc
     if not (np.array_equal(lu.perm_r, np.arange(n)) and np.array_equal(lu.perm_c[k:], np.arange(k, n))):
         raise SolverError("SuperLU permuted the half-domain factorization past its boundary block")
     return lu.L[k:, k:].toarray() @ lu.U[k:, k:].toarray()

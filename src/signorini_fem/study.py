@@ -20,10 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .assembly import build_system
-from .biortho import postprocess_multiplier
 from .manufactured import CutoffSpline, ExactSolution
 from .mesh import build_initial, refine, trace_map
 from .norms import error_report
@@ -50,9 +47,17 @@ RATE_KEYS = (
 # 4.8x per level, so level 11 does not fit such a host.
 MAX_LEVEL = 10
 
+#: the H^-1 dual norms use a reference trace space this many levels above
+#: the finest study level
+REF_OFFSET = 4
+
 
 class StudyError(RuntimeError):
-    pass
+    """A study without a result for every level; ``records`` holds those it has."""
+
+    def __init__(self, message, records=()):
+        super().__init__(message)
+        self.records = list(records)
 
 
 def _is_int(value) -> bool:
@@ -78,17 +83,7 @@ class StudyConfig:
     min_level: int = 2
     max_level: int = 9
     knots: tuple[float, float] = (0.5, 1.0)
-    weight: float = 0.7
-    pdas_max_iter: int = 100
-    pdas_c: float = 1.0
-    warm_start: bool = True
-    load_quad_degree: int = 4
-    refine_load_near_contact: bool = True
-    volume_quad_degree: int = 4
-    volume_quad_depth: int = 6
-    ref_offset: int = 4
     compute_lambda_tilde: bool = True
-    emit_boundary_profiles: bool = False
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -96,8 +91,6 @@ class StudyConfig:
             value = getattr(self, name)
             if spec.type == "int" and not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if spec.type == "float" and not _is_real(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
             if spec.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{name} must be true or false, got {value!r}")
         if not 1 <= self.min_level <= self.max_level:
@@ -110,27 +103,12 @@ class StudyConfig:
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):
             raise ValueError(f"knots must be two real numbers, got {self.knots!r}")
-        s0, s1 = self.knots
-        if not 0.0 < s0 < s1:
-            raise ValueError(f"cut-off knots must satisfy 0 < s0 < s1, got {self.knots}")
-        lower_bounds = dict(
-            pdas_max_iter=1,
-            load_quad_degree=1,
-            volume_quad_degree=1,
-            volume_quad_depth=0,
-            ref_offset=0,
-        )
-        for name, least in lower_bounds.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("weight", "pdas_c"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        self.solution()  # the cut-off and the benchmark check where the knots lie
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
 
     def solution(self) -> ExactSolution:
-        return ExactSolution(weight=self.weight, cutoff=CutoffSpline(*self.knots))
+        return ExactSolution(cutoff=CutoffSpline(*self.knots))
 
 
 @dataclass
@@ -149,7 +127,6 @@ class ConvergenceRecord:
     iterations: int = 0
     seconds: float = 0.0
     tolerances: dict = field(default_factory=dict)
-    profile: dict | None = None
 
 
 def averaged_rate(err_first: float, err_k: float, k: int) -> float:
@@ -166,10 +143,16 @@ def averaged_rate(err_first: float, err_k: float, k: int) -> float:
 
 
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
-    """Execute the study and, when configured, write the report files."""
+    """Execute the study and, when configured, write the report files.
+
+    A level whose solve raises SolverError is skipped and the study goes on;
+    once the reports of the other levels are written, StudyError names
+    every skipped level with its message and carries the records.
+    """
     sol = config.solution()
-    ref_level = config.max_level + config.ref_offset
+    ref_level = config.max_level + REF_OFFSET
     records: list[ConvergenceRecord] = []
+    failures: list[str] = []
 
     mesh = build_initial()
     for _ in range(config.min_level - 1):
@@ -190,37 +173,24 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
                 record.seconds,
             )
         except SolverError as exc:
-            log.error("level %d failed: %s", level, exc)
+            failures.append(f"level {level} failed: {exc}")
+            log.error(failures[-1])
         if level < config.max_level:
             mesh = refine(mesh)
 
-    if not records:
-        raise StudyError("no level of the study produced a result")
-
-    _fill_rates(records)
+    if records:
+        _fill_rates(records)
     if config.out_dir is not None:
         emit_reports(records, config, config.out_dir)
+    if failures:
+        raise StudyError("; ".join(failures), records)
     return records
 
 
 def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRecord:
     tmap = trace_map(mesh)
-    system = build_system(
-        mesh,
-        tmap,
-        sol,
-        load_degree=config.load_quad_degree,
-        refine_load_near_contact=config.refine_load_near_contact,
-    )
-    solution = solve_vi(
-        mesh,
-        tmap,
-        sol,
-        system=system,
-        warm_start=config.warm_start,
-        c=config.pdas_c,
-        max_iter=config.pdas_max_iter,
-    )
+    system = build_system(mesh, tmap, sol)
+    solution = solve_vi(mesh, tmap, sol, system=system)
     lam_tilde = None
     if config.compute_lambda_tilde:
         # no name keeps the map, so its interior factor is freed before the norms
@@ -228,21 +198,12 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
             mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass
         ).exact_trace_flux(sol, system.load)
 
-    report = error_report(
-        mesh,
-        tmap,
-        solution,
-        sol,
-        ref_level=ref_level,
-        lam_tilde=lam_tilde,
-        volume_degree=config.volume_quad_degree,
-        volume_depth=config.volume_quad_depth,
-    )
+    report = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     errors = {k: getattr(report, k) for k in RATE_KEYS if getattr(report, k) is not None}
 
     h = mesh.max_edge_length()
     xl_h, xr_h = discrete_transmission_points(solution, tmap)
-    record = ConvergenceRecord(
+    return ConvergenceRecord(
         level=mesh.level,
         h=h,
         errors=errors,
@@ -252,27 +213,6 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         xr_ratio=abs(sol.x_right - xr_h) / h,
         iterations=solution.iterations,
         tolerances=report.tolerances,
-    )
-    if config.emit_boundary_profiles:
-        record.profile = _boundary_profile(tmap, solution, sol)
-    return record
-
-
-def _boundary_profile(tmap, solution, sol, samples_per_element: int = 4) -> dict:
-    """Sampled boundary data for plotting: trace and multiplier, exact and discrete."""
-    xs = []
-    for lo, hi in zip(tmap.x[:-1], tmap.x[1:]):
-        xs.append(np.linspace(lo, hi, samples_per_element, endpoint=False))
-    xs.append(np.array([tmap.x[-1]]))
-    x = np.concatenate(xs)
-    u_h = np.interp(x, tmap.x, solution.u.values[tmap.vertices])
-    lam_hat = np.interp(x, tmap.x, postprocess_multiplier(solution.multiplier, tmap))
-    return dict(
-        x=x.tolist(),
-        u_exact=np.asarray(sol.u_trace(x)).tolist(),
-        u_h=u_h.tolist(),
-        lambda_exact=np.asarray(sol.flux(x)).tolist(),
-        lambda_hat=lam_hat.tolist(),
     )
 
 
@@ -324,10 +264,11 @@ CSV_COLUMNS = tuple(column for column, _ in _CSV_TABLE)
 
 
 def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir) -> dict:
-    """Write results.csv, results.json and optional boundary profiles.
+    """Write results.csv and results.json.
 
     Returns the written paths.  The JSON mirror carries the configuration,
-    full-precision errors, both rate families and the quadrature settings.
+    full-precision errors, both rate families, the quadrature settings and
+    ``failed_levels``, the configured levels without a record.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -342,6 +283,7 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
     paths["csv"] = csv_path
 
     json_path = out / "results.json"
+    configured = range(config.min_level, config.max_level + 1)
     payload = {
         "config": asdict(config),
         "records": [
@@ -361,32 +303,12 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
             }
             for rec in records
         ],
+        "failed_levels": sorted(set(configured) - {rec.level for rec in records}),
     }
     with open(json_path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     paths["json"] = json_path
-
-    if config.emit_boundary_profiles:
-        for rec in records:
-            if rec.profile is None:
-                continue
-            p = out / f"boundary_profile_level{rec.level}.csv"
-            with open(p, "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "u_exact", "u_h", "lambda_exact", "lambda_hat"])
-                prof = rec.profile
-                for i in range(len(prof["x"])):
-                    writer.writerow(
-                        [
-                            f"{prof['x'][i]:.10e}",
-                            f"{prof['u_exact'][i]:.10e}",
-                            f"{prof['u_h'][i]:.10e}",
-                            f"{prof['lambda_exact'][i]:.10e}",
-                            f"{prof['lambda_hat'][i]:.10e}",
-                        ]
-                    )
-            paths[f"profile_level{rec.level}"] = p
     return paths
 
 
@@ -396,7 +318,8 @@ def config_from_file(path) -> dict:
     Lines look like "max_level = 6"; '#' starts a comment.  Each value is
     read as the type of its StudyConfig field: knots are two comma-separated
     reals, switches are exactly "true" or "false".  Unknown keys and values
-    that do not parse raise ValueError naming the line.
+    that do not parse raise ValueError naming the line; an unknown key's
+    message lists the accepted ones.
     """
     fields = StudyConfig.__dataclass_fields__
     kwargs = {}
@@ -409,7 +332,7 @@ def config_from_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in fields:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; accepted keys: {', '.join(fields)}")
         try:
             kwargs[key] = _parse_value(fields[key].type, value)
         except ValueError as exc:
@@ -425,8 +348,6 @@ def _parse_value(kind: str, value: str):
         return value == "true"
     if kind == "int":
         return int(value)
-    if kind == "float":
-        return float(value)
     if kind == "tuple[float, float]":
         parts = value.split(",")
         if len(parts) != 2:

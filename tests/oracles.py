@@ -1,15 +1,59 @@
 """Independent references that the tests compare the package against.
 
-Each one computes a quantity the package also computes, by the plain route
-the package replaced: dense elimination for the Schur complement, one Python
-step per triangle for the refinement.
+Each reference computes a quantity the package also computes, by the plain
+route the package replaced: dense elimination for the Schur complement, one
+Python step per triangle for the refinement, quadrature for the diagonal
+trace coupling.  The boundary-edge and cone helpers are views that only the
+tests need.
 """
 
 import numpy as np
 
 from signorini_fem.assembly import assemble_stiffness, dof_partition
-from signorini_fem.mesh import TraceMap, TriMesh, trace_map
+from signorini_fem.biortho import MultiplierFunction, dual_shape_values
+from signorini_fem.mesh import DIRICHLET, SIGNORINI, TraceMap, TriMesh, trace_map
 from signorini_fem.steklov import SteklovMap
+
+
+def signorini_edges(mesh: TriMesh) -> np.ndarray:
+    return mesh.boundary_edges[mesh.boundary_tags == SIGNORINI]
+
+
+def dirichlet_edges(mesh: TriMesh) -> np.ndarray:
+    return mesh.boundary_edges[mesh.boundary_tags == DIRICHLET]
+
+
+def in_cone(mult: MultiplierFunction, tol: float = 0.0) -> bool:
+    """Discrete cone membership: every multiplier coefficient non-negative."""
+    return bool(np.all(mult.values >= -tol))
+
+
+def assemble_coupling(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
+    """Full coupling matrix <phi_j, psi_i> assembled by quadrature.
+
+    Rows run over all Gamma_S vertices (hat functions, endpoints included),
+    columns over multiplier DOFs.  Used to verify diagonality; two-point
+    Gauss is exact for these quadratic products.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(2)
+    tq = 0.5 * (xg + 1.0)
+    wq = 0.5 * wg
+    n_trace = tmap.x.shape[0]
+    mult_pos = np.flatnonzero(tmap.interior)
+    coupling = np.zeros((n_trace, mult_pos.shape[0]))
+    h = tmap.spacings()
+    psi_l, psi_r = dual_shape_values(tq)
+    phi_l, phi_r = 1.0 - tq, tq
+    for e in range(n_trace - 1):
+        # local duals belong to the element's left/right vertex; a dual is a
+        # DOF only if its vertex is interior
+        for local_psi, vtx in ((psi_l, e), (psi_r, e + 1)):
+            if not tmap.interior[vtx]:
+                continue
+            col = int(np.searchsorted(mult_pos, vtx))
+            coupling[e, col] += h[e] * np.sum(wq * phi_l * local_psi)
+            coupling[e + 1, col] += h[e] * np.sum(wq * phi_r * local_psi)
+    return coupling
 
 
 def schur_complement_dense(mesh: TriMesh, tmap: TraceMap | None = None, stiffness=None) -> np.ndarray:

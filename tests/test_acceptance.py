@@ -21,11 +21,11 @@ from signorini_fem import (
     trace_map,
 )
 from signorini_fem.assembly import assemble_stiffness, boundary_lumped_mass
-from signorini_fem.biortho import assemble_coupling, postprocess_multiplier
+from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import h_minus1_error
 from signorini_fem.study import averaged_rate
 
-from oracles import schur_consistency
+from oracles import assemble_coupling, schur_consistency
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,24 @@ import time
 
 from click.testing import CliRunner
 
+from signorini_fem import SolverError
 from signorini_fem import study as study_module
 from signorini_fem.cli import main
 from signorini_fem.study import MAX_LEVEL
+
+# keys that are not StudyConfig fields, although older config files set them
+REMOVED_KEYS = (
+    "weight",
+    "pdas_max_iter",
+    "pdas_c",
+    "warm_start",
+    "load_quad_degree",
+    "refine_load_near_contact",
+    "volume_quad_degree",
+    "volume_quad_depth",
+    "ref_offset",
+    "emit_boundary_profiles",
+)
 
 
 def test_study_command_runs(tmp_path):
@@ -70,7 +85,7 @@ def test_bad_knots_flag():
 
 def test_invalid_config_value_exits_nonzero(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("min_level = 2\nwarm_start = yes\n")
+    cfg.write_text("min_level = 2\ncompute_lambda_tilde = yes\n")
     runner = CliRunner()
     result = runner.invoke(main, ["study", "--config", str(cfg)])
     assert result.exit_code != 0
@@ -80,11 +95,42 @@ def test_invalid_config_value_exits_nonzero(tmp_path):
 
 def test_out_of_range_config_value_exits_nonzero(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("min_level = 2\nmax_level = 2\npdas_c = -1\n")
+    cfg.write_text("min_level = 2\nmax_level = 2\nknots = 0.9,0.6\n")
     runner = CliRunner()
     result = runner.invoke(main, ["study", "--config", str(cfg)])
     assert result.exit_code != 0
-    assert "pdas_c must be > 0" in result.output
+    assert "cut-off knots must satisfy 0 < s0 < s1" in result.output
+
+
+def test_removed_config_keys_exit_nonzero_naming_the_line(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    for key in REMOVED_KEYS:
+        cfg.write_text(f"min_level = 2\n{key} = 1\n")
+        result = CliRunner().invoke(main, ["study", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert f"study.cfg:2: unknown config key {key!r}" in result.output
+        assert "accepted keys: min_level, max_level, knots, compute_lambda_tilde, out_dir" in result.output
+
+
+def test_failed_level_exits_nonzero_after_writing_the_other_levels(monkeypatch, tmp_path):
+    solve = study_module.solve_vi
+
+    def solve_all_but_level_3(mesh, *args, **kwargs):
+        if mesh.level == 3:
+            raise SolverError("PDAS did not converge within 100 iterations")
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(study_module, "solve_vi", solve_all_but_level_3)
+    out = tmp_path / "results"
+    result = CliRunner().invoke(
+        main, ["study", "--min-level", "2", "--max-level", "4", "--out-dir", str(out), "--no-lambda-tilde"]
+    )
+    assert result.exit_code != 0
+    assert "level 3 failed: PDAS did not converge" in result.output
+    payload = json.loads((out / "results.json").read_text())
+    assert [rec["level"] for rec in payload["records"]] == [2, 4]
+    assert 3 in payload["failed_levels"]
+    assert len((out / "results.csv").read_text().splitlines()) == 3
 
 
 def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):

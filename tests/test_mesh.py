@@ -7,7 +7,7 @@ from signorini_fem import ExactSolution, build_system, trace_map
 from signorini_fem import assembly, norms
 from signorini_fem import mesh as msh
 
-from oracles import refine_loop
+from oracles import dirichlet_edges, refine_loop, signorini_edges
 
 
 def shoelace(vertices, triangles):
@@ -23,7 +23,7 @@ def test_initial_mesh_counts():
     assert m.num_vertices == 15
     assert m.num_triangles == 16
     # 4 x 2 quads: 4 contact edges on the bottom, 12 boundary edges in total
-    assert len(m.signorini_edges()) == 4
+    assert len(signorini_edges(m)) == 4
     assert len(m.boundary_edges) == 12
 
 
@@ -88,7 +88,7 @@ def test_positive_areas_after_refinement():
 def test_signorini_edges_tile_bottom_and_halve():
     m = msh.build_initial()
     for _ in range(3):
-        edges = m.signorini_edges()
+        edges = signorini_edges(m)
         coords = m.vertices[edges]
         assert np.all(coords[..., 1] == 0.0)
         lengths = np.abs(coords[:, 1, 0] - coords[:, 0, 0])
@@ -100,8 +100,8 @@ def test_signorini_edges_tile_bottom_and_halve():
         assert np.allclose(left[1:], right[:-1], rtol=0, atol=1e-15)
         m2 = msh.refine(m)
         l2 = np.abs(
-            m2.vertices[m2.signorini_edges()][:, 1, 0]
-            - m2.vertices[m2.signorini_edges()][:, 0, 0]
+            m2.vertices[signorini_edges(m2)][:, 1, 0]
+            - m2.vertices[signorini_edges(m2)][:, 0, 0]
         )
         assert np.isclose(2.0 * l2.max(), lengths.max(), rtol=1e-14)
         assert np.isclose(2.0 * l2.min(), lengths.min(), rtol=1e-14)
@@ -111,10 +111,10 @@ def test_signorini_edges_tile_bottom_and_halve():
 def test_boundary_tags_inherited():
     m = msh.build_initial()
     m2 = msh.refine(m)
-    assert len(m2.signorini_edges()) == 2 * len(m.signorini_edges())
-    assert len(m2.dirichlet_edges()) == 2 * len(m.dirichlet_edges())
+    assert len(signorini_edges(m2)) == 2 * len(signorini_edges(m))
+    assert len(dirichlet_edges(m2)) == 2 * len(dirichlet_edges(m))
     # every child edge lies inside its parent's span (bottom edges)
-    child = m2.vertices[m2.signorini_edges()]
+    child = m2.vertices[signorini_edges(m2)]
     assert np.all(child[..., 1] == 0.0)
 
 

@@ -101,6 +101,17 @@ def test_linear_subsolve_always_refines_once(monkeypatch):
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
 
 
+def out_of_memory_splu(matrix, **options):
+    raise MemoryError("malloc fails for local dworkptr[]")
+
+
+def test_linear_subsolve_reports_an_out_of_memory_factorization(monkeypatch):
+    monkeypatch.setattr(solver, "spla", types.SimpleNamespace(splu=out_of_memory_splu))
+    A = sp.identity(60, format="csc")
+    with pytest.raises(SolverError, match="factorization of 60 unknowns failed: MemoryError"):
+        linear_subsolve(A, np.ones(60))
+
+
 def test_elimination_order_fills_less_than_colamd(sol):
     # a count, not a time: L + U entries of the level-6 free and interior blocks
     mesh, tmap, system = make_problem(6, sol)

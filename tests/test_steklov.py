@@ -181,6 +181,21 @@ def test_dense_matrix_refuses_a_reordered_factorization(monkeypatch):
         smap.dense_matrix()
 
 
+def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
+    m = mesh_at_level(3)
+    smap = SteklovMap(m, trace_map(m))
+
+    def out_of_memory_splu(matrix, **options):
+        raise MemoryError("malloc fails for local dworkptr[]")
+
+    monkeypatch.setattr(steklov, "spla", types.SimpleNamespace(splu=out_of_memory_splu))
+    n = smap.interior_idx.shape[0]
+    with pytest.raises(SolverError, match=f"interior factorization of {n} unknowns failed: MemoryError"):
+        SteklovMap(m, trace_map(m))
+    with pytest.raises(SolverError, match="half-domain factorization of [0-9]+ unknowns failed: MemoryError"):
+        smap.dense_matrix()
+
+
 def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     # move one interior vertex of the middle column far enough right that it
     # rounds into the next column: it joins the right half, yet the

@@ -1,16 +1,18 @@
 import json
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
+from signorini_fem.manufactured import X_LEFT_DEFAULT, X_RIGHT_DEFAULT
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, averaged_rate, config_from_file, emit_reports
 
 
 @pytest.fixture(scope="module")
 def records_small(tmp_path_factory):
     out = tmp_path_factory.mktemp("study")
-    config = StudyConfig(min_level=2, max_level=5, out_dir=str(out), emit_boundary_profiles=True)
+    config = StudyConfig(min_level=2, max_level=5, out_dir=str(out))
     return run_study(config), config, out
 
 
@@ -55,19 +57,19 @@ def test_level_cap_names_the_measured_reason():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(pdas_c=-1.0), "pdas_c must be > 0"),
-        (dict(pdas_c=0), "pdas_c must be > 0"),
-        (dict(pdas_max_iter=0), "pdas_max_iter must be >= 1"),
-        (dict(ref_offset=-2), "ref_offset must be >= 0"),
-        (dict(load_quad_degree=0), "load_quad_degree must be >= 1"),
-        (dict(volume_quad_degree=0), "volume_quad_degree must be >= 1"),
-        (dict(volume_quad_depth=-3), "volume_quad_depth must be >= 0"),
-        (dict(weight=-0.7), "weight must be > 0"),
-        (dict(warm_start="yes"), "warm_start must be true or false"),
+        (dict(min_level=2.0), "min_level must be an integer"),
+        (dict(min_level=True), "min_level must be an integer"),
+        (dict(max_level="8"), "max_level must be an integer"),
+        (dict(knots=(0.5, 2.0)), "cut-off knot s1 must lie in"),  # right of x_right
+        (dict(knots=(0.2, 0.25)), "cut-off knot s1 must lie in"),  # left of x_left
+        (dict(knots=(0.0, 1.0)), "0 < s0 < s1"),
+        (dict(knots=(0.9, 0.6)), "0 < s0 < s1"),
+        (dict(knots=(0.5, float("nan"))), "knots must be two real numbers"),
+        (dict(compute_lambda_tilde="yes"), "compute_lambda_tilde must be true or false"),
         (dict(compute_lambda_tilde=1), "compute_lambda_tilde must be true or false"),
         (dict(max_level=6.0), "max_level must be an integer"),
-        (dict(ref_offset=True), "ref_offset must be an integer"),
-        (dict(pdas_c=float("nan")), "pdas_c must be a finite real number"),
+        (dict(knots=(0.5, True)), "knots must be two real numbers"),
+        (dict(knots="0.5,1.0"), "knots must be two real numbers"),
         (dict(knots=(0.5,)), "knots must be two real numbers"),
         (dict(out_dir=3), "out_dir must be a path string"),
     ],
@@ -78,8 +80,9 @@ def test_config_validation_types_and_ranges(kwargs, message):
 
 
 def test_config_accepts_boundary_values():
-    config = StudyConfig(pdas_max_iter=1, ref_offset=0, volume_quad_depth=0, pdas_c=2)
-    assert config.ref_offset == 0 and config.pdas_c == 2
+    config = StudyConfig(min_level=1, max_level=1, knots=(1e-3, X_RIGHT_DEFAULT))
+    assert config.min_level == 1 and config.knots == (1e-3, X_RIGHT_DEFAULT)
+    assert StudyConfig(min_level=MAX_LEVEL, max_level=MAX_LEVEL).min_level == MAX_LEVEL
 
 
 def test_degenerate_single_level():
@@ -124,16 +127,6 @@ def test_json_roundtrip(records_small):
         assert blob["iterations"] == rec.iterations
 
 
-def test_boundary_profiles(records_small):
-    records, config, out = records_small
-    for rec in records:
-        path = out / f"boundary_profile_level{rec.level}.csv"
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,u_exact,u_h,lambda_exact,lambda_hat"
-        x = np.array([float(ln.split(",")[0]) for ln in lines[1:]])
-        assert np.all(np.diff(x) > 0.0)
-
-
 def test_determinism_modulo_seconds(tmp_path):
     cfg_a = StudyConfig(min_level=2, max_level=3, out_dir=str(tmp_path / "a"))
     cfg_b = StudyConfig(min_level=2, max_level=3, out_dir=str(tmp_path / "b"))
@@ -166,6 +159,20 @@ def test_emit_reports_empty_records_error(monkeypatch):
         run_study(StudyConfig(min_level=2, max_level=3, out_dir=None))
 
 
+def test_failed_level_raises_with_the_other_records(monkeypatch):
+    solve = study.solve_vi
+
+    def solve_all_but_level_3(mesh, *args, **kwargs):
+        if mesh.level == 3:
+            raise SolverError("PDAS did not converge within 100 iterations")
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(study, "solve_vi", solve_all_but_level_3)
+    with pytest.raises(StudyError, match="level 3 failed: PDAS did not converge") as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert [rec.level for rec in err.value.records] == [2, 4]
+
+
 def test_lambda_tilde_optional(tmp_path):
     records = run_study(StudyConfig(min_level=2, max_level=3, compute_lambda_tilde=False))
     for rec in records:
@@ -185,9 +192,8 @@ def test_config_file_parsing(tmp_path):
 min_level = 2
 max_level = 4
 knots = 0.45,1.05
-warm_start = false
+compute_lambda_tilde = false
 out_dir = results
-ref_offset = 3
 """
     )
     kwargs = config_from_file(path)
@@ -195,11 +201,37 @@ ref_offset = 3
         "min_level": 2,
         "max_level": 4,
         "knots": (0.45, 1.05),
-        "warm_start": False,
+        "compute_lambda_tilde": False,
         "out_dir": "results",
-        "ref_offset": 3,
     }
     StudyConfig(**kwargs)
+
+
+@st.composite
+def study_configs(draw):
+    min_level = draw(st.integers(1, MAX_LEVEL))
+    max_level = draw(st.integers(min_level, MAX_LEVEL))
+    reals = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    s1 = draw(st.floats(X_LEFT_DEFAULT, X_RIGHT_DEFAULT, exclude_min=True, **reals))
+    s0 = draw(st.floats(0.0, s1, exclude_min=True, exclude_max=True, **reals))
+    out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True))
+    return StudyConfig(min_level, max_level, (s0, s1), draw(st.booleans()), out_dir)
+
+
+@given(config=study_configs())
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+def test_config_file_round_trip(tmp_path_factory, config):
+    lines = [
+        f"min_level = {config.min_level}",
+        f"max_level = {config.max_level}",
+        f"knots = {config.knots[0]!r},{config.knots[1]!r}",
+        f"compute_lambda_tilde = {str(config.compute_lambda_tilde).lower()}",
+    ]
+    if config.out_dir is not None:
+        lines.append(f"out_dir = {config.out_dir}")
+    path = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert StudyConfig(**config_from_file(path)) == config
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -219,7 +251,7 @@ def test_config_file_rejects_malformed_lines(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("warm_start = yes", "expected true or false"),
+        ("compute_lambda_tilde = yes", "expected true or false"),
         ("compute_lambda_tilde = True", "expected true or false"),
         ("max_level = 6.5", "max_level"),
         ("knots = 0.5", "two comma-separated reals"),
