@@ -11,11 +11,16 @@ scaled by D_j, and updates A_{k+1} = { j : lambda_j + c (u_j - g_j)/D_j > 0 }.
 The iteration terminates finitely; on the benchmark it stabilizes in a
 handful of steps.
 
-Each step factorizes the free block of the stiffness matrix with SuperLU.
-The caller orders the unknowns: the free block is listed in the nested
-dissection order of ``mesh.elimination_order``, and SuperLU keeps that
-order (``LU_OPTIONS``), without row pivoting since the block is SPD.  One
-step of iterative refinement always follows the first triangular solve.
+``solve_vi`` starts from the empty active set and does not read the exact
+solution.  It first runs PDAS on the problem condensed onto the trace
+(``steklov.condense_system``), where a step is a dense solve on the trace
+DOFs, then the full-space PDAS from the set found there.  A full-space
+step factorizes the free block of the stiffness matrix with SuperLU, and
+normally one step confirms the set.  The caller orders the unknowns: the
+free block is listed in the nested dissection order of
+``mesh.elimination_order``, and SuperLU keeps that order (``LU_OPTIONS``),
+without row pivoting since the block is SPD.  One step of iterative
+refinement always follows the first triangular solve.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class VISolution:
     u: FeFunction
     multiplier: MultiplierFunction
     active: np.ndarray  # bool per multiplier DOF
-    iterations: int
+    iterations: int  # PDAS steps on the trace plus full-space steps
     residual: float  # inf-norm of the saddle-point residual on free rows
 
 
@@ -93,18 +98,30 @@ def solve_vi(
     sol,
     g=0.0,
     system: FeSystem | None = None,
-    warm_start: bool = True,
+    warm_start: bool = False,
     c: float = 1.0,
     max_iter: int = 100,
+    trace_system=None,
 ) -> VISolution:
-    """Solve the discrete variational inequality by PDAS.
+    """Solve the discrete variational inequality by PDAS from a cold start.
 
     g is the obstacle at the multiplier DOFs (scalar or per-DOF array;
     affine obstacles are supported through the array form).  Dirichlet data
-    are the nodal values of sol on Gamma_D.  With warm_start the initial
-    active set is every multiplier DOF inside [x_left, x_right], otherwise
-    empty; the converged solution does not depend on the start.
+    are the nodal values of sol on Gamma_D; sol is read only to assemble
+    the system when none is given.  The solve is trace first: PDAS runs
+    from the empty active set on the problem condensed onto the trace,
+    (sigma, nu) of ``steklov.condense_system`` unless trace_system passes
+    them in, and the full-space PDAS then starts from the set it returns.
+    That normally takes one step, which factorizes the converged free
+    block once, so u and lambda are those of the full-space system; the
+    trace stage only chooses the start.  ``iterations`` counts the steps
+    of both stages.  Each stage takes at most max_iter steps; a trace stage
+    that does not converge still hands on its last set.  warm_start=True
+    raises ValueError: the solver does not read the contact interval of
+    the exact solution.
     """
+    if warm_start:
+        raise ValueError("warm_start=True is gone: the solver no longer reads the exact contact interval")
     if system is None:
         system = build_system(mesh, tmap, sol)
     A = system.stiffness
@@ -117,11 +134,13 @@ def solve_vi(
     u = np.zeros(mesh.num_vertices)
     u[system.dirichlet_idx] = system.dirichlet_values
 
-    if warm_start:
-        x = tmap.multiplier_x
-        active = (x >= sol.x_left) & (x <= sol.x_right)
-    else:
-        active = np.zeros(n_mult, dtype=bool)
+    if trace_system is None:
+        from .steklov import condense_system  # steklov imports this module
+
+        trace_system = condense_system(system)
+    sigma, nu = trace_system
+    _, _, active, trace_steps, _ = dense_pdas(sigma, nu, g, D, c, max_iter)
+    del sigma, nu, trace_system  # one built here is freed before the factorization
 
     order = elimination_order(mesh)
 
@@ -138,17 +157,17 @@ def solve_vi(
         lam[active] = (F - A @ u)[trace[active]] / D[active]
         return u[trace], lam
 
-    active, lam, iterations, converged = pdas(solve_fixed, g, D, active, c, max_iter)
+    active, lam, steps, converged = pdas(solve_fixed, g, D, active, c, max_iter)
     level = mesh.level
     solution = VISolution(
         u=FeFunction(level, u),
         multiplier=MultiplierFunction(level, lam),
         active=active,
-        iterations=iterations,
+        iterations=trace_steps + steps,
         residual=_saddle_residual(system, u, lam),
     )
     if not converged:
-        raise SolverError(f"PDAS did not converge within {max_iter} iterations", solution)
+        raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations", solution)
     return solution
 
 
@@ -171,6 +190,31 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, c: float
             return active, lam, iterations, True
         active = new_active
     return active, lam, iterations, False
+
+
+def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, c: float, max_iter: int):
+    """``pdas`` from the empty active set on a dense trace system.
+
+    The multiplier of trace values t is lambda = nu - sigma t.  Each step
+    fixes t = g on the active set and solves the inactive rows of
+    lambda = 0 densely.  Returns (t, lam, active, iterations, converged)
+    as ``pdas`` does, with t the last step's trace values.
+    """
+    n = nu.shape[0]
+    t = np.zeros(n)
+
+    def solve_fixed(active):
+        inact = ~active
+        t[active] = g[active]
+        if np.any(inact):
+            rhs = nu[inact] - sigma[inact][:, active] @ t[active]
+            t[inact] = np.linalg.solve(sigma[inact][:, inact], rhs)
+        lam = np.zeros(n)
+        lam[active] = nu[active] - sigma[active] @ t
+        return t, lam
+
+    active, lam, iterations, converged = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), c, max_iter)
+    return t, lam, active, iterations, converged
 
 
 def _saddle_residual(system: FeSystem, u: np.ndarray, lam: np.ndarray) -> float:

@@ -11,9 +11,12 @@ together they reduce the contact problem to a complementarity system on the
 boundary whose matrix is, up to the D-scaling, the algebraic Schur complement
 of the stiffness matrix.  The operator is applied matrix-free from a stored
 interior factorization.  Its dense matrix is that Schur complement, built by
-substructuring: two factorizations of the half-domains left and right of the
-middle grid column, each with the boundary block last, and one dense
-elimination of the column (0.12 s at level 7, 0.64 s at level 8).
+substructuring (``condense``): two factorizations of the half-domains left
+and right of the middle grid column, each with the boundary block last, and
+one dense elimination of the column (0.12 s at level 7, 0.64 s at level 8).
+With one more solve per half the same kernel condenses the load into the
+Newton potential (``condense_system``), which gives ``solver.solve_vi`` and
+the study the trace system without the interior factorization.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_stiffness, boundary_lumped_mass, dof_partition, quad
+from .assembly import FeSystem, assemble_stiffness, boundary_lumped_mass, dof_partition, quad
 from .biortho import MultiplierFunction, dual_shape_values
 from .mesh import TriMesh, TraceMap, elimination_order, grid_index
-from .solver import LU_OPTIONS, SolverError, pdas
+from .solver import LU_OPTIONS, SolverError, dense_pdas
 
 
 class SteklovMap:
@@ -45,10 +48,7 @@ class SteklovMap:
         self.lumped = boundary_lumped_mass(mesh, tmap) if lumped is None else lumped
         self.trace_dofs = tmap.multiplier_vertices
         self.dirichlet_idx, _, interior_idx = dof_partition(mesh, tmap)
-        order = elimination_order(mesh)
-        is_interior = np.zeros(mesh.num_vertices, dtype=bool)
-        is_interior[interior_idx] = True
-        self.interior_idx = order[is_interior[order]]
+        self.interior_idx = _in_elimination_order(mesh, interior_idx)
         rows = self.stiffness[self.interior_idx]
         self._a_it = rows[:, self.trace_dofs].tocsr()
         self._a_id = rows[:, self.dirichlet_idx].tocsr()
@@ -113,9 +113,7 @@ class SteklovMap:
         of the benchmark problem.  The result is the consistency flux whose
         distance to the exact multiplier drives the boundary error analysis.
         """
-        kinks = getattr(sol, "kink_x", (sol.x_left, sol.x_right))
-        m = trace_moments(sol.u_trace, self.tmap, kinks=kinks, epsabs=moments_epsabs)
-        z = m / self.lumped
+        z = exact_trace_values(sol, self.tmap, self.lumped, moments_epsabs)
         dir_vals = sol.u(
             self.mesh.vertices[self.dirichlet_idx, 0],
             self.mesh.vertices[self.dirichlet_idx, 1],
@@ -130,35 +128,85 @@ class SteklovMap:
     def dense_matrix(self) -> np.ndarray:
         """The operator as a dense matrix, D^-1 S, by substructuring.
 
-        S = A_TT - A_TI A_II^-1 A_IT is the Schur complement of the
-        stiffness onto the trace DOFs T.  The interior vertices Gamma of the
-        middle grid column, the first separator of ``elimination_order``,
-        split the interior into two halves that no stiffness entry couples.
-        With B = T + Gamma, each half h is factorized once with B last, and
-        the trailing blocks of its factors multiply to A_BB - A_Bh A_hh^-1
-        A_hB.  The two products less A_BB are the Schur complement onto B;
-        eliminating Gamma densely leaves S.  No extension is solved; it
-        takes 0.12 s at level 7 and 0.64 s at level 8 on one BLAS thread.
+        See ``condense``; no extension is solved, and it takes 0.12 s at
+        level 7 and 0.64 s at level 8 on one BLAS thread.
         """
-        ix, _, nx, _ = grid_index(self.mesh)
-        column = ix[self.interior_idx]
-        left = self.interior_idx[column < nx // 2]
-        right = self.interior_idx[column > nx // 2]
-        A = self.stiffness
-        if A[left][:, right].count_nonzero():
-            raise SolverError("the middle grid column does not separate the interior")
-        b = np.concatenate([self.trace_dofs, self.interior_idx[column == nx // 2]])
-        s_bb = _boundary_schur(A, left, b) + _boundary_schur(A, right, b) - A[b][:, b].toarray()
-        n = self.num_multipliers
-        s_tt, s_tg, s_gt, s_gg = s_bb[:n, :n], s_bb[:n, n:], s_bb[n:, :n], s_bb[n:, n:]
-        return (s_tt - s_tg @ np.linalg.solve(s_gg, s_gt)) / self.lumped[:, None]
+        sigma, _ = condense(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs, self.lumped)
+        return sigma
 
 
-def _boundary_schur(A, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A_bb - A_bh A_hh^-1 A_hb, densely, from one LU with b listed last.
+def condense(mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray, lumped, load=None):
+    """The stiffness, and optionally a load, condensed onto the trace DOFs.
 
-    SuperLU must keep the rows in place and the b columns last, so that the
-    trailing blocks of L and U are those of b; otherwise this raises.
+    Returns (sigma, nu).  sigma = D^-1 S, where S = A_TT - A_TI A_II^-1 A_IT
+    is the Schur complement of the stiffness onto the trace DOFs T and
+    interior_idx lists I in ``elimination_order``.  Given a load f on the
+    vertices (only its entries on I and T are read),
+    nu = D^-1 (f_T - A_TI A_II^-1 f_I) is the multiplier of zero trace
+    values, so lambda = nu - sigma t for trace values t; without a load,
+    nu is None.
+
+    The interior vertices Gamma of the middle grid column, the first
+    separator of ``elimination_order``, split I into two halves that no
+    stiffness entry couples.  With B = T + Gamma, each half h is factorized
+    once with B last (``_boundary_schur``); the two Schur complements less
+    A_BB are the one onto B, and the two condensed loads sum likewise.
+    Eliminating Gamma densely leaves S and D nu.
+    """
+    ix, _, nx, _ = grid_index(mesh)
+    column = ix[interior_idx]
+    left = interior_idx[column < nx // 2]
+    right = interior_idx[column > nx // 2]
+    A = stiffness
+    if A[left][:, right].count_nonzero():
+        raise SolverError("the middle grid column does not separate the interior")
+    b = np.concatenate([trace_dofs, interior_idx[column == nx // 2]])
+    s_left, coupled_left = _boundary_schur(A, left, b, None if load is None else load[left])
+    s_right, coupled_right = _boundary_schur(A, right, b, None if load is None else load[right])
+    s_bb = s_left + s_right - A[b][:, b].toarray()
+    del s_left, s_right
+    n = trace_dofs.shape[0]
+    s_tt, s_tg, s_gt, s_gg = s_bb[:n, :n], s_bb[:n, n:], s_bb[n:, :n], s_bb[n:, n:]
+    if load is None:
+        return (s_tt - s_tg @ np.linalg.solve(s_gg, s_gt)) / lumped[:, None], None
+    f_b = load[b] - coupled_left - coupled_right
+    x = np.linalg.solve(s_gg, np.column_stack([s_gt, f_b[n:]]))
+    sigma = (s_tt - s_tg @ x[:, :-1]) / lumped[:, None]
+    nu = (f_b[:n] - s_tg @ x[:, -1]) / lumped
+    return sigma, nu
+
+
+def condense_system(system: FeSystem):
+    """(sigma, nu) of ``condense`` for an assembled contact problem.
+
+    The load is the system's volume load less its Dirichlet lifting, so
+    nu is the Newton potential with the Dirichlet data, and the contact
+    problem on the trace is: t <= g, lambda = nu - sigma t >= 0, and
+    lambda (t - g) = 0.
+    """
+    lift = np.zeros(system.mesh.num_vertices)
+    lift[system.dirichlet_idx] = system.dirichlet_values
+    load = system.load - system.stiffness @ lift
+    interior = _in_elimination_order(system.mesh, system.interior_idx)
+    return condense(system.mesh, system.stiffness, interior, system.trace_dofs, system.lumped_mass, load)
+
+
+def _in_elimination_order(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
+    """The vertices idx listed in ``elimination_order``."""
+    order = elimination_order(mesh)
+    member = np.zeros(mesh.num_vertices, dtype=bool)
+    member[idx] = True
+    return order[member[order]]
+
+
+def _boundary_schur(A, h: np.ndarray, b: np.ndarray, f_h=None):
+    """A_bb - A_bh A_hh^-1 A_hb densely, and A_bh A_hh^-1 f_h, from one LU.
+
+    The factorization lists b last.  SuperLU must keep the rows in place and
+    the b columns last, so that the trailing blocks of L and U are those of
+    b and multiply to the Schur complement S_h; otherwise this raises.  The
+    load term costs one more solve: the right-hand side [f_h; 0] returns
+    [x; y0] with A_bh A_hh^-1 f_h = -S_h y0.  Without f_h it is None.
     """
     idx = np.concatenate([h, b])
     n, k = idx.shape[0], h.shape[0]
@@ -168,7 +216,21 @@ def _boundary_schur(A, h: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SolverError(f"half-domain factorization of {n} unknowns failed: {exc!r}") from exc
     if not (np.array_equal(lu.perm_r, np.arange(n)) and np.array_equal(lu.perm_c[k:], np.arange(k, n))):
         raise SolverError("SuperLU permuted the half-domain factorization past its boundary block")
-    return lu.L[k:, k:].toarray() @ lu.U[k:, k:].toarray()
+    s_h = lu.L[k:, k:].toarray() @ lu.U[k:, k:].toarray()
+    if f_h is None:
+        return s_h, None
+    y0 = lu.solve(np.concatenate([f_h, np.zeros(n - k)]))[k:]
+    return s_h, -(s_h @ y0)
+
+
+def exact_trace_values(sol, tmap: TraceMap, lumped: np.ndarray, epsabs: float = 1e-12) -> np.ndarray:
+    """Nodal trace values <u, psi_j> / D_j of the exact solution's trace.
+
+    The moments against the dual basis are integrated with the solution's
+    kinks as breakpoints.
+    """
+    kinks = getattr(sol, "kink_x", (sol.x_left, sol.x_right))
+    return trace_moments(sol.u_trace, tmap, kinks=kinks, epsabs=epsabs) / lumped
 
 
 def trace_moments(fn, tmap: TraceMap, kinks=(), epsabs: float = 1e-12) -> np.ndarray:
@@ -213,20 +275,7 @@ def solve_schur_vi(
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()
     sigma = smap.dense_matrix()
     nu = smap.newton_potential(load, dirichlet_values=dirichlet_values).values
-    t = np.zeros(n)
-
-    def solve_fixed(active):
-        inact = ~active
-        t[active] = g[active]
-        if np.any(inact):
-            rhs = nu[inact] - sigma[inact][:, active] @ t[active]
-            t[inact] = np.linalg.solve(sigma[inact][:, inact], rhs)
-        lam = np.zeros(n)
-        lam[active] = nu[active] - sigma[active] @ t
-        return t, lam
-
-    start = np.zeros(n, dtype=bool)
-    active, lam, _, converged = pdas(solve_fixed, g, smap.lumped, start, c, max_iter)
+    t, lam, active, _, converged = dense_pdas(sigma, nu, g, smap.lumped, c, max_iter)
     if not converged:
         raise SolverError("boundary PDAS did not converge")
     return t, lam, active

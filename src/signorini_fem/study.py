@@ -16,16 +16,18 @@ import csv
 import json
 import logging
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .assembly import build_system
+from .biortho import MultiplierFunction
 from .manufactured import CutoffSpline, ExactSolution
 from .mesh import build_initial, refine, trace_map
 from .norms import error_report
 from .solver import SolverError, discrete_transmission_points, solve_vi
-from .steklov import SteklovMap
+from .steklov import condense_system, exact_trace_values
 
 log = logging.getLogger(__name__)
 
@@ -190,13 +192,16 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
 def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRecord:
     tmap = trace_map(mesh)
     system = build_system(mesh, tmap, sol)
-    solution = solve_vi(mesh, tmap, sol, system=system)
+    # the level's contact problem condensed onto the trace serves both the
+    # cold start of the contact solve and the consistency flux
+    sigma, nu = condense_system(system)
+    solution = solve_vi(mesh, tmap, sol, system=system, trace_system=(sigma, nu))
     lam_tilde = None
     if config.compute_lambda_tilde:
-        # no name keeps the map, so its interior factor is freed before the norms
-        lam_tilde = SteklovMap(
-            mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass
-        ).exact_trace_flux(sol, system.load)
+        # the multiplier of the exact trace z: lambda = nu - sigma z
+        z = exact_trace_values(sol, tmap, system.lumped_mass)
+        lam_tilde = MultiplierFunction(mesh.level, nu - sigma @ z)
+    del sigma, nu
 
     report = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     errors = {k: getattr(report, k) for k in RATE_KEYS if getattr(report, k) is not None}
@@ -312,20 +317,28 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
     return paths
 
 
+#: a config comment starts with '#' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?<!\S)#")
+
+
 def config_from_file(path) -> dict:
     """Parse a flat key-value config file into StudyConfig keyword arguments.
 
-    Lines look like "max_level = 6"; '#' starts a comment.  Each value is
-    read as the type of its StudyConfig field: knots are two comma-separated
-    reals, switches are exactly "true" or "false".  Unknown keys and values
-    that do not parse raise ValueError naming the line; an unknown key's
-    message lists the accepted ones.
+    Lines look like "max_level = 6".  A '#' at the start of a line or after
+    whitespace starts a comment; elsewhere it is part of the value, so
+    "out_dir = a#b" names the directory a#b.  Each value is read as the
+    type of its StudyConfig field: knots are two comma-separated reals,
+    switches are exactly "true" or "false".  Unknown keys, keys set twice
+    and values that do not parse raise ValueError naming the line (both
+    lines for a repeated key); an unknown key's message lists the accepted
+    ones.
     """
     fields = StudyConfig.__dataclass_fields__
     kwargs = {}
+    lines = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -333,6 +346,9 @@ def config_from_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in fields:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; accepted keys: {', '.join(fields)}")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: {key} is set twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         try:
             kwargs[key] = _parse_value(fields[key].type, value)
         except ValueError as exc:

@@ -3,15 +3,18 @@
 Each reference computes a quantity the package also computes, by the plain
 route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
-trace coupling.  The boundary-edge and cone helpers are views that only the
+trace coupling, the full-space PDAS from the empty active set for the
+contact solve.  The boundary-edge and cone helpers are views that only the
 tests need.
 """
 
 import numpy as np
 
-from signorini_fem.assembly import assemble_stiffness, dof_partition
+from signorini_fem import solver
+from signorini_fem.assembly import FeFunction, FeSystem, assemble_stiffness, dof_partition
 from signorini_fem.biortho import MultiplierFunction, dual_shape_values
-from signorini_fem.mesh import DIRICHLET, SIGNORINI, TraceMap, TriMesh, trace_map
+from signorini_fem.mesh import DIRICHLET, SIGNORINI, TraceMap, TriMesh, elimination_order, trace_map
+from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
 
 
@@ -135,4 +138,50 @@ def refine_loop(mesh: TriMesh) -> TriMesh:
         boundary_edges=np.asarray(edges, dtype=np.int64),
         boundary_tags=np.asarray(tags, dtype=np.int64),
         parent_pairs=parent_pairs,
+    )
+
+
+def full_space_vi(system: FeSystem, g=0.0, c: float = 1.0, max_iter: int = 100) -> VISolution:
+    """The contact problem by full-space PDAS from the empty active set.
+
+    Every step factorizes the free block of its active set with
+    ``solver.linear_subsolve`` (looked up at call time, so a test may
+    replace it), listed in ``elimination_order``.
+    """
+    mesh = system.mesh
+    A = system.stiffness
+    F = system.load
+    D = system.lumped_mass
+    trace = system.trace_dofs
+    n_mult = trace.shape[0]
+    g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
+    u = np.zeros(mesh.num_vertices)
+    u[system.dirichlet_idx] = system.dirichlet_values
+    order = elimination_order(mesh)
+
+    def solve_fixed(active):
+        fixed_mask = ~system.free_mask
+        fixed_mask[trace[active]] = True
+        u[trace[active]] = g[active]
+        free = order[~fixed_mask[order]]
+        fixed = np.flatnonzero(fixed_mask)
+        rows = A[free]
+        rhs = F[free] - rows[:, fixed] @ u[fixed]
+        u[free] = solver.linear_subsolve(rows[:, free], rhs)
+        lam = np.zeros(n_mult)
+        lam[active] = (F - A @ u)[trace[active]] / D[active]
+        return u[trace], lam
+
+    start = np.zeros(n_mult, dtype=bool)
+    active, lam, iterations, converged = pdas(solve_fixed, g, D, start, c, max_iter)
+    if not converged:
+        raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations")
+    r = F - A @ u
+    r[trace] -= lam * D
+    return VISolution(
+        u=FeFunction(mesh.level, u),
+        multiplier=MultiplierFunction(mesh.level, lam),
+        active=active,
+        iterations=iterations,
+        residual=float(np.max(np.abs(r[system.free_mask]))),
     )

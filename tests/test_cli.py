@@ -112,6 +112,14 @@ def test_removed_config_keys_exit_nonzero_naming_the_line(tmp_path):
         assert "accepted keys: min_level, max_level, knots, compute_lambda_tilde, out_dir" in result.output
 
 
+def test_repeated_config_key_exits_nonzero_naming_both_lines(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("min_level = 2\nmax_level = 3\nmax_level = 4\n")
+    result = CliRunner().invoke(main, ["study", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert "study.cfg:3: max_level is set twice, on lines 2 and 3" in result.output
+
+
 def test_failed_level_exits_nonzero_after_writing_the_other_levels(monkeypatch, tmp_path):
     solve = study_module.solve_vi
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import types
 
@@ -7,11 +8,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from signorini_fem import ExactSolution, SolverError, SteklovMap, build_system, mesh_at_level, solve_vi, trace_map
-from signorini_fem import solver
+from signorini_fem import solver, steklov
 from signorini_fem.biortho import MultiplierFunction
 from signorini_fem.mesh import elimination_order
 from signorini_fem.solver import LU_OPTIONS, VISolution, discrete_transmission_points, linear_subsolve
+from signorini_fem.steklov import condense_system
 from signorini_fem.assembly import FeFunction
+
+from oracles import full_space_vi
 
 
 @pytest.fixture(scope="module")
@@ -130,23 +134,113 @@ def test_elimination_order_fills_less_than_colamd(sol):
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("warm_start", [True, False])
+@pytest.mark.parametrize("against_oracle", [True, False])
 @pytest.mark.parametrize("obstacle", ["zero", "affine"])
-def test_solve_vi_matches_colamd_reference(level, warm_start, obstacle, sol, monkeypatch):
+def test_solve_vi_matches_colamd_reference(level, against_oracle, obstacle, sol, monkeypatch):
+    # the reference's linear solves are COLAMD's: the full-space oracle's
+    # every step, or solve_vi's full-space step (then with equal step counts)
     mesh, tmap, system = make_problem(level, sol)
     g = 0.0 if obstacle == "zero" else -1e-3 + 1e-3 * tmap.multiplier_x
-    vi = solve_vi(mesh, tmap, sol, g=g, system=system, warm_start=warm_start)
+    vi = solve_vi(mesh, tmap, sol, g=g, system=system)
 
     def colamd_subsolve(matrix, rhs):
         return spla.spsolve(matrix.tocsc(), rhs, permc_spec="COLAMD", use_umfpack=False)
 
     monkeypatch.setattr(solver, "linear_subsolve", colamd_subsolve)
-    ref = solve_vi(mesh, tmap, sol, g=g, system=system, warm_start=warm_start)
+    if against_oracle:
+        ref = full_space_vi(system, g=g)
+    else:
+        ref = solve_vi(mesh, tmap, sol, g=g, system=system)
+        assert vi.iterations == ref.iterations
     assert ref.active.any()
     assert np.array_equal(vi.active, ref.active)
-    assert vi.iterations == ref.iterations
     gap = np.abs(vi.u.values - ref.u.values).max()
     assert gap <= 1e-10 * np.abs(ref.u.values).max()
+
+
+def seeded_contact_problem(level, seed):
+    """An affine obstacle and scaled load and Dirichlet data, drawn as the
+    contact benchmark draws them; the solver gets no exact solution."""
+    mesh, tmap, base = make_problem(level, ExactSolution())
+    rng = np.random.default_rng([seed, 2])
+    a, b = rng.uniform(-2e-3, 2e-3, size=2)
+    s = rng.uniform(0.5, 2.0)
+    system = dataclasses.replace(base, load=s * base.load, dirichlet_values=s * base.dirichlet_values)
+    return mesh, tmap, system, a + b * tmap.multiplier_x
+
+
+def oracle_cases():
+    for level in (2, 3, 4, 5, 6):
+        yield pytest.param(level, "zero", id=f"zero-{level}")
+        yield pytest.param(level, "affine", id=f"affine-{level}")
+        for seed in (501, 502):
+            yield pytest.param(level, seed, id=f"seed{seed}-{level}")
+
+
+@pytest.mark.parametrize("level, obstacle", oracle_cases())
+def test_solve_vi_equals_the_full_space_oracle_bitwise(level, obstacle, sol):
+    if isinstance(obstacle, int):
+        mesh, tmap, system, g = seeded_contact_problem(level, obstacle)
+    else:
+        mesh, tmap, system = make_problem(level, sol)
+        g = 0.0 if obstacle == "zero" else -1e-3 + 1e-3 * tmap.multiplier_x
+    vi = solve_vi(mesh, tmap, None, g=g, system=system)
+    ref = full_space_vi(system, g=g)
+    assert np.array_equal(vi.u.values, ref.u.values)
+    assert np.array_equal(vi.multiplier.values, ref.multiplier.values)
+    assert np.array_equal(vi.active, ref.active)
+
+
+def test_warm_start_is_refused(sol):
+    mesh, tmap, system = make_problem(2, sol)
+    with pytest.raises(ValueError, match="no longer reads"):
+        solve_vi(mesh, tmap, sol, system=system, warm_start=True)
+
+
+def counting_spla(calls):
+    """An ``spla`` overlay whose ``splu`` records the size of every matrix."""
+
+    def splu(matrix, **options):
+        calls.append(matrix.shape[0])
+        return spla.splu(matrix, **options)
+
+    return types.SimpleNamespace(splu=splu)
+
+
+def test_cold_solve_factorizes_two_halves_and_one_free_block(sol, monkeypatch):
+    mesh, tmap, system = make_problem(5, sol)
+    solver_calls, steklov_calls = [], []
+    monkeypatch.setattr(solver, "spla", counting_spla(solver_calls))
+    monkeypatch.setattr(steklov, "spla", counting_spla(steklov_calls))
+    vi = solve_vi(mesh, tmap, sol, system=system)
+    assert vi.iterations > 2
+    assert len(steklov_calls) == 2
+    assert solver_calls == [np.count_nonzero(system.free_mask) - np.count_nonzero(vi.active)]
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_a_wrong_trace_system_only_moves_the_start(level, sol, monkeypatch):
+    # the full-space PDAS keeps iterating from the start a corrupted
+    # reduction chose, and ends on the oracle's solution.  A shifted
+    # diagonal moves that start at every level; a scaled sigma would not
+    # with g = 0: it scales the inactive t and leaves lambda, so every
+    # step picks the same set
+    mesh, tmap, system = make_problem(level, sol)
+    sigma, nu = condense_system(system)
+    sigma = sigma + np.abs(sigma).max() * np.eye(nu.shape[0])
+    subsolves = []
+
+    def counted_subsolve(matrix, rhs):
+        subsolves.append(matrix.shape[0])
+        return linear_subsolve(matrix, rhs)
+
+    monkeypatch.setattr(solver, "linear_subsolve", counted_subsolve)
+    vi = solve_vi(mesh, tmap, None, system=system, trace_system=(sigma, nu))
+    assert len(subsolves) > 1
+    ref = full_space_vi(system)
+    assert np.array_equal(vi.u.values, ref.u.values)
+    assert np.array_equal(vi.multiplier.values, ref.multiplier.values)
+    assert np.array_equal(vi.active, ref.active)
 
 
 def test_unconstrained_fallback(sol):
@@ -186,12 +280,13 @@ def test_active_set_contiguous(level, sol):
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4])
 def test_start_independence(level, sol):
+    # the trace stage's start against the full-space PDAS from the empty set
     mesh, tmap, system = make_problem(level, sol)
-    warm = solve_vi(mesh, tmap, sol, system=system, warm_start=True)
-    cold = solve_vi(mesh, tmap, sol, system=system, warm_start=False)
-    assert np.array_equal(warm.active, cold.active)
-    assert np.abs(warm.u.values - cold.u.values).max() <= 1e-10
-    assert np.abs(warm.multiplier.values - cold.multiplier.values).max() <= 1e-10
+    vi = solve_vi(mesh, tmap, sol, system=system)
+    cold = full_space_vi(system)
+    assert np.array_equal(vi.active, cold.active)
+    assert np.abs(vi.u.values - cold.u.values).max() <= 1e-10
+    assert np.abs(vi.multiplier.values - cold.multiplier.values).max() <= 1e-10
 
 
 def test_feasibility_and_complementarity(sol):
@@ -279,7 +374,8 @@ def test_affine_obstacle_supported(sol):
 
 def test_nonconvergence_carries_iterate(sol):
     mesh, tmap, system = make_problem(2, sol)
-    with pytest.raises(SolverError) as excinfo:
+    with pytest.raises(SolverError, match="full-space PDAS") as excinfo:
         solve_vi(mesh, tmap, sol, system=system, warm_start=False, max_iter=1)
     assert excinfo.value.solution is not None
-    assert excinfo.value.solution.iterations == 1
+    # one step of each stage: the trace stage hands on its unconverged set
+    assert excinfo.value.solution.iterations == 2

@@ -18,7 +18,7 @@ from signorini_fem import (
 from signorini_fem import mesh as msh
 from signorini_fem import steklov
 from signorini_fem.assembly import assemble_stiffness
-from signorini_fem.steklov import solve_schur_vi, trace_moments
+from signorini_fem.steklov import condense_system, exact_trace_values, solve_schur_vi, trace_moments
 
 from oracles import schur_complement_dense, schur_consistency
 
@@ -209,6 +209,32 @@ def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     smap = SteklovMap(shifted, trace_map(shifted), stiffness=assemble_stiffness(m))
     with pytest.raises(SolverError, match="does not separate"):
         smap.dense_matrix()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_condensed_load_is_the_newton_potential(level, sol):
+    # from the two half factorizations, against the interior factorization
+    m = mesh_at_level(level)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    sigma, nu = condense_system(system)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    ref = smap.newton_potential(system.load, dirichlet_values=system.dirichlet_values).values
+    assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(sigma - smap.dense_matrix()).max() <= 1e-13 * np.abs(sigma).max()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_condensed_system_gives_the_consistency_flux(level, sol):
+    # lambda tilde = nu - sigma z for the exact trace values z, no solve
+    m = mesh_at_level(level)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    sigma, nu = condense_system(system)
+    z = exact_trace_values(sol, tm, system.lumped_mass)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    ref = smap.exact_trace_flux(sol, system.load).values
+    assert np.abs(nu - sigma @ z - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_newton_potential_zero_data(sol):

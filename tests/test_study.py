@@ -265,6 +265,29 @@ def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message)
     assert f"{path}:3:" in str(err.value)
 
 
+def test_config_file_rejects_a_repeated_key_naming_both_lines(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("max_level = 3\n# finer\nmax_level = 4\n")
+    with pytest.raises(ValueError, match="max_level is set twice, on lines 1 and 3") as err:
+        config_from_file(path)
+    assert f"{path}:3:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, out_dir",
+    [
+        ("out_dir = a#b", "a#b"),
+        ("out_dir = a#b  # the report directory", "a#b"),
+        ("out_dir = a\t#b", "a"),
+        ("  # out_dir = a", None),
+    ],
+)
+def test_config_comments_start_only_after_whitespace(tmp_path, line, out_dir):
+    path = tmp_path / "hash.cfg"
+    path.write_text(f"min_level = 2\n{line}\n")
+    assert config_from_file(path).get("out_dir") == out_dir
+
+
 def test_csv_rows_of_a_synthetic_record(tmp_path):
     # one error (lambda tilde, with its rate) and one rate (L2 lambda) missing
     errors = dict(
