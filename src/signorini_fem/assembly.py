@@ -231,56 +231,79 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def _clip_halfplane(poly: list, c: float, keep_left: bool) -> list:
-    """Clip a convex polygon against x <= c (or x >= c)."""
-    out = []
-    n = len(poly)
-    for i in range(n):
-        p = poly[i]
-        q = poly[(i + 1) % n]
-        pin = p[0] <= c if keep_left else p[0] >= c
-        qin = q[0] <= c if keep_left else q[0] >= c
-        if pin:
-            out.append(p)
-        if pin != qin:
-            t = (c - p[0]) / (q[0] - p[0])
-            out.append(p + t * (q - p))
-    return out if len(out) >= 3 else []
+def _clip(poly: np.ndarray, count: np.ndarray, c: float, keep_left: bool):
+    """Clip convex polygons against x <= c (or x >= c), all at once.
 
-
-def _poly_area(poly: list) -> float:
-    a = 0.0
-    n = len(poly)
-    for i in range(n):
-        p = poly[i]
-        q = poly[(i + 1) % n]
-        a += p[0] * q[1] - q[0] * p[1]
-    return 0.5 * a
-
-
-def _split_by_lines(tri_coords: np.ndarray, lines) -> list:
-    """Cut a triangle along vertical lines into sub-triangles.
-
-    Returns a list of (3, 2) arrays; degenerate slivers are dropped.  Used
-    where the integrand is smooth on either side of a line but not across.
+    poly is (m, w, 2), its first count vertices per row in order.  Each
+    edge p -> q emits p if p is kept, then the point p + t (q - p) on x = c
+    if the edge crosses.  Returns the clipped (m, w', 2) and their counts.
     """
-    polys = [list(tri_coords)]
+    m, w = poly.shape[:2]
+    live = np.arange(w) < count[:, None]
+    nxt = np.where(np.arange(1, w + 1) < count[:, None], np.arange(1, w + 1), 0)
+    q = np.take_along_axis(poly, nxt[..., None], axis=1)
+    pin = poly[..., 0] <= c if keep_left else poly[..., 0] >= c
+    qin = q[..., 0] <= c if keep_left else q[..., 0] >= c
+    emit = np.stack([live & pin, live & (pin != qin)], axis=2).reshape(m, 2 * w)
+    vals = np.stack([poly, poly], axis=2).reshape(m, 2 * w, 2)
+    row, col = np.nonzero(emit[:, 1::2])
+    a, b = poly[row, col], q[row, col]
+    t = (c - a[:, 0]) / (b[:, 0] - a[:, 0])
+    vals[row, 2 * col + 1] = a + t[:, None] * (b - a)
+    count = emit.sum(axis=1)
+    out = np.zeros((m, count.max(initial=0), 2))
+    row, col = np.nonzero(emit)
+    out[row, np.cumsum(emit, axis=1)[row, col] - 1] = vals[row, col]
+    return out, count
+
+
+def _split_by_lines(coords: np.ndarray, lines) -> tuple[np.ndarray, np.ndarray]:
+    """Cut triangles along vertical lines into sub-triangles.
+
+    coords is (k, 3, 2).  Each line in turn cuts every polygon it crosses
+    into its left and its right part; parts with fewer than three vertices
+    or an area of at most 1e-30 are dropped.  Each polygon then fans out
+    from its first vertex.  Returns (pieces, owner): the (p, 3, 2)
+    sub-triangles, those of each triangle together and in that order, and
+    the index into coords each came from.  Used where the integrand is
+    smooth on either side of a line but not across.
+    """
+    poly = np.asarray(coords, dtype=float)
+    count = np.full(poly.shape[0], 3)
+    owner = np.arange(poly.shape[0])
     for c in lines:
-        next_polys = []
-        for poly in polys:
-            xs = [p[0] for p in poly]
-            if min(xs) < c < max(xs):
-                for piece in (_clip_halfplane(poly, c, True), _clip_halfplane(poly, c, False)):
-                    if piece and abs(_poly_area(piece)) > 1e-30:
-                        next_polys.append(piece)
-            else:
-                next_polys.append(poly)
-        polys = next_polys
-    tris = []
-    for poly in polys:
-        for i in range(1, len(poly) - 1):
-            tris.append(np.stack([poly[0], poly[i], poly[i + 1]]))
-    return tris
+        live = np.arange(poly.shape[1]) < count[:, None]
+        xs = poly[..., 0]
+        cut = (np.where(live, xs, np.inf).min(axis=1) < c) & (c < np.where(live, xs, -np.inf).max(axis=1))
+        sides = [_clip(poly[cut], count[cut], c, keep_left) for keep_left in (True, False)]
+        w = max(poly.shape[1], *(side.shape[1] for side, _ in sides))
+        # slot 0 holds an uncut polygon or a left part, slot 1 a right part
+        cand = np.zeros((poly.shape[0], 2, w, 2))
+        cand[:, 0, : poly.shape[1]] = poly
+        counts = np.stack([count, np.zeros_like(count)], axis=1)
+        for slot, (side, side_count) in enumerate(sides):
+            cand[cut, slot, : side.shape[1]] = side
+            keep = (side_count >= 3) & (np.abs(_polygon_areas(side, side_count)) > 1e-30)
+            counts[cut, slot] = np.where(keep, side_count, 0)
+        keep = counts.ravel() > 0
+        poly = cand.reshape(-1, w, 2)[keep]
+        count = counts.ravel()[keep]
+        owner = np.repeat(owner, 2)[keep]
+    fan = np.repeat(np.arange(poly.shape[0]), count - 2)
+    apex = np.arange(fan.shape[0]) - np.repeat(np.cumsum(count - 2) - (count - 2), count - 2) + 1
+    pieces = np.stack([poly[fan, 0], poly[fan, apex], poly[fan, apex + 1]], axis=1)
+    return pieces, owner[fan]
+
+
+def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Signed areas of padded polygons, summed vertex by vertex."""
+    a = np.zeros(poly.shape[0])
+    rows = np.arange(poly.shape[0])
+    for i in range(poly.shape[1]):
+        p = poly[:, i]
+        q = poly[rows, np.where(i + 1 < count, i + 1, 0)]
+        a = a + np.where(i < count, p[:, 0] * q[:, 1] - q[:, 0] * p[:, 1], 0.0)
+    return 0.5 * a
 
 
 def assemble_load(
@@ -324,15 +347,14 @@ def assemble_load(
     special_idx = np.flatnonzero(special)
     if not special_idx.size:
         return load
-    # every cut or quadrisected piece with the triangle it belongs to
-    pieces = []
-    parent = []
-    for t in special_idx:
-        cut = _split_by_lines(coords[t], split_x) if crossing[t] else [coords[t]]
-        pieces += cut
-        parent += [t] * len(cut)
-    pieces = np.asarray(pieces)
-    parent = np.asarray(parent)
+    # every cut or quadrisected piece with the triangle it belongs to, by triangle
+    crossed = np.flatnonzero(crossing)
+    cut, owner = _split_by_lines(coords[crossed], split_x)
+    whole = np.flatnonzero(special & ~crossing)
+    parent = np.concatenate([whole, crossed[owner]])
+    order = np.argsort(parent, kind="stable")
+    pieces = np.concatenate([coords[whole], cut])[order]
+    parent = parent[order]
     refined = near[parent]
     if np.any(refined):
         children = quadrisect(pieces[refined]).reshape(-1, 3, 2)

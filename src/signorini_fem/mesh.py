@@ -13,8 +13,9 @@ per-vertex lineage records, for every fine vertex, the coarse edge (or coarse
 vertex) it came from, which realizes exact nodal prolongation.
 
 Meshes are immutable after construction and safe to share between threads;
-the one value a mesh computes lazily, its elimination order, depends on
-nothing else, so two threads that race to compute it store equal arrays.
+the two values a mesh computes lazily, its size and its elimination order,
+depend on nothing else, so two threads that race to compute one store equal
+values.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ class TriMesh:
 
     def max_edge_length(self) -> float:
         """Mesh size h: the maximal edge length over all triangles."""
+        return self._max_edge_length
+
+    # cached_property writes the instance dict, which a frozen dataclass allows
+    @functools.cached_property
+    def _max_edge_length(self) -> float:
         p = self.vertices[self.triangles]
         h = 0.0
         for i, j in ((0, 1), (1, 2), (2, 0)):
@@ -92,7 +98,6 @@ class TriMesh:
 
     @functools.cached_property
     def _elimination_order(self) -> np.ndarray:
-        # cached_property writes the instance dict, which a frozen dataclass allows
         order = _nested_dissection(self)
         order.flags.writeable = False
         return order

@@ -12,8 +12,9 @@ boundary whose matrix is, up to the D-scaling, the algebraic Schur complement
 of the stiffness matrix.  The operator is applied matrix-free from a stored
 interior factorization.  Its dense matrix is that Schur complement, built by
 substructuring (``condense``): two factorizations of the half-domains left
-and right of the middle grid column, each with the boundary block last, and
-one dense elimination of the column (0.12 s at level 7, 0.64 s at level 8).
+and right of the middle grid column, each with its own trace DOFs and the
+column last, and one dense elimination of the column (0.17 s at level 7,
+1.0 s at level 8, one BLAS thread).  A map builds it once, on first use.
 With one more solve per half the same kernel condenses the load into the
 Newton potential (``condense_system``), which gives ``solver.solve_vi`` and
 the study the trace system without the interior factorization.
@@ -38,7 +39,10 @@ class SteklovMap:
     in that order.  An extension is one solve with that factor, without
     the refinement step that ``linear_subsolve`` always takes; the
     consistency flux ``exact_trace_flux`` always takes one refinement step.
-    Read-only after construction; concurrent applications are safe.
+    Read-only after construction, but for the dense matrix, which the
+    first ``dense_matrix`` call computes and keeps as a read-only array;
+    concurrent applications are safe, and two threads that race on that
+    first call store equal arrays.
     """
 
     def __init__(self, mesh: TriMesh, tmap: TraceMap, stiffness=None, lumped=None):
@@ -57,6 +61,7 @@ class SteklovMap:
         except (RuntimeError, MemoryError) as exc:
             n = self.interior_idx.shape[0]
             raise SolverError(f"interior factorization of {n} unknowns failed: {exc!r}") from exc
+        self._sigma = None
 
     @property
     def num_multipliers(self) -> int:
@@ -128,11 +133,15 @@ class SteklovMap:
     def dense_matrix(self) -> np.ndarray:
         """The operator as a dense matrix, D^-1 S, by substructuring.
 
-        See ``condense``; no extension is solved, and it takes 0.12 s at
-        level 7 and 0.64 s at level 8 on one BLAS thread.
+        See ``condense``; no extension is solved.  The first call computes
+        it (0.17 s at level 7 and 1.0 s at level 8 on one BLAS thread);
+        every later call returns that same read-only array.
         """
-        sigma, _ = condense(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs, self.lumped)
-        return sigma
+        if self._sigma is None:
+            sigma, _ = condense(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs, self.lumped)
+            sigma.flags.writeable = False
+            self._sigma = sigma
+        return self._sigma
 
 
 def condense(mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray, lumped, load=None):
@@ -148,10 +157,13 @@ def condense(mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.
 
     The interior vertices Gamma of the middle grid column, the first
     separator of ``elimination_order``, split I into two halves that no
-    stiffness entry couples.  With B = T + Gamma, each half h is factorized
-    once with B last (``_boundary_schur``); the two Schur complements less
-    A_BB are the one onto B, and the two condensed loads sum likewise.
-    Eliminating Gamma densely leaves S and D nu.
+    stiffness entry couples.  A half h couples only to its own trace DOFs
+    T_h, so with B_h = T_h + Gamma it is factorized once with B_h last
+    (``_boundary_schur``): the smaller B_h, the smaller the dense trailing
+    block of its factor.  The two Schur complements, scattered into the
+    matrix on B = T + Gamma, with A_BB counted once on every entry, are the
+    one onto B, and the two condensed loads sum likewise.  Eliminating
+    Gamma densely leaves S and D nu.
     """
     ix, _, nx, _ = grid_index(mesh)
     column = ix[interior_idx]
@@ -161,15 +173,26 @@ def condense(mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.
     if A[left][:, right].count_nonzero():
         raise SolverError("the middle grid column does not separate the interior")
     b = np.concatenate([trace_dofs, interior_idx[column == nx // 2]])
-    s_left, coupled_left = _boundary_schur(A, left, b, None if load is None else load[left])
-    s_right, coupled_right = _boundary_schur(A, right, b, None if load is None else load[right])
-    s_bb = s_left + s_right - A[b][:, b].toarray()
-    del s_left, s_right
-    n = trace_dofs.shape[0]
+    n, m = trace_dofs.shape[0], b.shape[0]
+    s_bb = np.zeros((m, m))
+    f_b = None if load is None else load[b]
+    covered = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    for h, cover in zip((left, right), covered):
+        # positions in b of the half's own trace DOFs, then of Gamma
+        pos = np.concatenate([np.flatnonzero(A[h][:, trace_dofs].getnnz(axis=0)), np.arange(n, m)])
+        cover[pos] = True
+        s_h, coupled = _boundary_schur(A, h, b[pos], None if load is None else load[h])
+        s_bb[np.ix_(pos, pos)] += s_h
+        del s_h
+        if load is not None:
+            f_b[pos] -= coupled
+    # each S_h holds A_BB on its own block: count it once on every entry
+    a_bb = A[b][:, b].tocoo()
+    times = sum(cover[a_bb.row] & cover[a_bb.col] for cover in covered)
+    s_bb[a_bb.row, a_bb.col] += (1 - times) * a_bb.data
     s_tt, s_tg, s_gt, s_gg = s_bb[:n, :n], s_bb[:n, n:], s_bb[n:, :n], s_bb[n:, n:]
     if load is None:
         return (s_tt - s_tg @ np.linalg.solve(s_gg, s_gt)) / lumped[:, None], None
-    f_b = load[b] - coupled_left - coupled_right
     x = np.linalg.solve(s_gg, np.column_stack([s_gt, f_b[n:]]))
     sigma = (s_tt - s_tg @ x[:, :-1]) / lumped[:, None]
     nu = (f_b[:n] - s_tg @ x[:, -1]) / lumped
@@ -268,8 +291,11 @@ def solve_schur_vi(
 
     Returns (trace values, multiplier coefficients, active mask).  Cross
     check against the full-space solver.  The dense Steklov matrix comes
-    from ``SteklovMap.dense_matrix`` (0.12 s at level 7, 0.64 s at level 8);
-    each PDAS step then solves a dense system of up to its size.
+    from ``SteklovMap.dense_matrix``, computed on the map's first call
+    (0.17 s at level 7, 1.0 s at level 8) and reused after; the Newton
+    potential is one solve with the interior factor, and each PDAS step
+    solves a dense system of up to the matrix's size.  So a second call on
+    one map factorizes nothing.
     """
     n = smap.num_multipliers
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()

@@ -185,3 +185,56 @@ def full_space_vi(system: FeSystem, g=0.0, c: float = 1.0, max_iter: int = 100) 
         iterations=iterations,
         residual=float(np.max(np.abs(r[system.free_mask]))),
     )
+
+
+def split_by_lines(tri_coords: np.ndarray, lines) -> list:
+    """Cut one triangle along vertical lines into sub-triangles.
+
+    The per-cell polygon clipping that ``assembly._split_by_lines`` does
+    for all cells at once.  Returns a list of (3, 2) arrays; degenerate
+    slivers are dropped.
+    """
+    polys = [list(tri_coords)]
+    for c in lines:
+        next_polys = []
+        for poly in polys:
+            xs = [p[0] for p in poly]
+            if min(xs) < c < max(xs):
+                for piece in (_clip_halfplane(poly, c, True), _clip_halfplane(poly, c, False)):
+                    if piece and abs(_poly_area(piece)) > 1e-30:
+                        next_polys.append(piece)
+            else:
+                next_polys.append(poly)
+        polys = next_polys
+    tris = []
+    for poly in polys:
+        for i in range(1, len(poly) - 1):
+            tris.append(np.stack([poly[0], poly[i], poly[i + 1]]))
+    return tris
+
+
+def _clip_halfplane(poly: list, c: float, keep_left: bool) -> list:
+    """Clip a convex polygon against x <= c (or x >= c)."""
+    out = []
+    n = len(poly)
+    for i in range(n):
+        p = poly[i]
+        q = poly[(i + 1) % n]
+        pin = p[0] <= c if keep_left else p[0] >= c
+        qin = q[0] <= c if keep_left else q[0] >= c
+        if pin:
+            out.append(p)
+        if pin != qin:
+            t = (c - p[0]) / (q[0] - p[0])
+            out.append(p + t * (q - p))
+    return out if len(out) >= 3 else []
+
+
+def _poly_area(poly: list) -> float:
+    a = 0.0
+    n = len(poly)
+    for i in range(n):
+        p = poly[i]
+        q = poly[(i + 1) % n]
+        a += p[0] * q[1] - q[0] * p[1]
+    return 0.5 * a

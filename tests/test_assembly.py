@@ -6,6 +6,8 @@ import pytest
 from signorini_fem import ExactSolution, assembly, mesh as msh
 from signorini_fem.mesh import WIDTH
 
+from oracles import split_by_lines
+
 
 @pytest.fixture(scope="module")
 def sol():
@@ -110,7 +112,7 @@ def _load_oracle(m, f, degree, refine_near, split_x):
     load = np.zeros(m.num_vertices)
     for t, tri in enumerate(m.vertices[m.triangles]):
         near = min(msh.point_triangle_distances(p, tri[None])[0] for p in points) <= radius
-        pieces = assembly._split_by_lines(tri, split_x)
+        pieces = split_by_lines(tri, split_x)
         if near:
             pieces = [child for piece in pieces for child in assembly.quadrisect(piece[None])[0]]
         for sub in pieces:
@@ -130,6 +132,44 @@ def test_batched_load_matches_per_triangle_oracle(sol, level):
     load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
     oracle = _load_oracle(m, sol.rhs, 4, refine_near, sol.load_split_x)
     assert np.abs(load - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def _split_one_cell_at_a_time(coords, lines):
+    """The interface of ``assembly._split_by_lines`` over the per-cell oracle."""
+    pieces, owner = [], []
+    for k, tri in enumerate(coords):
+        cut = split_by_lines(tri, lines)
+        pieces += cut
+        owner += [k] * len(cut)
+    return np.asarray(pieces).reshape(-1, 3, 2), np.asarray(owner, dtype=np.int64)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7, 8])
+def test_array_clipping_gives_the_per_cell_load_bitwise(sol, level, monkeypatch):
+    # the study's reference errors leave little headroom: the load must not move at all
+    m = msh.mesh_at_level(level)
+    refine_near = (np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]]), 2.0 * m.max_edge_length())
+    load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    monkeypatch.setattr(assembly, "_split_by_lines", _split_one_cell_at_a_time)
+    oracle = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    assert np.array_equal(load, oracle)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_clipping_equals_the_per_cell_oracle_on_drawn_cells(seed):
+    # drawn triangles, some with a vertex on a line and one with two equal
+    # vertices, cut by up to five lines: same pieces, same order, bitwise
+    rng = np.random.default_rng(seed)
+    lines = tuple(np.sort(rng.uniform(0.0, 1.0, 5)))
+    coords = rng.uniform(0.0, 1.0, (60, 3, 2))
+    on_line = rng.random((60, 3)) < 0.2
+    coords[..., 0][on_line] = rng.choice(lines, np.count_nonzero(on_line))
+    coords[0, 2] = coords[0, 1]
+    for count in range(len(lines) + 1):
+        pieces, owner = assembly._split_by_lines(coords, lines[:count])
+        ref_pieces, ref_owner = _split_one_cell_at_a_time(coords, lines[:count])
+        assert np.array_equal(pieces, ref_pieces)
+        assert np.array_equal(owner, ref_owner)
 
 
 def test_load_polynomial_exactness():

@@ -1,4 +1,5 @@
-"""Property tests: nodal prolongation and the cold contact solve on drawn data.
+"""Property tests: nodal prolongation, the dense Steklov matrix and the cold
+contact solve on drawn data.
 
 Examples are derandomized, so every run draws the same ones, and kept few
 enough that the module adds a few seconds to the suite.
@@ -8,10 +9,10 @@ import dataclasses
 import functools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from signorini_fem import ExactSolution, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem import ExactSolution, SteklovMap, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem import mesh as msh
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -62,6 +63,35 @@ def test_prolong_reproduces_p1_functions(case):
     assert np.array_equal(got[:n], values)
     want = p1_on_grid(coarse, values, fine.vertices)
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(values).max(), 1.0)
+
+
+@functools.lru_cache(maxsize=None)
+def steklov_operator(level: int) -> np.ndarray:
+    """D times the dense Steklov matrix of one level: the Schur complement S."""
+    m = mesh_at_level(level)
+    smap = SteklovMap(m, trace_map(m))
+    return smap.lumped[:, None] * smap.dense_matrix()
+
+
+@st.composite
+def trace_vectors(draw):
+    level = draw(st.integers(min_value=2, max_value=5))
+    n = steklov_operator(level).shape[0]
+    values = draw(
+        st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=n, max_size=n)
+    )
+    return level, np.array(values)
+
+
+@PROPERTY_SETTINGS
+@given(trace_vectors())
+def test_steklov_matrix_is_symmetric_positive_definite(case):
+    level, v = case
+    assume(np.any(v != 0.0))
+    v = v / np.abs(v).max()  # no underflow in the quadratic form
+    s = steklov_operator(level)
+    assert np.abs(s - s.T).max() <= 1e-13 * np.abs(s).max()
+    assert v @ s @ v > 0.0
 
 
 @functools.lru_cache(maxsize=None)

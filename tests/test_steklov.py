@@ -181,6 +181,56 @@ def test_dense_matrix_refuses_a_reordered_factorization(monkeypatch):
         smap.dense_matrix()
 
 
+def counting_splu(calls):
+    """An ``spla`` stand-in whose splu records the size of every matrix."""
+
+    def splu(matrix, **options):
+        calls.append(matrix.shape[0])
+        return spla.splu(matrix, **options)
+
+    return types.SimpleNamespace(splu=splu)
+
+
+def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
+    m = mesh_at_level(4)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    calls = []
+    monkeypatch.setattr(steklov, "spla", counting_splu(calls))
+    first = smap.dense_matrix()
+    first_vi = solve_schur_vi(smap, system.load, system.dirichlet_values)
+    assert len(calls) == 2
+    assert smap.dense_matrix() is first
+    second_vi = solve_schur_vi(smap, system.load, system.dirichlet_values)
+    assert len(calls) == 2
+    for a, b in zip(first_vi, second_vi):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_each_half_factorizes_only_its_own_trace_dofs(level, monkeypatch):
+    m = mesh_at_level(level)
+    smap = SteklovMap(m, trace_map(m))
+    calls = []
+    monkeypatch.setattr(steklov, "spla", counting_splu(calls))
+    smap.dense_matrix()
+    ix, _, nx, _ = msh.grid_index(m)
+    column = ix[smap.interior_idx]
+    gamma = np.count_nonzero(column == nx // 2)
+    trace_column = ix[smap.trace_dofs]
+    # a half couples to the trace vertices below its columns; the one below
+    # the middle column couples to the right half only, along the diagonal
+    # of the cell to its right
+    own_left = np.count_nonzero(trace_column < nx // 2)
+    own_right = np.count_nonzero(trace_column >= nx // 2)
+    left = np.count_nonzero(column < nx // 2)
+    right = np.count_nonzero(column > nx // 2)
+    assert calls == [left + own_left + gamma, right + own_right + gamma]
+
+
 def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
     m = mesh_at_level(3)
     smap = SteklovMap(m, trace_map(m))
