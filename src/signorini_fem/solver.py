@@ -13,14 +13,12 @@ handful of steps.
 
 ``solve_vi`` starts from the empty active set and does not read the exact
 solution.  It first runs PDAS on the problem condensed onto the trace
-(``steklov.condense_system``), where a step is a dense solve on the trace
-DOFs, then the full-space PDAS from the set found there.  A full-space
-step factorizes the free block of the stiffness matrix with SuperLU, and
-normally one step confirms the set.  The caller orders the unknowns: the
-free block is listed in the nested dissection order of
-``mesh.elimination_order``, and SuperLU keeps that order (``LU_OPTIONS``),
-without row pivoting since the block is SPD.  One step of iterative
-refinement always follows the first triangular solve.
+(sigma, nu), where a step is a dense solve on the trace DOFs, then the
+full-space PDAS from the set found there; normally one step confirms it.
+Both stages solve with ``steklov.GridPoisson``, a DST-I solver of the
+grid's five-point stiffness, so no sparse factorization runs.
+``linear_subsolve`` is a sparse LU solve of an SPD block listed in the
+order of ``mesh.elimination_order``, which SuperLU keeps (``LU_OPTIONS``).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import FeFunction, FeSystem, build_system
 from .biortho import MultiplierFunction
-from .mesh import TriMesh, TraceMap, elimination_order
+from .mesh import TriMesh, TraceMap
 
 # SuperLU settings for an SPD block listed in elimination order: keep the
 # caller's column order and pivot on the diagonal
@@ -112,18 +110,23 @@ def solve_vi(
     from the empty active set on the problem condensed onto the trace,
     (sigma, nu) of ``steklov.condense_system`` unless trace_system passes
     them in, and the full-space PDAS then starts from the set it returns.
-    That normally takes one step, which factorizes the converged free
-    block once, so u and lambda are those of the full-space system; the
-    trace stage only chooses the start.  ``iterations`` counts the steps
-    of both stages.  Each stage takes at most max_iter steps; a trace stage
-    that does not converge still hands on its last set.  warm_start=True
-    raises ValueError: the solver does not read the contact interval of
-    the exact solution.
+    A full-space step fixes the active trace values to g, solves the
+    inactive ones with the Schur complement of the system's own
+    ``steklov.GridPoisson`` (never with trace_system, which only chooses
+    the start), recovers the interior by the grid solve, and refines on the
+    assembled free rows; ``GridPoisson.fill`` raises SolverError past its
+    residual contract.  So u and lambda are those of the full-space system.
+    ``iterations`` counts the steps of both stages.  Each stage takes at
+    most max_iter steps; a trace stage that does not converge still hands
+    on its last set.  warm_start=True raises ValueError: the solver does
+    not read the contact interval of the exact solution.
     """
     if warm_start:
         raise ValueError("warm_start=True is gone: the solver no longer reads the exact contact interval")
     if system is None:
         system = build_system(mesh, tmap, sol)
+    from .steklov import GridPoisson  # steklov imports this module
+
     A = system.stiffness
     F = system.load
     D = system.lumped_mass
@@ -131,28 +134,17 @@ def solve_vi(
     n_mult = trace.shape[0]
     g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
 
-    u = np.zeros(mesh.num_vertices)
-    u[system.dirichlet_idx] = system.dirichlet_values
-
+    lift = np.zeros(mesh.num_vertices)
+    lift[system.dirichlet_idx] = system.dirichlet_values
+    grid = GridPoisson(mesh, A, system.interior_idx, trace)
     if trace_system is None:
-        from .steklov import condense_system  # steklov imports this module
-
-        trace_system = condense_system(system)
-    sigma, nu = trace_system
-    _, _, active, trace_steps, _ = dense_pdas(sigma, nu, g, D, c, max_iter)
-    del sigma, nu, trace_system  # one built here is freed before the factorization
-
-    order = elimination_order(mesh)
+        trace_system = grid.schur / D[:, None], grid.flux(lift, F) / D
+    _, _, active, trace_steps, _ = dense_pdas(*trace_system, g, D, c, max_iter)
+    u = lift.copy()
 
     def solve_fixed(active):
-        fixed_mask = ~system.free_mask
-        fixed_mask[trace[active]] = True
         u[trace[active]] = g[active]
-        free = order[~fixed_mask[order]]
-        fixed = np.flatnonzero(fixed_mask)
-        rows = A[free]
-        rhs = F[free] - rows[:, fixed] @ u[fixed]
-        u[free] = linear_subsolve(rows[:, free], rhs)
+        u[:] = grid.fill(u, F, free=~active)
         lam = np.zeros(n_mult)
         lam[active] = (F - A @ u)[trace[active]] / D[active]
         return u[trace], lam

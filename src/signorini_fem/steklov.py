@@ -9,25 +9,27 @@ operator scaled by 1/D_j.  The Newton potential is the analogous multiplier
 for the volume load (plus the Dirichlet lifting of the benchmark data), and
 together they reduce the contact problem to a complementarity system on the
 boundary whose matrix is, up to the D-scaling, the algebraic Schur complement
-of the stiffness matrix.  The operator is applied matrix-free from a stored
-interior factorization.  Its dense matrix is that Schur complement, built by
-substructuring (``condense``): two factorizations of the half-domains left
-and right of the middle grid column, each with its own trace DOFs and the
-column last, and one dense elimination of the column (0.17 s at level 7,
-1.0 s at level 8, one BLAS thread).  A map builds it once, on first use.
-With one more solve per half the same kernel condenses the load into the
-Newton potential (``condense_system``), which gives ``solver.solve_vi`` and
-the study the trace system without the interior factorization.
+of the stiffness matrix.
+
+On the uniform grid the stiffness is a five-point stencil, so
+``GridPoisson`` solves with the interior block by a 2D DST-I and gives the
+Schur complement in closed form, for ``condense_system``, ``solver.solve_vi``
+and the study.  ``SteklovMap`` keeps a SuperLU factor of the interior block
+as the independent cross-check.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import FeSystem, assemble_stiffness, boundary_lumped_mass, dof_partition, quad
 from .biortho import MultiplierFunction, dual_shape_values
-from .mesh import TriMesh, TraceMap, elimination_order, grid_index
+from .mesh import TriMesh, TraceMap, elimination_order
 from .solver import LU_OPTIONS, SolverError, dense_pdas
 
 
@@ -52,7 +54,8 @@ class SteklovMap:
         self.lumped = boundary_lumped_mass(mesh, tmap) if lumped is None else lumped
         self.trace_dofs = tmap.multiplier_vertices
         self.dirichlet_idx, _, interior_idx = dof_partition(mesh, tmap)
-        self.interior_idx = _in_elimination_order(mesh, interior_idx)
+        order = elimination_order(mesh)
+        self.interior_idx = order[np.isin(order, interior_idx)]
         rows = self.stiffness[self.interior_idx]
         self._a_it = rows[:, self.trace_dofs].tocsr()
         self._a_id = rows[:, self.dirichlet_idx].tocsr()
@@ -131,119 +134,161 @@ class SteklovMap:
         return MultiplierFunction(self.mesh.level, self._boundary_flux(w, load))
 
     def dense_matrix(self) -> np.ndarray:
-        """The operator as a dense matrix, D^-1 S, by substructuring.
-
-        See ``condense``; no extension is solved.  The first call computes
-        it (0.17 s at level 7 and 1.0 s at level 8 on one BLAS thread);
-        every later call returns that same read-only array.
-        """
+        """The operator as a dense matrix, D^-1 S, with S from
+        ``GridPoisson.schur``: nothing is solved or factorized.  Every call
+        after the first returns the same read-only array."""
         if self._sigma is None:
-            sigma, _ = condense(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs, self.lumped)
+            grid = GridPoisson(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs)
+            sigma = grid.schur / self.lumped[:, None]
             sigma.flags.writeable = False
             self._sigma = sigma
         return self._sigma
 
 
-def condense(mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray, lumped, load=None):
-    """The stiffness, and optionally a load, condensed onto the trace DOFs.
-
-    Returns (sigma, nu).  sigma = D^-1 S, where S = A_TT - A_TI A_II^-1 A_IT
-    is the Schur complement of the stiffness onto the trace DOFs T and
-    interior_idx lists I in ``elimination_order``.  Given a load f on the
-    vertices (only its entries on I and T are read),
-    nu = D^-1 (f_T - A_TI A_II^-1 f_I) is the multiplier of zero trace
-    values, so lambda = nu - sigma t for trace values t; without a load,
-    nu is None.
-
-    The interior vertices Gamma of the middle grid column, the first
-    separator of ``elimination_order``, split I into two halves that no
-    stiffness entry couples.  A half h couples only to its own trace DOFs
-    T_h, so with B_h = T_h + Gamma it is factorized once with B_h last
-    (``_boundary_schur``): the smaller B_h, the smaller the dense trailing
-    block of its factor.  The two Schur complements, scattered into the
-    matrix on B = T + Gamma, with A_BB counted once on every entry, are the
-    one onto B, and the two condensed loads sum likewise.  Eliminating
-    Gamma densely leaves S and D nu.
-    """
-    ix, _, nx, _ = grid_index(mesh)
-    column = ix[interior_idx]
-    left = interior_idx[column < nx // 2]
-    right = interior_idx[column > nx // 2]
-    A = stiffness
-    if A[left][:, right].count_nonzero():
-        raise SolverError("the middle grid column does not separate the interior")
-    b = np.concatenate([trace_dofs, interior_idx[column == nx // 2]])
-    n, m = trace_dofs.shape[0], b.shape[0]
-    s_bb = np.zeros((m, m))
-    f_b = None if load is None else load[b]
-    covered = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
-    for h, cover in zip((left, right), covered):
-        # positions in b of the half's own trace DOFs, then of Gamma
-        pos = np.concatenate([np.flatnonzero(A[h][:, trace_dofs].getnnz(axis=0)), np.arange(n, m)])
-        cover[pos] = True
-        s_h, coupled = _boundary_schur(A, h, b[pos], None if load is None else load[h])
-        s_bb[np.ix_(pos, pos)] += s_h
-        del s_h
-        if load is not None:
-            f_b[pos] -= coupled
-    # each S_h holds A_BB on its own block: count it once on every entry
-    a_bb = A[b][:, b].tocoo()
-    times = sum(cover[a_bb.row] & cover[a_bb.col] for cover in covered)
-    s_bb[a_bb.row, a_bb.col] += (1 - times) * a_bb.data
-    s_tt, s_tg, s_gt, s_gg = s_bb[:n, :n], s_bb[:n, n:], s_bb[n:, :n], s_bb[n:, n:]
-    if load is None:
-        return (s_tt - s_tg @ np.linalg.solve(s_gg, s_gt)) / lumped[:, None], None
-    x = np.linalg.solve(s_gg, np.column_stack([s_gt, f_b[n:]]))
-    sigma = (s_tt - s_tg @ x[:, :-1]) / lumped[:, None]
-    nu = (f_b[:n] - s_tg @ x[:, -1]) / lumped
-    return sigma, nu
-
-
 def condense_system(system: FeSystem):
-    """(sigma, nu) of ``condense`` for an assembled contact problem.
+    """The contact problem condensed onto the trace DOFs T: (sigma, nu).
 
-    The load is the system's volume load less its Dirichlet lifting, so
-    nu is the Newton potential with the Dirichlet data, and the contact
-    problem on the trace is: t <= g, lambda = nu - sigma t >= 0, and
-    lambda (t - g) = 0.
+    sigma = D^-1 S with S = A_TT - A_TI A_II^-1 A_IT from ``GridPoisson``, and
+    nu = D^-1 (f_T - A_TI A_II^-1 f_I), with f the load less the Dirichlet
+    lifting, is the Newton potential.  The contact problem on the trace is:
+    t <= g, lambda = nu - sigma t >= 0, and lambda (t - g) = 0.
     """
+    grid = GridPoisson(system.mesh, system.stiffness, system.interior_idx, system.trace_dofs)
     lift = np.zeros(system.mesh.num_vertices)
     lift[system.dirichlet_idx] = system.dirichlet_values
-    load = system.load - system.stiffness @ lift
-    interior = _in_elimination_order(system.mesh, system.interior_idx)
-    return condense(system.mesh, system.stiffness, interior, system.trace_dofs, system.lumped_mass, load)
+    return grid.schur / system.lumped_mass[:, None], grid.flux(lift, system.load) / system.lumped_mass
 
 
-def _in_elimination_order(mesh: TriMesh, idx: np.ndarray) -> np.ndarray:
-    """The vertices idx listed in ``elimination_order``."""
-    order = elimination_order(mesh)
-    member = np.zeros(mesh.num_vertices, dtype=bool)
-    member[idx] = True
-    return order[member[order]]
+# assembled entries differ from the stencil's by rounding that grows like
+# 1/h: 6.5e-14 of a + b at level 8
+_STENCIL_RTOL = 1e-10
+_MAX_REFINE = 20
 
 
-def _boundary_schur(A, h: np.ndarray, b: np.ndarray, f_h=None):
-    """A_bb - A_bh A_hh^-1 A_hb densely, and A_bh A_hh^-1 f_h, from one LU.
+class GridPoisson:
+    """Solves with the interior block of a uniform grid's stiffness.
 
-    The factorization lists b last.  SuperLU must keep the rows in place and
-    the b columns last, so that the trailing blocks of L and U are those of
-    b and multiply to the Schur complement S_h; otherwise this raises.  The
-    load term costs one more solve: the right-hand side [f_h; 0] returns
-    [x; y0] with A_bh A_hh^-1 f_h = -S_h y0.  Without f_h it is None.
+    The P1 stiffness of the diagonally split grid is the five-point stencil,
+    -a = -h_y/h_x between horizontal neighbours, -b = -h_x/h_y between
+    vertical ones and 0 across diagonals, so the 2D DST-I diagonalizes A_II
+    (Buzbee, Golub & Nielson, SINUM 1970) and the 1D one the Schur complement
+    onto the trace row (Bjorstad & Widlund, SINUM 1986).  The trace and
+    interior rows form an n x ny raster; ``interior`` lists I row by row.
     """
-    idx = np.concatenate([h, b])
-    n, k = idx.shape[0], h.shape[0]
-    try:
-        lu = spla.splu(A[idx][:, idx].tocsc(), **LU_OPTIONS)
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverError(f"half-domain factorization of {n} unknowns failed: {exc!r}") from exc
-    if not (np.array_equal(lu.perm_r, np.arange(n)) and np.array_equal(lu.perm_c[k:], np.arange(k, n))):
-        raise SolverError("SuperLU permuted the half-domain factorization past its boundary block")
-    s_h = lu.L[k:, k:].toarray() @ lu.U[k:, k:].toarray()
-    if f_h is None:
-        return s_h, None
-    y0 = lu.solve(np.concatenate([f_h, np.zeros(n - k)]))[k:]
-    return s_h, -(s_h @ y0)
+
+    def __init__(self, mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray):
+        x, y = mesh.vertices.T
+        n = trace_dofs.shape[0]
+        ny = interior_idx.shape[0] // max(n, 1) + 1
+        hx = (x.max() - x.min()) / (n + 1)
+        hy = (y.max() - y.min()) / ny
+        ids = np.concatenate([trace_dofs, interior_idx])
+        ix = np.rint((x[ids] - x.min()) / hx).astype(np.int64)
+        iy = np.rint((y[ids] - y.min()) / hy).astype(np.int64)
+        pos = iy * n + ix - 1
+        # the trace DOFs, by x, are the first row; every vertex has its own cell
+        if not (
+            np.all((1 <= ix) & (ix <= n) & (0 <= iy) & (iy < ny))
+            and np.array_equal(pos[:n], np.arange(n))
+            and np.bincount(pos).max() == 1
+        ):
+            raise SolverError("the trace and interior vertices do not fill a uniform grid")
+        cells = np.empty_like(ids)
+        cells[pos] = ids
+        a, b = hy / hx, hx / hy
+        # the stencil on the raster, where A_TT = (a/2) T_x + b I
+        main = np.full(n * ny, 2.0 * (a + b))
+        main[:n] = a + b
+        side = np.full(n * ny - 1, -a)
+        side[: n - 1] = -0.5 * a
+        side[n - 1 :: n] = 0.0  # a row's last cell and the next row's first
+        size = (n * ny, n * ny)
+        stencil = sp.diags([side, main, side], [-1, 0, 1], shape=size) + sp.diags([-b, -b], [-n, n], shape=size)
+        if not abs(stiffness[cells][:, cells] - stencil).max() <= _STENCIL_RTOL * (a + b):
+            raise SolverError("the stiffness is not the five-point stencil of its grid")
+        self.stiffness = stiffness
+        self.trace_dofs = trace_dofs
+        self.interior = cells[n:]
+        self._b = b
+        # a lam_k + b mu_l, with 4 sin^2(pi k / 2N) the eigenvalues of the
+        # second difference on N intervals
+        lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+        l = np.arange(1, ny)[:, None]
+        self._eig = a * lam + b * 4.0 * np.sin(0.5 * np.pi * l / ny) ** 2
+        # eigenvalues of S: A_TT = (a/2) T_x + b I, and A_TI couples each
+        # trace DOF by -b to the vertex above it
+        self._s = 0.5 * a * lam + b - b * b * (2.0 / ny * np.sin(np.pi * l / ny) ** 2 / self._eig).sum(axis=0)
+
+    @functools.cached_property
+    def schur(self) -> np.ndarray:
+        """S = A_TT - A_TI A_II^-1 A_IT densely: V diag(s) V, with V the
+        orthonormal DST-I matrix of the trace row.  Computed once."""
+        n = self._s.shape[0]
+        k = np.arange(1, n + 1)
+        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+        return (v * self._s) @ v
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A_II^-1 r for r listed as ``interior``, unrefined: a 2D DST-I, a
+        division by the eigenvalues, and the DST-I back."""
+        return _dst2(_dst2(r.reshape(self._eig.shape)) / self._eig).ravel()
+
+    def fill(self, w: np.ndarray, load: np.ndarray, free=None) -> np.ndarray:
+        """w with the values on I and on the free trace DOFs (a mask, none
+        by default) that solve A w = load on those rows, by dense ``schur``
+        and ``solve`` steps refined against the assembled stiffness while
+        the residual falls.  A final residual above 1e-11 times the start's
+        raises SolverError, the contract of ``solver.linear_subsolve``."""
+        n, m = self.trace_dofs.shape[0], self.interior.shape[0]
+        free = np.zeros(n, dtype=bool) if free is None else free
+        rows = np.concatenate([self.interior, self.trace_dofs[free]])
+        chol = scipy.linalg.cho_factor(self.schur[np.ix_(free, free)]) if free.any() else None
+
+        def step(r):
+            d = self.solve(r[:m])
+            if chol is None:
+                return d
+            # block elimination; A_TI is -b between a trace DOF and the cell above
+            d_free = scipy.linalg.cho_solve(chol, r[m:] + self._b * d[:n][free])
+            r_int = r[:m].copy()
+            r_int[:n][free] += self._b * d_free
+            return np.concatenate([self.solve(r_int), d_free])
+
+        w = w.copy()
+        w[rows] = 0.0
+        r = (load - self.stiffness @ w)[rows]
+        start = res = np.linalg.norm(r)
+        for _ in range(_MAX_REFINE):
+            trial = w.copy()
+            trial[rows] += step(r)
+            r_trial = (load - self.stiffness @ trial)[rows]
+            if not np.linalg.norm(r_trial) < res:
+                break
+            w, r, res = trial, r_trial, np.linalg.norm(r_trial)
+        if not res <= 1e-11 * start:
+            raise SolverError(f"grid solve residual {res:.3e} exceeds contract")
+        return w
+
+    def flux(self, w: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """The boundary residual (load - A w)_T of w filled on I by ``fill``."""
+        return (load - self.stiffness @ self.fill(w, load))[self.trace_dofs]
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I along axis (its own inverse): minus the imaginary
+    part of the real FFT of the odd extension [0, x, 0, -x reversed].
+    numpy's FFT keeps scipy.fft (0.1 s to import) out of the package."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    z[..., 1 : n + 1] = x
+    z[..., n + 2 :] = -x[..., ::-1]
+    y = np.fft.rfft(z)[..., 1 : n + 1].imag * -np.sqrt(0.5 / (n + 1))
+    return np.moveaxis(y, -1, axis)
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    return _dst1(_dst1(x, 1), 0)
 
 
 def exact_trace_values(sol, tmap: TraceMap, lumped: np.ndarray, epsabs: float = 1e-12) -> np.ndarray:
@@ -291,11 +336,10 @@ def solve_schur_vi(
 
     Returns (trace values, multiplier coefficients, active mask).  Cross
     check against the full-space solver.  The dense Steklov matrix comes
-    from ``SteklovMap.dense_matrix``, computed on the map's first call
-    (0.17 s at level 7, 1.0 s at level 8) and reused after; the Newton
-    potential is one solve with the interior factor, and each PDAS step
-    solves a dense system of up to the matrix's size.  So a second call on
-    one map factorizes nothing.
+    from ``SteklovMap.dense_matrix``, computed on the map's first call and
+    reused after; the Newton potential is one solve with the map's
+    interior factor, and each PDAS step solves a dense system of up to the
+    matrix's size.
     """
     n = smap.num_multipliers
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()

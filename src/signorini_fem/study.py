@@ -21,13 +21,15 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .assembly import build_system
 from .biortho import MultiplierFunction
 from .manufactured import CutoffSpline, ExactSolution
 from .mesh import build_initial, refine, trace_map
 from .norms import error_report
 from .solver import SolverError, discrete_transmission_points, solve_vi
-from .steklov import condense_system, exact_trace_values
+from .steklov import GridPoisson, exact_trace_values
 
 log = logging.getLogger(__name__)
 
@@ -44,9 +46,10 @@ RATE_KEYS = (
     "e_Hminushalf_lambda_tilde",
 )
 
-# Level 10 ran through the direct path in 118 s at a peak RSS of 4040 MiB on
-# a 7.8 GiB host (BENCH_level10.json); the sparse factors' fill grows about
-# 4.8x per level, so level 11 does not fit such a host.
+# Level 10 ran in 49 s at a peak RSS of 2283 MiB on a 7.8 GiB host
+# (BENCH_level10.json).  No sparse factor is built; the peak is set by
+# assembly (620 MiB at level 9), which grows with the vertex count, about
+# 3.7x per level, so level 11 would need about 8.4 GiB.
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -99,8 +102,8 @@ class StudyConfig:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"max_level {self.max_level} is above {MAX_LEVEL}: level 10 peaked at 4040 MiB RSS, "
-                "and the sparse factors' fill grows about 4.8x per level"
+                f"max_level {self.max_level} is above {MAX_LEVEL}: level 10 peaked at 2283 MiB RSS, "
+                "set by assembly, which grows about 3.7x per level"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):
@@ -192,16 +195,17 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
 def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRecord:
     tmap = trace_map(mesh)
     system = build_system(mesh, tmap, sol)
-    # the level's contact problem condensed onto the trace serves both the
-    # cold start of the contact solve and the consistency flux
-    sigma, nu = condense_system(system)
-    solution = solve_vi(mesh, tmap, sol, system=system, trace_system=(sigma, nu))
+    solution = solve_vi(mesh, tmap, sol, system=system)
     lam_tilde = None
     if config.compute_lambda_tilde:
-        # the multiplier of the exact trace z: lambda = nu - sigma z
-        z = exact_trace_values(sol, tmap, system.lumped_mass)
-        lam_tilde = MultiplierFunction(mesh.level, nu - sigma @ z)
-    del sigma, nu
+        # the multiplier of the exact trace z, read as the boundary residual
+        # of its refined extension: at level 8 nu - sigma z subtracts two
+        # values near 194 to leave one near 1.3
+        w = np.zeros(mesh.num_vertices)
+        w[system.dirichlet_idx] = system.dirichlet_values
+        w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
+        grid = GridPoisson(mesh, system.stiffness, system.interior_idx, system.trace_dofs)
+        lam_tilde = MultiplierFunction(mesh.level, grid.flux(w, system.load) / system.lumped_mass)
 
     report = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     errors = {k: getattr(report, k) for k in RATE_KEYS if getattr(report, k) is not None}

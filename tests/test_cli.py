@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import signorini_fem
 from signorini_fem import SolverError
 from signorini_fem import study as study_module
 from signorini_fem.cli import main
@@ -148,5 +153,15 @@ def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):
     result = CliRunner().invoke(main, ["study", "--max-level", str(MAX_LEVEL + 1)])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code != 0
-    assert "4040 MiB" in result.output
+    assert "2283 MiB" in result.output
     assert not built
+
+
+def test_package_import_leaves_scipy_fft_out():
+    # importing scipy.fft takes 80-100 ms, about a quarter of the default
+    # study's set-up time, so the grid solver's DST-I runs on numpy.fft
+    src = Path(signorini_fem.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, signorini_fem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

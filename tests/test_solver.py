@@ -138,7 +138,8 @@ def test_elimination_order_fills_less_than_colamd(sol):
 @pytest.mark.parametrize("obstacle", ["zero", "affine"])
 def test_solve_vi_matches_colamd_reference(level, against_oracle, obstacle, sol, monkeypatch):
     # the reference's linear solves are COLAMD's: the full-space oracle's
-    # every step, or solve_vi's full-space step (then with equal step counts)
+    # every step.  solve_vi calls no linear_subsolve, so against itself with
+    # COLAMD in its place it must not move at all
     mesh, tmap, system = make_problem(level, sol)
     g = 0.0 if obstacle == "zero" else -1e-3 + 1e-3 * tmap.multiplier_x
     vi = solve_vi(mesh, tmap, sol, g=g, system=system)
@@ -152,6 +153,7 @@ def test_solve_vi_matches_colamd_reference(level, against_oracle, obstacle, sol,
     else:
         ref = solve_vi(mesh, tmap, sol, g=g, system=system)
         assert vi.iterations == ref.iterations
+        assert np.array_equal(vi.u.values, ref.u.values)
     assert ref.active.any()
     assert np.array_equal(vi.active, ref.active)
     gap = np.abs(vi.u.values - ref.u.values).max()
@@ -179,6 +181,9 @@ def oracle_cases():
 
 @pytest.mark.parametrize("level, obstacle", oracle_cases())
 def test_solve_vi_equals_the_full_space_oracle_bitwise(level, obstacle, sol):
+    # the name is older than the grid solver: the oracle's every step is a
+    # SuperLU solve, solve_vi's a DST-I solve refined against the same
+    # stiffness, so they agree to rounding (at most 4e-14 up to level 7)
     if isinstance(obstacle, int):
         mesh, tmap, system, g = seeded_contact_problem(level, obstacle)
     else:
@@ -186,9 +191,10 @@ def test_solve_vi_equals_the_full_space_oracle_bitwise(level, obstacle, sol):
         g = 0.0 if obstacle == "zero" else -1e-3 + 1e-3 * tmap.multiplier_x
     vi = solve_vi(mesh, tmap, None, g=g, system=system)
     ref = full_space_vi(system, g=g)
-    assert np.array_equal(vi.u.values, ref.u.values)
-    assert np.array_equal(vi.multiplier.values, ref.multiplier.values)
     assert np.array_equal(vi.active, ref.active)
+    assert np.abs(vi.u.values - ref.u.values).max() <= 1e-12 * np.abs(ref.u.values).max()
+    assert np.abs(vi.multiplier.values - ref.multiplier.values).max() <= 1e-12 * np.abs(ref.multiplier.values).max()
+    assert vi.residual <= 10 * 1e-12 * np.abs(system.load).max()
 
 
 def test_warm_start_is_refused(sol):
@@ -207,19 +213,19 @@ def counting_spla(calls):
     return types.SimpleNamespace(splu=splu)
 
 
-def test_cold_solve_factorizes_two_halves_and_one_free_block(sol, monkeypatch):
+def test_cold_solve_and_condensation_make_no_sparse_factorization(sol, monkeypatch):
     mesh, tmap, system = make_problem(5, sol)
-    solver_calls, steklov_calls = [], []
-    monkeypatch.setattr(solver, "spla", counting_spla(solver_calls))
-    monkeypatch.setattr(steklov, "spla", counting_spla(steklov_calls))
+    calls = []
+    monkeypatch.setattr(solver, "spla", counting_spla(calls))
+    monkeypatch.setattr(steklov, "spla", counting_spla(calls))
     vi = solve_vi(mesh, tmap, sol, system=system)
+    condense_system(system)
     assert vi.iterations > 2
-    assert len(steklov_calls) == 2
-    assert solver_calls == [np.count_nonzero(system.free_mask) - np.count_nonzero(vi.active)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
-def test_a_wrong_trace_system_only_moves_the_start(level, sol, monkeypatch):
+def test_a_wrong_trace_system_only_moves_the_start(level, sol):
     # the full-space PDAS keeps iterating from the start a corrupted
     # reduction chose, and ends on the oracle's solution.  A shifted
     # diagonal moves that start at every level; a scaled sigma would not
@@ -228,19 +234,13 @@ def test_a_wrong_trace_system_only_moves_the_start(level, sol, monkeypatch):
     mesh, tmap, system = make_problem(level, sol)
     sigma, nu = condense_system(system)
     sigma = sigma + np.abs(sigma).max() * np.eye(nu.shape[0])
-    subsolves = []
-
-    def counted_subsolve(matrix, rhs):
-        subsolves.append(matrix.shape[0])
-        return linear_subsolve(matrix, rhs)
-
-    monkeypatch.setattr(solver, "linear_subsolve", counted_subsolve)
     vi = solve_vi(mesh, tmap, None, system=system, trace_system=(sigma, nu))
-    assert len(subsolves) > 1
+    trace_steps = solver.dense_pdas(sigma, nu, np.zeros(nu.shape[0]), system.lumped_mass, 1.0, 100)[3]
+    assert vi.iterations - trace_steps > 1
     ref = full_space_vi(system)
-    assert np.array_equal(vi.u.values, ref.u.values)
-    assert np.array_equal(vi.multiplier.values, ref.multiplier.values)
     assert np.array_equal(vi.active, ref.active)
+    assert np.abs(vi.u.values - ref.u.values).max() <= 1e-12 * np.abs(ref.u.values).max()
+    assert np.abs(vi.multiplier.values - ref.multiplier.values).max() <= 1e-12 * np.abs(ref.multiplier.values).max()
 
 
 def test_unconstrained_fallback(sol):

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad as scipy_quad
 
@@ -17,7 +18,7 @@ from signorini_fem import (
 )
 from signorini_fem import mesh as msh
 from signorini_fem import steklov
-from signorini_fem.assembly import assemble_stiffness
+from signorini_fem.assembly import assemble_stiffness, dof_partition
 from signorini_fem.steklov import condense_system, exact_trace_values, solve_schur_vi, trace_moments
 
 from oracles import schur_complement_dense, schur_consistency
@@ -169,16 +170,68 @@ def test_dense_matrix_solves_no_extension(monkeypatch):
     assert smap.dense_matrix().shape == (smap.num_multipliers,) * 2
 
 
-def test_dense_matrix_refuses_a_reordered_factorization(monkeypatch):
+def perturbed(stiffness, i, j, delta):
+    """The stiffness with delta added to the symmetric pair (i, j), (j, i)."""
+    bump = sp.coo_matrix(([delta, delta], ([i, j], [j, i])), shape=stiffness.shape)
+    return (stiffness + bump).tocsr()
+
+
+def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
+    # one diagonal edge of the grid, inside the mesh: its assembled entry is
+    # a stored 0; the other diagonal of the same cell has no entry at all
     m = mesh_at_level(4)
-    smap = SteklovMap(m, trace_map(m))
+    tm = trace_map(m)
+    A = assemble_stiffness(m)
+    ix, iy, nx, ny = msh.grid_index(m)
+    at = {(int(i), int(j)): v for v, (i, j) in enumerate(zip(ix, iy))}
+    p, q = at[(5, 3)], at[(6, 4)]
+    extra = at[(6, 3)], at[(5, 4)]
+    assert A[p, q] == 0.0 and q in A.indices[A.indptr[p] : A.indptr[p + 1]]
+    assert extra[0] not in A.indices[A.indptr[extra[1]] : A.indptr[extra[1] + 1]]
+    for stiffness in (perturbed(A, p, q, 1e-6), perturbed(A, *extra, -0.5)):
+        smap = SteklovMap(m, tm, stiffness=stiffness)
+        with pytest.raises(SolverError, match="five-point stencil"):
+            smap.dense_matrix()
 
-    def colamd_splu(matrix, **options):
-        return spla.splu(matrix, **{**options, "permc_spec": "COLAMD"})
 
-    monkeypatch.setattr(steklov, "spla", types.SimpleNamespace(splu=colamd_splu))
-    with pytest.raises(SolverError, match="permuted"):
-        smap.dense_matrix()
+def test_grid_refuses_an_interior_set_with_a_vertex_missing():
+    m = mesh_at_level(3)
+    tm = trace_map(m)
+    _, _, interior = dof_partition(m, tm)
+    for missing in (0, interior.shape[0] // 2):
+        with pytest.raises(SolverError, match="do not fill a uniform grid"):
+            steklov.GridPoisson(m, assemble_stiffness(m), np.delete(interior, missing), tm.multiplier_vertices)
+
+
+def test_fill_refines_against_the_assembled_stiffness():
+    # a stiffness 8e-11 of a + b off the stencil passes the guard, and the
+    # unrefined DST-I solve leaves a relative residual near 1e-9 against
+    # it: only the refinement brings it to rounding
+    m = mesh_at_level(4)
+    tm = trace_map(m)
+    A = assemble_stiffness(m).tocoo()
+    rng = np.random.default_rng(3)
+    noise = sp.coo_matrix((rng.uniform(-2e-11, 2e-11, A.nnz) * np.abs(A.data).max(), (A.row, A.col)), A.shape)
+    A = (A + noise + noise.T).tocsr()
+    _, _, interior = dof_partition(m, tm)
+    grid = steklov.GridPoisson(m, A, interior, tm.multiplier_vertices)
+    load = rng.standard_normal(m.num_vertices)
+    for free in (np.zeros(tm.num_multipliers, dtype=bool), rng.random(tm.num_multipliers) < 0.5):
+        w = grid.fill(np.zeros(m.num_vertices), load, free=free)
+        rows = np.concatenate([grid.interior, tm.multiplier_vertices[free]])
+        assert np.linalg.norm((load - A @ w)[rows]) <= 1e-13 * np.linalg.norm(load[rows])
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_grid_solve_is_the_interior_inverse(level):
+    m = mesh_at_level(level)
+    tm = trace_map(m)
+    A = assemble_stiffness(m)
+    _, _, interior = dof_partition(m, tm)
+    grid = steklov.GridPoisson(m, A, interior, tm.multiplier_vertices)
+    r = np.random.default_rng(level).standard_normal(interior.shape[0])
+    ref = spla.spsolve(A[grid.interior][:, grid.interior].tocsc(), r)
+    assert np.abs(grid.solve(r) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def counting_splu(calls):
@@ -192,6 +245,8 @@ def counting_splu(calls):
 
 
 def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
+    # the closed form factorizes nothing; the map's only factorization is
+    # its interior cross-check factor, built with the map
     m = mesh_at_level(4)
     tm = trace_map(m)
     system = build_system(m, tm, sol)
@@ -200,10 +255,9 @@ def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
     monkeypatch.setattr(steklov, "spla", counting_splu(calls))
     first = smap.dense_matrix()
     first_vi = solve_schur_vi(smap, system.load, system.dirichlet_values)
-    assert len(calls) == 2
     assert smap.dense_matrix() is first
     second_vi = solve_schur_vi(smap, system.load, system.dirichlet_values)
-    assert len(calls) == 2
+    assert calls == []
     for a, b in zip(first_vi, second_vi):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="read-only"):
@@ -211,24 +265,15 @@ def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
-def test_each_half_factorizes_only_its_own_trace_dofs(level, monkeypatch):
+def test_closed_form_sigma_matches_the_dense_schur_complement(level, sol):
     m = mesh_at_level(level)
-    smap = SteklovMap(m, trace_map(m))
-    calls = []
-    monkeypatch.setattr(steklov, "spla", counting_splu(calls))
-    smap.dense_matrix()
-    ix, _, nx, _ = msh.grid_index(m)
-    column = ix[smap.interior_idx]
-    gamma = np.count_nonzero(column == nx // 2)
-    trace_column = ix[smap.trace_dofs]
-    # a half couples to the trace vertices below its columns; the one below
-    # the middle column couples to the right half only, along the diagonal
-    # of the cell to its right
-    own_left = np.count_nonzero(trace_column < nx // 2)
-    own_right = np.count_nonzero(trace_column >= nx // 2)
-    left = np.count_nonzero(column < nx // 2)
-    right = np.count_nonzero(column > nx // 2)
-    assert calls == [left + own_left + gamma, right + own_right + gamma]
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    ref = schur_complement_dense(m, tm, stiffness=system.stiffness) / system.lumped_mass[:, None]
+    sigma, _ = condense_system(system)
+    assert np.abs(sigma - ref).max() <= 1e-12 * np.abs(ref).max()
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    assert np.array_equal(smap.dense_matrix(), sigma)
 
 
 def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
@@ -242,14 +287,11 @@ def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
     n = smap.interior_idx.shape[0]
     with pytest.raises(SolverError, match=f"interior factorization of {n} unknowns failed: MemoryError"):
         SteklovMap(m, trace_map(m))
-    with pytest.raises(SolverError, match="half-domain factorization of [0-9]+ unknowns failed: MemoryError"):
-        smap.dense_matrix()
 
 
 def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     # move one interior vertex of the middle column far enough right that it
-    # rounds into the next column: it joins the right half, yet the
-    # stiffness still couples it to the left half
+    # rounds into the next column, onto the cell of another vertex
     m = mesh_at_level(3)
     ix, iy, nx, ny = msh.grid_index(m)
     moved = np.flatnonzero((ix == nx // 2) & (iy == ny // 2))
@@ -257,21 +299,20 @@ def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     vertices[moved, 0] += 0.6 * msh.WIDTH / nx
     shifted = dataclasses.replace(m, vertices=vertices)
     smap = SteklovMap(shifted, trace_map(shifted), stiffness=assemble_stiffness(m))
-    with pytest.raises(SolverError, match="does not separate"):
+    with pytest.raises(SolverError, match="do not fill a uniform grid"):
         smap.dense_matrix()
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
 def test_condensed_load_is_the_newton_potential(level, sol):
-    # from the two half factorizations, against the interior factorization
+    # from the refined grid solve, against the interior factorization
     m = mesh_at_level(level)
     tm = trace_map(m)
     system = build_system(m, tm, sol)
-    sigma, nu = condense_system(system)
+    _, nu = condense_system(system)
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
     ref = smap.newton_potential(system.load, dirichlet_values=system.dirichlet_values).values
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.abs(sigma - smap.dense_matrix()).max() <= 1e-13 * np.abs(sigma).max()
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
@@ -285,6 +326,23 @@ def test_condensed_system_gives_the_consistency_flux(level, sol):
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
     ref = smap.exact_trace_flux(sol, system.load).values
     assert np.abs(nu - sigma @ z - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_grid_flux_is_the_consistency_flux(level, sol):
+    # the study's lambda tilde: the boundary residual of the refined grid
+    # extension of the exact trace, against the interior factorization
+    m = mesh_at_level(level)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    w = np.zeros(m.num_vertices)
+    w[system.dirichlet_idx] = system.dirichlet_values
+    w[system.trace_dofs] = exact_trace_values(sol, tm, system.lumped_mass)
+    grid = steklov.GridPoisson(m, system.stiffness, system.interior_idx, system.trace_dofs)
+    lam = grid.flux(w, system.load) / system.lumped_mass
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    ref = smap.exact_trace_flux(sol, system.load).values
+    assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_newton_potential_zero_data(sol):

@@ -48,9 +48,9 @@ def test_config_validation():
 
 def test_level_cap_names_the_measured_reason():
     assert MAX_LEVEL == 10
-    with pytest.raises(ValueError, match="level 10 peaked at 4040 MiB RSS") as err:
+    with pytest.raises(ValueError, match="level 10 peaked at 2283 MiB RSS") as err:
         StudyConfig(max_level=11)
-    assert "4.8x per level" in str(err.value)
+    assert "assembly, which grows about 3.7x per level" in str(err.value)
     assert StudyConfig(max_level=10).max_level == 10
 
 
