@@ -1,14 +1,22 @@
-"""P1 assembly, quadrature rules, boundary lumped mass and trace Gram matrices.
+"""The assembled system of one level: P1 assembly, its grid solver, and the
+quadrature rules the norms share.
 
 The stiffness integral is exact (piecewise-constant gradients).  The load is
-integrated with a fixed symmetric triangle rule of degree >= 4, with two
+integrated with a fixed symmetric triangle rule of degree 4, with two
 refinements where the integrand is not smooth: cells crossed by a known
-vertical jump or kink line of the load are cut along it, and cells near a
-transmission point optionally get one extra quadrisection to control the
+vertical jump or kink line of the load are cut along it, and cells within
+2h of a transmission point get one extra quadrisection to control the
 square-root kink there.  Regular cells are evaluated in chunks of whole
 cells; all cut and quadrisected pieces are gathered into one batch, so the
 load is evaluated once per chunk and scattered once.  Assembly is serial
 and deterministic: repeated runs produce bit-identical vectors.
+
+``build_system`` returns a ``FeSystem``, which carries with the stiffness
+its ``GridPoisson``: on the uniform grid the stiffness is the five-point
+stencil, so a 2D DST-I solves with the interior block and the Schur
+complement onto the trace has a closed form.  The grid is built, and the
+stiffness checked against the stencil, once per system; every solve on the
+contact path and the study's consistency flux go through it.
 
 The module also holds the rules the error norms share: quadrisection and
 areas of batches of triangles, and ``quad``, a vectorized adaptive
@@ -17,12 +25,17 @@ Gauss-Kronrod (G10/K21) integrator over many intervals at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .mesh import TriMesh, TraceMap, cells_near, trace_map
+
+#: Degree of the triangle rule of the load.
+LOAD_DEGREE = 4
 
 #: Triangles per batch of load and volume-norm evaluations, which bounds the
 #: memory of fine levels.
@@ -33,6 +46,17 @@ _D4_A1 = 0.445948490915965
 _D4_W1 = 0.223381589678011
 _D4_A2 = 0.091576213509771
 _D4_W2 = 0.109951743655322
+
+
+class SolverError(RuntimeError):
+    """Raised on non-convergence or a defective linear system.
+
+    Carries the last iterate in the ``solution`` attribute when available.
+    """
+
+    def __init__(self, message, solution=None):
+        super().__init__(message)
+        self.solution = solution
 
 
 def tri_quadrature(degree: int = 4):
@@ -309,7 +333,7 @@ def _polygon_areas(poly: np.ndarray, count: np.ndarray) -> np.ndarray:
 def assemble_load(
     mesh: TriMesh,
     f,
-    degree: int = 4,
+    degree: int = LOAD_DEGREE,
     refine_near: tuple | None = None,
     split_x=(),
 ) -> np.ndarray:
@@ -421,6 +445,138 @@ def dof_partition(mesh: TriMesh, tmap: TraceMap):
     return dirichlet_idx, free_mask, np.flatnonzero(interior_mask)
 
 
+# assembled entries differ from the stencil's by rounding that grows like
+# 1/h: 6.5e-14 of a + b at level 8
+_STENCIL_RTOL = 1e-10
+_MAX_REFINE = 20
+
+
+class GridPoisson:
+    """Solves with the interior block of a uniform grid's stiffness.
+
+    The P1 stiffness of the diagonally split grid is the five-point stencil,
+    -a = -h_y/h_x between horizontal neighbours, -b = -h_x/h_y between
+    vertical ones and 0 across diagonals, so the 2D DST-I diagonalizes A_II
+    (Buzbee, Golub & Nielson, SINUM 1970) and the 1D one the Schur complement
+    onto the trace row (Bjorstad & Widlund, SINUM 1986).  The trace and
+    interior rows form an n x ny raster; ``interior`` lists I row by row.
+    """
+
+    def __init__(self, mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray):
+        x, y = mesh.vertices.T
+        n = trace_dofs.shape[0]
+        ny = interior_idx.shape[0] // max(n, 1) + 1
+        hx = (x.max() - x.min()) / (n + 1)
+        hy = (y.max() - y.min()) / ny
+        ids = np.concatenate([trace_dofs, interior_idx])
+        ix = np.rint((x[ids] - x.min()) / hx).astype(np.int64)
+        iy = np.rint((y[ids] - y.min()) / hy).astype(np.int64)
+        pos = iy * n + ix - 1
+        # the trace DOFs, by x, are the first row; every vertex has its own cell
+        if not (
+            np.all((1 <= ix) & (ix <= n) & (0 <= iy) & (iy < ny))
+            and np.array_equal(pos[:n], np.arange(n))
+            and np.bincount(pos).max() == 1
+        ):
+            raise SolverError("the trace and interior vertices do not fill a uniform grid")
+        cells = np.empty_like(ids)
+        cells[pos] = ids
+        a, b = hy / hx, hx / hy
+        # the stencil on the raster, where A_TT = (a/2) T_x + b I
+        main = np.full(n * ny, 2.0 * (a + b))
+        main[:n] = a + b
+        side = np.full(n * ny - 1, -a)
+        side[: n - 1] = -0.5 * a
+        side[n - 1 :: n] = 0.0  # a row's last cell and the next row's first
+        size = (n * ny, n * ny)
+        stencil = sp.diags([side, main, side], [-1, 0, 1], shape=size) + sp.diags([-b, -b], [-n, n], shape=size)
+        if not abs(stiffness[cells][:, cells] - stencil).max() <= _STENCIL_RTOL * (a + b):
+            raise SolverError("the stiffness is not the five-point stencil of its grid")
+        self.stiffness = stiffness
+        self.trace_dofs = trace_dofs
+        self.interior = cells[n:]
+        self._b = b
+        # a lam_k + b mu_l, with 4 sin^2(pi k / 2N) the eigenvalues of the
+        # second difference on N intervals
+        lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+        l = np.arange(1, ny)[:, None]
+        self._eig = a * lam + b * 4.0 * np.sin(0.5 * np.pi * l / ny) ** 2
+        # eigenvalues of S: A_TT = (a/2) T_x + b I, and A_TI couples each
+        # trace DOF by -b to the vertex above it
+        self._s = 0.5 * a * lam + b - b * b * (2.0 / ny * np.sin(np.pi * l / ny) ** 2 / self._eig).sum(axis=0)
+
+    @functools.cached_property
+    def schur(self) -> np.ndarray:
+        """S = A_TT - A_TI A_II^-1 A_IT densely: V diag(s) V, with V the
+        orthonormal DST-I matrix of the trace row.  Computed once."""
+        n = self._s.shape[0]
+        k = np.arange(1, n + 1)
+        v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+        return (v * self._s) @ v
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """A_II^-1 r for r listed as ``interior``, unrefined: a 2D DST-I, a
+        division by the eigenvalues, and the DST-I back."""
+        return _dst2(_dst2(r.reshape(self._eig.shape)) / self._eig).ravel()
+
+    def fill(self, w: np.ndarray, load: np.ndarray, free=None) -> np.ndarray:
+        """w with the values on I and on the free trace DOFs (a mask, none
+        by default) that solve A w = load on those rows, by dense ``schur``
+        and ``solve`` steps refined against the assembled stiffness while
+        the residual falls.  A final residual above 1e-11 times the start's
+        raises SolverError, the contract of ``solver.linear_subsolve``."""
+        n, m = self.trace_dofs.shape[0], self.interior.shape[0]
+        free = np.zeros(n, dtype=bool) if free is None else free
+        rows = np.concatenate([self.interior, self.trace_dofs[free]])
+        chol = scipy.linalg.cho_factor(self.schur[np.ix_(free, free)]) if free.any() else None
+
+        def step(r):
+            d = self.solve(r[:m])
+            if chol is None:
+                return d
+            # block elimination; A_TI is -b between a trace DOF and the cell above
+            d_free = scipy.linalg.cho_solve(chol, r[m:] + self._b * d[:n][free])
+            r_int = r[:m].copy()
+            r_int[:n][free] += self._b * d_free
+            return np.concatenate([self.solve(r_int), d_free])
+
+        w = w.copy()
+        w[rows] = 0.0
+        r = (load - self.stiffness @ w)[rows]
+        start = res = np.linalg.norm(r)
+        for _ in range(_MAX_REFINE):
+            trial = w.copy()
+            trial[rows] += step(r)
+            r_trial = (load - self.stiffness @ trial)[rows]
+            if not np.linalg.norm(r_trial) < res:
+                break
+            w, r, res = trial, r_trial, np.linalg.norm(r_trial)
+        if not res <= 1e-11 * start:
+            raise SolverError(f"grid solve residual {res:.3e} exceeds contract")
+        return w
+
+    def flux(self, w: np.ndarray, load: np.ndarray) -> np.ndarray:
+        """The boundary residual (load - A w)_T of w filled on I by ``fill``."""
+        return (load - self.stiffness @ self.fill(w, load))[self.trace_dofs]
+
+
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I along axis (its own inverse): minus the imaginary
+    part of the real FFT of the odd extension [0, x, 0, -x reversed].
+    numpy's FFT keeps scipy.fft (0.1 s to import) out of the package."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    z[..., 1 : n + 1] = x
+    z[..., n + 2 :] = -x[..., ::-1]
+    y = np.fft.rfft(z)[..., 1 : n + 1].imag * -np.sqrt(0.5 / (n + 1))
+    return np.moveaxis(y, -1, axis)
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    return _dst1(_dst1(x, 1), 0)
+
+
 @dataclass(frozen=True)
 class FeFunction:
     """Nodal P1 function: one coefficient per mesh vertex (or trace vertex)."""
@@ -431,7 +587,12 @@ class FeFunction:
 
 @dataclass(frozen=True)
 class FeSystem:
-    """Assembled pieces of one discretized problem, plus index partitions."""
+    """Assembled pieces of one discretized problem, plus index partitions.
+
+    ``grid`` solves with this system's stiffness, and construction refuses
+    a grid built on another one: ``dataclasses.replace`` with a new load or
+    new Dirichlet values keeps the grid, with a new stiffness it raises.
+    """
 
     mesh: TriMesh
     tmap: TraceMap
@@ -443,32 +604,30 @@ class FeSystem:
     trace_dofs: np.ndarray  # global vertex ids of multiplier DOFs, by x
     free_mask: np.ndarray  # True for non-Dirichlet vertices
     interior_idx: np.ndarray  # free vertices that are not multiplier DOFs
+    grid: GridPoisson
+
+    def __post_init__(self):
+        if self.grid.stiffness is not self.stiffness:
+            raise ValueError("the grid solver was built on another stiffness")
 
 
-def build_system(
-    mesh: TriMesh,
-    tmap: TraceMap | None,
-    sol,
-    load_degree: int = 4,
-    refine_load_near_contact: bool = True,
-) -> FeSystem:
-    """Assemble stiffness, load, lumped mass and Dirichlet data for sol."""
+def build_system(mesh: TriMesh, tmap: TraceMap | None, sol) -> FeSystem:
+    """Assemble stiffness, load, lumped mass and Dirichlet data for sol,
+    and build the stiffness's grid solver; a stiffness off the five-point
+    stencil raises SolverError here."""
     if tmap is None:
         tmap = trace_map(mesh)
     stiffness = assemble_stiffness(mesh)
-    refine_near = None
-    if refine_load_near_contact:
-        pts = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
-        refine_near = (pts, 2.0 * mesh.max_edge_length())
+    pts = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
     load = assemble_load(
         mesh,
         sol.rhs,
-        degree=load_degree,
-        refine_near=refine_near,
+        refine_near=(pts, 2.0 * mesh.max_edge_length()),
         split_x=sol.load_split_x,
     )
     dir_idx, free_mask, interior_idx = dof_partition(mesh, tmap)
     dir_vals = sol.u(mesh.vertices[dir_idx, 0], mesh.vertices[dir_idx, 1])
+    trace_dofs = tmap.multiplier_vertices
     return FeSystem(
         mesh=mesh,
         tmap=tmap,
@@ -477,7 +636,8 @@ def build_system(
         lumped_mass=boundary_lumped_mass(mesh, tmap),
         dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
-        trace_dofs=tmap.multiplier_vertices,
+        trace_dofs=trace_dofs,
         free_mask=free_mask,
         interior_idx=interior_idx,
+        grid=GridPoisson(mesh, stiffness, interior_idx, trace_dofs),
     )

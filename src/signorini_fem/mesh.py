@@ -8,9 +8,7 @@ Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
 triangles along the diagonal from the lower-left to the upper-right corner
 (fixed convention, no criss-cross).  Refinement is uniform: every triangle is
 quadrisected through its edge midpoints, so level k holds a
-(4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.  A
-per-vertex lineage records, for every fine vertex, the coarse edge (or coarse
-vertex) it came from, which realizes exact nodal prolongation.
+(4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.
 
 Meshes are immutable after construction and safe to share between threads;
 the two values a mesh computes lazily, its size and its elimination order,
@@ -41,7 +39,7 @@ _ND_LEAF = 16
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Conforming triangulation with tagged boundary and refinement lineage.
+    """Conforming triangulation with tagged boundary.
 
     Attributes
     ----------
@@ -55,10 +53,6 @@ class TriMesh:
         Vertex pairs of boundary edges.
     boundary_tags : (b,) int array
         DIRICHLET or SIGNORINI per boundary edge.
-    parent_pairs : (n, 2) int array
-        Lineage into the previous level: (i, i) for an inherited vertex i,
-        (a, b) for the midpoint of the coarse edge (a, b).  For the initial
-        mesh every vertex is its own parent.
     """
 
     level: int
@@ -66,7 +60,6 @@ class TriMesh:
     triangles: np.ndarray
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
-    parent_pairs: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -169,15 +162,12 @@ def build_initial() -> TriMesh:
         edges.append((vid(nx, iy), vid(nx, iy + 1)))
         tags.append(DIRICHLET)
 
-    n = vertices.shape[0]
-    parents = np.column_stack([np.arange(n), np.arange(n)])
     return TriMesh(
         level=1,
         vertices=vertices,
         triangles=np.asarray(triangles, dtype=np.int64),
         boundary_edges=np.asarray(edges, dtype=np.int64),
         boundary_tags=np.asarray(tags, dtype=np.int64),
-        parent_pairs=parents,
     )
 
 
@@ -220,10 +210,8 @@ def refine(mesh: TriMesh) -> TriMesh:
 
     # the unique edges' end pairs, listed in midpoint order
     pairs = np.empty((keys.shape[0], 2), dtype=np.int64)
-    pairs[rank] = np.sort(ends[first], axis=1)
+    pairs[rank] = ends[first]
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])])
-    own = np.arange(n_old)
-    parent_pairs = np.vstack([np.column_stack([own, own]), pairs])
 
     return TriMesh(
         level=mesh.level + 1,
@@ -231,7 +219,6 @@ def refine(mesh: TriMesh) -> TriMesh:
         triangles=tris.astype(np.int64),
         boundary_edges=edges.astype(np.int64),
         boundary_tags=np.repeat(mesh.boundary_tags, 2).astype(np.int64),
-        parent_pairs=parent_pairs,
     )
 
 
@@ -255,12 +242,6 @@ def trace_map(mesh: TriMesh) -> TraceMap:
     interior[0] = False
     interior[-1] = False
     return TraceMap(vertices=ids, x=x, interior=interior)
-
-
-def prolong(fine: TriMesh, coarse_values: np.ndarray) -> np.ndarray:
-    """Nodal P1 prolongation of coefficients from the parent level."""
-    pairs = fine.parent_pairs
-    return 0.5 * (coarse_values[pairs[:, 0]] + coarse_values[pairs[:, 1]])
 
 
 def grid_index(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, int, int]:

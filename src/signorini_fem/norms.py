@@ -33,6 +33,14 @@ from .assembly import (
 from .biortho import postprocess_multiplier
 from .mesh import TriMesh, TraceMap, cells_near
 
+#: Degree of the fixed triangle rule of the volume norms.
+VOLUME_DEGREE = 4
+#: Quadrisection depth of the volume norms near the transmission points.
+VOLUME_DEPTH = 6
+#: Tolerances of the adaptive trace and multiplier quadrature.
+TRACE_EPSABS = 1e-14
+TRACE_EPSREL = 1e-10
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -76,21 +84,18 @@ def volume_errors(
     mesh: TriMesh,
     u_values: np.ndarray,
     sol,
-    degree: int = 4,
-    near_radius_factor: float = 2.0,
-    max_depth: int = 6,
+    max_depth: int = VOLUME_DEPTH,
     graded: bool = True,
 ):
     """L2 and H1-seminorm errors of a nodal function against sol.
 
-    Triangles whose closure is within near_radius_factor * h of a
-    transmission point are integrated by repeated quadrisection up to
-    max_depth, graded by the local diameter (a piece splits while a
-    transmission point lies within twice its diameter) or uniformly when
-    graded=False; everywhere else a single fixed rule of the given degree
-    is used.
+    Triangles whose closure is within 2h of a transmission point are
+    integrated by repeated quadrisection up to max_depth, graded by the
+    local diameter (a piece splits while a transmission point lies within
+    twice its diameter) or uniformly when graded=False; everywhere else a
+    single fixed rule of degree ``VOLUME_DEGREE`` is used.
     """
-    bary, w = tri_quadrature(degree)
+    bary, w = tri_quadrature(VOLUME_DEGREE)
     c0, g = _affine_data(mesh, u_values)
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
 
@@ -113,7 +118,7 @@ def volume_errors(
 
     tri = mesh.vertices[mesh.triangles]
     owner = np.arange(mesh.num_triangles)
-    split = cells_near(tri, tps, near_radius_factor * mesh.max_edge_length())
+    split = cells_near(tri, tps, 2.0 * mesh.max_edge_length())
     total_l2 = total_h1 = 0.0
     for depth in range(max_depth + 1):
         if depth == max_depth:
@@ -140,24 +145,17 @@ def _kinks(sol):
     return getattr(sol, "kink_x", (sol.x_left, sol.x_right))
 
 
-def _l2_gap_sq(fn, x, values, kinks, epsabs, epsrel) -> float:
+def _l2_gap_sq(fn, x, values, kinks) -> float:
     """Squared L2 distance between fn and the P1 function with nodal values on x."""
     slopes = np.diff(values) / np.diff(x)
 
     def sq_err(s, e):
         return (fn(s) - (values[e] + slopes[e] * (s - x[e]))) ** 2
 
-    return float(np.sum(quad(sq_err, x[:-1], x[1:], kinks, epsabs, epsrel)))
+    return float(np.sum(quad(sq_err, x[:-1], x[1:], kinks, TRACE_EPSABS, TRACE_EPSREL)))
 
 
-def trace_errors(
-    mesh: TriMesh,
-    tmap: TraceMap,
-    u_values: np.ndarray,
-    sol,
-    epsabs: float = 1e-14,
-    epsrel: float = 1e-10,
-):
+def trace_errors(mesh: TriMesh, tmap: TraceMap, u_values: np.ndarray, sol):
     """L2, full H1 and surrogate H^1/2 errors of the trace of u_h on Gamma_S."""
     x = tmap.x
     vals = u_values[tmap.vertices]
@@ -167,23 +165,16 @@ def trace_errors(
     def dsq_err(s, e):
         return (sol.u_trace_d1(s) - slopes[e]) ** 2
 
-    l2_sq = _l2_gap_sq(sol.u_trace, x, vals, kinks, epsabs, epsrel)
-    h1_sq = float(np.sum(quad(dsq_err, x[:-1], x[1:], kinks, epsabs, epsrel)))
+    l2_sq = _l2_gap_sq(sol.u_trace, x, vals, kinks)
+    h1_sq = float(np.sum(quad(dsq_err, x[:-1], x[1:], kinks, TRACE_EPSABS, TRACE_EPSREL)))
     l2 = float(np.sqrt(l2_sq))
     h1 = float(np.sqrt(l2_sq + h1_sq))
     return l2, h1, geometric_mean(h1, l2)
 
 
-def multiplier_l2_error(
-    tmap: TraceMap,
-    hat_values: np.ndarray,
-    flux_fn,
-    kinks=(),
-    epsabs: float = 1e-14,
-    epsrel: float = 1e-10,
-) -> float:
+def multiplier_l2_error(tmap: TraceMap, hat_values: np.ndarray, flux_fn, kinks=()) -> float:
     """L2(Gamma_S) distance between the nodal multiplier and the exact flux."""
-    return float(np.sqrt(_l2_gap_sq(flux_fn, tmap.x, hat_values, kinks, epsabs, epsrel)))
+    return float(np.sqrt(_l2_gap_sq(flux_fn, tmap.x, hat_values, kinks)))
 
 
 def reference_trace_grid(level: int, width: float) -> np.ndarray:
@@ -251,20 +242,14 @@ def error_report(
     sol,
     ref_level: int,
     lam_tilde=None,
-    volume_degree: int = 4,
-    volume_depth: int = 6,
-    epsabs: float = 1e-14,
-    epsrel: float = 1e-10,
 ) -> ErrorReport:
     """Collect every norm of one converged level into an ErrorReport."""
-    e_l2, e_h1 = volume_errors(
-        mesh, solution.u.values, sol, degree=volume_degree, max_depth=volume_depth
-    )
-    t_l2, t_h1, t_half = trace_errors(mesh, tmap, solution.u.values, sol, epsabs, epsrel)
+    e_l2, e_h1 = volume_errors(mesh, solution.u.values, sol)
+    t_l2, t_h1, t_half = trace_errors(mesh, tmap, solution.u.values, sol)
     kinks = _kinks(sol)
 
     lam_hat = postprocess_multiplier(solution.multiplier, tmap)
-    l2_lam = multiplier_l2_error(tmap, lam_hat, sol.flux, kinks, epsabs, epsrel)
+    l2_lam = multiplier_l2_error(tmap, lam_hat, sol.flux, kinks)
     hm1_lam = h_minus1_error(lam_hat, mesh.level, sol.flux, ref_level, sol.width)
     fields = dict(
         e_L2_lambda=l2_lam,
@@ -273,7 +258,7 @@ def error_report(
     )
     if lam_tilde is not None:
         tilde_hat = postprocess_multiplier(lam_tilde, tmap)
-        l2_t = multiplier_l2_error(tmap, tilde_hat, sol.flux, kinks, epsabs, epsrel)
+        l2_t = multiplier_l2_error(tmap, tilde_hat, sol.flux, kinks)
         hm1_t = h_minus1_error(tilde_hat, mesh.level, sol.flux, ref_level, sol.width)
         fields.update(
             e_L2_lambda_tilde=l2_t,
@@ -288,10 +273,10 @@ def error_report(
         e_H1_gammaS=t_h1,
         e_Hhalf_gammaS=t_half,
         tolerances=dict(
-            volume_degree=volume_degree,
-            volume_depth=volume_depth,
-            trace_epsabs=epsabs,
-            trace_epsrel=epsrel,
+            volume_degree=VOLUME_DEGREE,
+            volume_depth=VOLUME_DEPTH,
+            trace_epsabs=TRACE_EPSABS,
+            trace_epsrel=TRACE_EPSREL,
             ref_level=ref_level,
         ),
         **fields,

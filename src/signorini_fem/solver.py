@@ -12,11 +12,12 @@ The iteration terminates finitely; on the benchmark it stabilizes in a
 handful of steps.
 
 ``solve_vi`` starts from the empty active set and does not read the exact
-solution.  It first runs PDAS on the problem condensed onto the trace
-(sigma, nu), where a step is a dense solve on the trace DOFs, then the
-full-space PDAS from the set found there; normally one step confirms it.
-Both stages solve with ``steklov.GridPoisson``, a DST-I solver of the
-grid's five-point stiffness, so no sparse factorization runs.
+solution.  It first runs PDAS on the problem condensed onto the trace,
+(sigma, nu) of ``condense_system``, where a step is a dense solve on the
+trace DOFs, then the full-space PDAS from the set found there; normally
+one step confirms it.  Both stages solve with the system's own grid solver
+(``FeSystem.grid``, a DST-I solver of the five-point stiffness, built with
+the system), so a solve builds no solver and factorizes nothing.
 ``linear_subsolve`` is a sparse LU solve of an SPD block listed in the
 order of ``mesh.elimination_order``, which SuperLU keeps (``LU_OPTIONS``).
 """
@@ -29,24 +30,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import FeFunction, FeSystem, build_system
+from .assembly import FeFunction, FeSystem, SolverError, build_system
 from .biortho import MultiplierFunction
 from .mesh import TriMesh, TraceMap
 
 # SuperLU settings for an SPD block listed in elimination order: keep the
 # caller's column order and pivot on the diagonal
 LU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-
-class SolverError(RuntimeError):
-    """Raised on non-convergence or a defective linear system.
-
-    Carries the last iterate in the ``solution`` attribute when available.
-    """
-
-    def __init__(self, message, solution=None):
-        super().__init__(message)
-        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -90,6 +80,20 @@ def linear_subsolve(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-12):
     return x
 
 
+def condense_system(system: FeSystem):
+    """The contact problem condensed onto the trace DOFs T: (sigma, nu).
+
+    sigma = D^-1 S with S = A_TT - A_TI A_II^-1 A_IT from ``system.grid``,
+    and nu = D^-1 (f_T - A_TI A_II^-1 f_I), with f the load less the
+    Dirichlet lifting, is the Newton potential.  The contact problem on the
+    trace is: t <= g, lambda = nu - sigma t >= 0, and lambda (t - g) = 0.
+    """
+    lift = np.zeros(system.mesh.num_vertices)
+    lift[system.dirichlet_idx] = system.dirichlet_values
+    D = system.lumped_mass
+    return system.grid.schur / D[:, None], system.grid.flux(lift, system.load) / D
+
+
 def solve_vi(
     mesh: TriMesh,
     tmap: TraceMap,
@@ -99,7 +103,6 @@ def solve_vi(
     warm_start: bool = False,
     c: float = 1.0,
     max_iter: int = 100,
-    trace_system=None,
 ) -> VISolution:
     """Solve the discrete variational inequality by PDAS from a cold start.
 
@@ -107,25 +110,23 @@ def solve_vi(
     affine obstacles are supported through the array form).  Dirichlet data
     are the nodal values of sol on Gamma_D; sol is read only to assemble
     the system when none is given.  The solve is trace first: PDAS runs
-    from the empty active set on the problem condensed onto the trace,
-    (sigma, nu) of ``steklov.condense_system`` unless trace_system passes
-    them in, and the full-space PDAS then starts from the set it returns.
-    A full-space step fixes the active trace values to g, solves the
-    inactive ones with the Schur complement of the system's own
-    ``steklov.GridPoisson`` (never with trace_system, which only chooses
-    the start), recovers the interior by the grid solve, and refines on the
-    assembled free rows; ``GridPoisson.fill`` raises SolverError past its
-    residual contract.  So u and lambda are those of the full-space system.
-    ``iterations`` counts the steps of both stages.  Each stage takes at
-    most max_iter steps; a trace stage that does not converge still hands
-    on its last set.  warm_start=True raises ValueError: the solver does
-    not read the contact interval of the exact solution.
+    from the empty active set on (sigma, nu) of ``condense_system``, and
+    the full-space PDAS then starts from the set it returns.  A full-space
+    step fixes the active trace values to g, solves the inactive ones with
+    the Schur complement of ``system.grid``, recovers the interior by the
+    grid solve, and refines on the assembled free rows;
+    ``GridPoisson.fill`` raises SolverError past its residual contract.
+    So u and lambda are those of the full-space system, whatever set the
+    trace stage hands on.  ``iterations`` counts the steps of both stages.
+    Each stage takes at most max_iter steps; a trace stage that does not
+    converge still hands on its last set.  warm_start=True raises
+    ValueError: the solver does not read the contact interval of the exact
+    solution.
     """
     if warm_start:
         raise ValueError("warm_start=True is gone: the solver no longer reads the exact contact interval")
     if system is None:
         system = build_system(mesh, tmap, sol)
-    from .steklov import GridPoisson  # steklov imports this module
 
     A = system.stiffness
     F = system.load
@@ -134,17 +135,13 @@ def solve_vi(
     n_mult = trace.shape[0]
     g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
 
-    lift = np.zeros(mesh.num_vertices)
-    lift[system.dirichlet_idx] = system.dirichlet_values
-    grid = GridPoisson(mesh, A, system.interior_idx, trace)
-    if trace_system is None:
-        trace_system = grid.schur / D[:, None], grid.flux(lift, F) / D
-    _, _, active, trace_steps, _ = dense_pdas(*trace_system, g, D, c, max_iter)
-    u = lift.copy()
+    _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, c, max_iter)
+    u = np.zeros(mesh.num_vertices)
+    u[system.dirichlet_idx] = system.dirichlet_values
 
     def solve_fixed(active):
         u[trace[active]] = g[active]
-        u[:] = grid.fill(u, F, free=~active)
+        u[:] = system.grid.fill(u, F, free=~active)
         lam = np.zeros(n_mult)
         lam[active] = (F - A @ u)[trace[active]] / D[active]
         return u[trace], lam

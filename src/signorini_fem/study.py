@@ -29,7 +29,7 @@ from .manufactured import CutoffSpline, ExactSolution
 from .mesh import build_initial, refine, trace_map
 from .norms import error_report
 from .solver import SolverError, discrete_transmission_points, solve_vi
-from .steklov import GridPoisson, exact_trace_values
+from .steklov import exact_trace_values
 
 log = logging.getLogger(__name__)
 
@@ -46,10 +46,12 @@ RATE_KEYS = (
     "e_Hminushalf_lambda_tilde",
 )
 
-# Level 10 ran in 49 s at a peak RSS of 2283 MiB on a 7.8 GiB host
-# (BENCH_level10.json).  No sparse factor is built; the peak is set by
-# assembly (620 MiB at level 9), which grows with the vertex count, about
-# 3.7x per level, so level 11 would need about 8.4 GiB.
+# Level 10 ran in 48 s at a peak RSS of 2193 to 2246 MiB over two runs on
+# a 7.8 GiB host (BENCH_level10.json; the refusal below quotes 2283 MiB,
+# the highest reading).  No sparse factor is built; the peak is set by
+# assembly with the grid solver's construction (609 MiB at level 9), which
+# grows with the vertex count, about 3.7x per level, so level 11 would need
+# about 8.4 GiB.
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -204,8 +206,7 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         w = np.zeros(mesh.num_vertices)
         w[system.dirichlet_idx] = system.dirichlet_values
         w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
-        grid = GridPoisson(mesh, system.stiffness, system.interior_idx, system.trace_dofs)
-        lam_tilde = MultiplierFunction(mesh.level, grid.flux(w, system.load) / system.lumped_mass)
+        lam_tilde = MultiplierFunction(mesh.level, system.grid.flux(w, system.load) / system.lumped_mass)
 
     report = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     errors = {k: getattr(report, k) for k in RATE_KEYS if getattr(report, k) is not None}

@@ -5,17 +5,30 @@ route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, the full-space PDAS from the empty active set for the
 contact solve.  The boundary-edge and cone helpers are views that only the
-tests need.
+tests need, and ``count_grid_builds`` counts the grid solvers a call builds.
 """
 
 import numpy as np
 
-from signorini_fem import solver
+from signorini_fem import assembly, solver
 from signorini_fem.assembly import FeFunction, FeSystem, assemble_stiffness, dof_partition
 from signorini_fem.biortho import MultiplierFunction, dual_shape_values
 from signorini_fem.mesh import DIRICHLET, SIGNORINI, TraceMap, TriMesh, elimination_order, trace_map
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
+
+
+def count_grid_builds(monkeypatch):
+    """A list that gets the mesh level of every ``GridPoisson`` built."""
+    built = []
+    init = assembly.GridPoisson.__init__
+
+    def counted(self, mesh, *args):
+        built.append(mesh.level)
+        init(self, mesh, *args)
+
+    monkeypatch.setattr(assembly.GridPoisson, "__init__", counted)
+    return built
 
 
 def signorini_edges(mesh: TriMesh) -> np.ndarray:
@@ -123,21 +136,12 @@ def refine_loop(mesh: TriMesh) -> TriMesh:
         edges.append((m, b))
         tags.extend((tag, tag))
 
-    vertices = np.vstack([mesh.vertices, np.asarray(new_coords)])
-    n_old = mesh.num_vertices
-    parent_pairs = np.empty((vertices.shape[0], 2), dtype=np.int64)
-    parent_pairs[:n_old, 0] = np.arange(n_old)
-    parent_pairs[:n_old, 1] = np.arange(n_old)
-    for (a, b), idx in midpoint.items():
-        parent_pairs[idx] = (a, b)
-
     return TriMesh(
         level=mesh.level + 1,
-        vertices=vertices,
+        vertices=np.vstack([mesh.vertices, np.asarray(new_coords)]),
         triangles=np.asarray(tris, dtype=np.int64),
         boundary_edges=np.asarray(edges, dtype=np.int64),
         boundary_tags=np.asarray(tags, dtype=np.int64),
-        parent_pairs=parent_pairs,
     )
 
 

@@ -19,8 +19,7 @@ def unit_right_triangle():
     tris = np.array([[0, 1, 2]])
     edges = np.array([[0, 1], [1, 2], [2, 0]])
     tags = np.array([msh.SIGNORINI, msh.DIRICHLET, msh.DIRICHLET])
-    parents = np.column_stack([np.arange(3), np.arange(3)])
-    return msh.TriMesh(1, verts, tris, edges, tags, parents)
+    return msh.TriMesh(1, verts, tris, edges, tags)
 
 
 def test_local_stiffness_unit_right_triangle():

@@ -56,7 +56,7 @@ def test_refine_equals_the_per_triangle_loop():
     for _ in range(7):
         fine, ref = msh.refine(m), refine_loop(m)
         assert fine.level == ref.level
-        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "parent_pairs"):
+        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
             got, want = getattr(fine, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
@@ -158,29 +158,6 @@ def test_initial_trace_counts():
     tm = msh.trace_map(msh.build_initial())
     assert tm.vertices.shape[0] == 5
     assert tm.num_multipliers == 3
-
-
-def test_prolong_restrict_roundtrip():
-    rng = np.random.default_rng(7)
-    m = msh.mesh_at_level(2)
-    m2 = msh.refine(m)
-    vals = rng.standard_normal(m.num_vertices)
-    fine = msh.prolong(m2, vals)
-    assert np.array_equal(fine[: m.num_vertices], vals)
-    # midpoints average their parents
-    pairs = m2.parent_pairs[m.num_vertices :]
-    assert np.allclose(
-        fine[m.num_vertices :], 0.5 * (vals[pairs[:, 0]] + vals[pairs[:, 1]]), rtol=0, atol=0
-    )
-
-
-def test_prolong_preserves_p1_functions():
-    m = msh.mesh_at_level(2)
-    m2 = msh.refine(m)
-    affine = 2.0 * m.vertices[:, 0] - 0.3 * m.vertices[:, 1] + 1.0
-    fine = msh.prolong(m2, affine)
-    expect = 2.0 * m2.vertices[:, 0] - 0.3 * m2.vertices[:, 1] + 1.0
-    assert np.allclose(fine, expect, rtol=1e-14)
 
 
 def test_mesh_at_level_validates():

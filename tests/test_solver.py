@@ -11,11 +11,10 @@ from signorini_fem import ExactSolution, SolverError, SteklovMap, build_system, 
 from signorini_fem import solver, steklov
 from signorini_fem.biortho import MultiplierFunction
 from signorini_fem.mesh import elimination_order
-from signorini_fem.solver import LU_OPTIONS, VISolution, discrete_transmission_points, linear_subsolve
-from signorini_fem.steklov import condense_system
+from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discrete_transmission_points, linear_subsolve
 from signorini_fem.assembly import FeFunction
 
-from oracles import full_space_vi
+from oracles import count_grid_builds, full_space_vi
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +223,26 @@ def test_cold_solve_and_condensation_make_no_sparse_factorization(sol, monkeypat
     assert calls == []
 
 
+def test_a_built_system_solves_without_building_a_grid(sol, monkeypatch):
+    # a new load and new Dirichlet data keep the system's grid solver
+    mesh, tmap, base = make_problem(4, sol)
+    system = dataclasses.replace(base, load=2 * base.load, dirichlet_values=2 * base.dirichlet_values)
+    assert system.grid is base.grid
+    built = count_grid_builds(monkeypatch)
+    vi = solve_vi(mesh, tmap, None, system=system)
+    condense_system(system)
+    assert vi.iterations > 1
+    assert built == []
+
+
+def test_a_system_refuses_a_grid_built_on_another_stiffness(sol):
+    _, _, system = make_problem(3, sol)
+    with pytest.raises(ValueError, match="another stiffness"):
+        dataclasses.replace(system, stiffness=(1.0 + 1e-3) * system.stiffness)
+
+
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
-def test_a_wrong_trace_system_only_moves_the_start(level, sol):
+def test_a_wrong_trace_system_only_moves_the_start(level, sol, monkeypatch):
     # the full-space PDAS keeps iterating from the start a corrupted
     # reduction chose, and ends on the oracle's solution.  A shifted
     # diagonal moves that start at every level; a scaled sigma would not
@@ -234,7 +251,8 @@ def test_a_wrong_trace_system_only_moves_the_start(level, sol):
     mesh, tmap, system = make_problem(level, sol)
     sigma, nu = condense_system(system)
     sigma = sigma + np.abs(sigma).max() * np.eye(nu.shape[0])
-    vi = solve_vi(mesh, tmap, None, system=system, trace_system=(sigma, nu))
+    monkeypatch.setattr(solver, "condense_system", lambda s: (sigma, nu))
+    vi = solve_vi(mesh, tmap, None, system=system)
     trace_steps = solver.dense_pdas(sigma, nu, np.zeros(nu.shape[0]), system.lumped_mass, 1.0, 100)[3]
     assert vi.iterations - trace_steps > 1
     ref = full_space_vi(system)

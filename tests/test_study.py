@@ -8,6 +8,8 @@ from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
 from signorini_fem.manufactured import X_LEFT_DEFAULT, X_RIGHT_DEFAULT
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, averaged_rate, config_from_file, emit_reports
 
+from oracles import count_grid_builds
+
 
 @pytest.fixture(scope="module")
 def records_small(tmp_path_factory):
@@ -147,6 +149,13 @@ def test_determinism_modulo_seconds(tmp_path):
         return payload
 
     assert strip_json(tmp_path / "a" / "results.json") == strip_json(tmp_path / "b" / "results.json")
+
+
+def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
+    # the contact solve and lambda tilde share the system's grid solver
+    built = count_grid_builds(monkeypatch)
+    run_study(StudyConfig(min_level=2, max_level=8))
+    assert built == list(range(2, 9))
 
 
 def test_emit_reports_empty_records_error(monkeypatch):
