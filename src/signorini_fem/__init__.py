@@ -10,13 +10,11 @@ from .manufactured import ExactSolution
 from .mesh import mesh_at_level, trace_map
 from .norms import error_report
 from .solver import SolverError, solve_vi
-from .steklov import SteklovMap
 from .study import StudyConfig, StudyError, config_from_file, run_study
 
 __all__ = [
     "ExactSolution",
     "SolverError",
-    "SteklovMap",
     "StudyConfig",
     "StudyError",
     "build_system",

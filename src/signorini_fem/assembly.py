@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, cells_near, trace_map
+from .mesh import TriMesh, TraceMap, cells_near, signed_areas, trace_map
 
 #: Degree of the triangle rule of the load.
 LOAD_DEGREE = 4
@@ -59,7 +59,7 @@ class SolverError(RuntimeError):
         self.solution = solution
 
 
-def tri_quadrature(degree: int = 4):
+def tri_quadrature(degree: int):
     """Barycentric points and unit-sum weights of a triangle rule.
 
     Degree <= 4 returns the symmetric 6-point rule; higher degrees use the
@@ -224,9 +224,7 @@ def quadrisect(tri: np.ndarray) -> np.ndarray:
 
 def triangle_areas(tri: np.ndarray) -> np.ndarray:
     """Unsigned areas of triangles given as coordinates (t, 3, 2)."""
-    d1 = tri[:, 1] - tri[:, 0]
-    d2 = tri[:, 2] - tri[:, 0]
-    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return np.abs(signed_areas(tri))
 
 
 def element_gradients(mesh: TriMesh):
@@ -523,8 +521,8 @@ class GridPoisson:
         """w with the values on I and on the free trace DOFs (a mask, none
         by default) that solve A w = load on those rows, by dense ``schur``
         and ``solve`` steps refined against the assembled stiffness while
-        the residual falls.  A final residual above 1e-11 times the start's
-        raises SolverError, the contract of ``solver.linear_subsolve``."""
+        the residual falls.  The contract: a final residual norm above 1e-11
+        times the starting one raises SolverError."""
         n, m = self.trace_dofs.shape[0], self.interior.shape[0]
         free = np.zeros(n, dtype=bool) if free is None else free
         rows = np.concatenate([self.interior, self.trace_dofs[free]])
@@ -603,8 +601,7 @@ class FeSystem:
     dirichlet_values: np.ndarray
     trace_dofs: np.ndarray  # global vertex ids of multiplier DOFs, by x
     free_mask: np.ndarray  # True for non-Dirichlet vertices
-    interior_idx: np.ndarray  # free vertices that are not multiplier DOFs
-    grid: GridPoisson
+    grid: GridPoisson  # grid.interior: the free vertices that are not multiplier DOFs
 
     def __post_init__(self):
         if self.grid.stiffness is not self.stiffness:
@@ -638,6 +635,5 @@ def build_system(mesh: TriMesh, tmap: TraceMap | None, sol) -> FeSystem:
         dirichlet_values=np.asarray(dir_vals, dtype=float),
         trace_dofs=trace_dofs,
         free_mask=free_mask,
-        interior_idx=interior_idx,
         grid=GridPoisson(mesh, stiffness, interior_idx, trace_dofs),
     )

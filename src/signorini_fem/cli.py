@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from .study import StudyConfig, config_from_file, run_study
+from .study import StudyConfig, _parse_value, config_from_file, run_study
 
 
 @click.group()
@@ -42,17 +42,13 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
     try:
         if config_path is not None:
             kwargs.update(config_from_file(config_path))
-        if min_level is not None:
-            kwargs["min_level"] = min_level
-        if max_level is not None:
-            kwargs["max_level"] = max_level
-        if out_dir is not None:
-            kwargs["out_dir"] = out_dir
+        flags = dict(min_level=min_level, max_level=max_level, out_dir=out_dir)
+        kwargs.update((key, value) for key, value in flags.items() if value is not None)
         if knots is not None:
-            parts = knots.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"--knots needs two comma-separated reals, got {knots!r}")
-            kwargs["knots"] = (float(parts[0]), float(parts[1]))
+            try:
+                kwargs["knots"] = _parse_value(StudyConfig.__dataclass_fields__["knots"].type, knots)
+            except ValueError as exc:
+                raise ValueError(f"--knots: {exc}") from None
         if no_lambda_tilde:
             kwargs["compute_lambda_tilde"] = False
         config = StudyConfig(**kwargs)
@@ -72,7 +68,7 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
             f"{rec.errors['e_Hminushalf_lambda']:>13.4e} "
             f"{'' if r_hm is None else f'{r_hm:6.3f}'} {rec.iterations:>5}"
         )
-    if config.out_dir:
+    if config.out_dir is not None:
         click.echo(f"reports written to {config.out_dir}")
 
 

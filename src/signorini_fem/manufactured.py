@@ -105,7 +105,6 @@ class ExactSolution:
     x_right: float = X_RIGHT_DEFAULT
     weight: float = 0.7
     cutoff: CutoffSpline = field(default_factory=CutoffSpline)
-    width: float = WIDTH
 
     def __post_init__(self):
         if not self.x_left < self.x_right:
@@ -119,6 +118,11 @@ class ExactSolution:
             )
         if self.weight <= 0.0:
             raise ValueError("reflection weight must be positive")
+
+    @property
+    def width(self) -> float:
+        """Length of the contact boundary: the mesh's ``WIDTH``."""
+        return WIDTH
 
     @property
     def load_split_x(self) -> tuple[float, ...]:

@@ -70,10 +70,7 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return signed_areas(self.vertices[self.triangles])
 
     def max_edge_length(self) -> float:
         """Mesh size h: the maximal edge length over all triangles."""
@@ -123,6 +120,13 @@ class TraceMap:
 
     def spacings(self) -> np.ndarray:
         return np.diff(self.x)
+
+
+def signed_areas(tri: np.ndarray) -> np.ndarray:
+    """Areas of triangles given as coordinates (t, 3, 2), negative when clockwise."""
+    d1 = tri[:, 1] - tri[:, 0]
+    d2 = tri[:, 2] - tri[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def build_initial() -> TriMesh:

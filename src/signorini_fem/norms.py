@@ -62,12 +62,8 @@ class ErrorReport:
 
 
 def geometric_mean(a: float, b: float) -> float:
+    """sqrt(a * b): the surrogate H^1/2 and H^-1/2 norms of H1 or H^-1 with L2."""
     return float(np.sqrt(a * b))
-
-
-def fractional_dual(h_minus1: float, l2: float) -> float:
-    """Surrogate negative-half norm sqrt(H^-1 * L2)."""
-    return geometric_mean(h_minus1, l2)
 
 
 def _affine_data(mesh: TriMesh, u_values: np.ndarray):
@@ -140,11 +136,6 @@ def volume_errors(
     return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
 
 
-def _kinks(sol):
-    """Breakpoints of boundary integrands: kink_x when available."""
-    return getattr(sol, "kink_x", (sol.x_left, sol.x_right))
-
-
 def _l2_gap_sq(fn, x, values, kinks) -> float:
     """Squared L2 distance between fn and the P1 function with nodal values on x."""
     slopes = np.diff(values) / np.diff(x)
@@ -159,20 +150,19 @@ def trace_errors(mesh: TriMesh, tmap: TraceMap, u_values: np.ndarray, sol):
     """L2, full H1 and surrogate H^1/2 errors of the trace of u_h on Gamma_S."""
     x = tmap.x
     vals = u_values[tmap.vertices]
-    kinks = _kinks(sol)
     slopes = np.diff(vals) / np.diff(x)
 
     def dsq_err(s, e):
         return (sol.u_trace_d1(s) - slopes[e]) ** 2
 
-    l2_sq = _l2_gap_sq(sol.u_trace, x, vals, kinks)
-    h1_sq = float(np.sum(quad(dsq_err, x[:-1], x[1:], kinks, TRACE_EPSABS, TRACE_EPSREL)))
+    l2_sq = _l2_gap_sq(sol.u_trace, x, vals, sol.kink_x)
+    h1_sq = float(np.sum(quad(dsq_err, x[:-1], x[1:], sol.kink_x, TRACE_EPSABS, TRACE_EPSREL)))
     l2 = float(np.sqrt(l2_sq))
     h1 = float(np.sqrt(l2_sq + h1_sq))
     return l2, h1, geometric_mean(h1, l2)
 
 
-def multiplier_l2_error(tmap: TraceMap, hat_values: np.ndarray, flux_fn, kinks=()) -> float:
+def multiplier_l2_error(tmap: TraceMap, hat_values: np.ndarray, flux_fn, kinks) -> float:
     """L2(Gamma_S) distance between the nodal multiplier and the exact flux."""
     return float(np.sqrt(_l2_gap_sq(flux_fn, tmap.x, hat_values, kinks)))
 
@@ -246,25 +236,20 @@ def error_report(
     """Collect every norm of one converged level into an ErrorReport."""
     e_l2, e_h1 = volume_errors(mesh, solution.u.values, sol)
     t_l2, t_h1, t_half = trace_errors(mesh, tmap, solution.u.values, sol)
-    kinks = _kinks(sol)
 
-    lam_hat = postprocess_multiplier(solution.multiplier, tmap)
-    l2_lam = multiplier_l2_error(tmap, lam_hat, sol.flux, kinks)
-    hm1_lam = h_minus1_error(lam_hat, mesh.level, sol.flux, ref_level, sol.width)
-    fields = dict(
-        e_L2_lambda=l2_lam,
-        e_Hminus1_lambda=hm1_lam,
-        e_Hminushalf_lambda=fractional_dual(hm1_lam, l2_lam),
-    )
+    def multiplier_errors(multiplier, suffix: str) -> dict:
+        hat = postprocess_multiplier(multiplier, tmap)
+        l2 = multiplier_l2_error(tmap, hat, sol.flux, sol.kink_x)
+        hm1 = h_minus1_error(hat, mesh.level, sol.flux, ref_level, sol.width)
+        return {
+            f"e_L2_lambda{suffix}": l2,
+            f"e_Hminus1_lambda{suffix}": hm1,
+            f"e_Hminushalf_lambda{suffix}": geometric_mean(hm1, l2),
+        }
+
+    fields = multiplier_errors(solution.multiplier, "")
     if lam_tilde is not None:
-        tilde_hat = postprocess_multiplier(lam_tilde, tmap)
-        l2_t = multiplier_l2_error(tmap, tilde_hat, sol.flux, kinks)
-        hm1_t = h_minus1_error(tilde_hat, mesh.level, sol.flux, ref_level, sol.width)
-        fields.update(
-            e_L2_lambda_tilde=l2_t,
-            e_Hminus1_lambda_tilde=hm1_t,
-            e_Hminushalf_lambda_tilde=fractional_dual(hm1_t, l2_t),
-        )
+        fields.update(multiplier_errors(lam_tilde, "_tilde"))
     return ErrorReport(
         level=mesh.level,
         e_L2_omega=e_l2,

@@ -7,7 +7,7 @@ touches the obstacle and the multiplier is non-negative, or the multiplier
 vanishes and the solution stays below the obstacle.  PDAS iterates on the
 guessed active set A_k: it imposes u_j = g_j on A_k and lambda_j = 0 off it,
 solves the reduced SPD system, recovers active multipliers from the residual
-scaled by D_j, and updates A_{k+1} = { j : lambda_j + c (u_j - g_j)/D_j > 0 }.
+scaled by D_j, and updates A_{k+1} = { j : lambda_j + (u_j - g_j)/D_j > 0 }.
 The iteration terminates finitely; on the benchmark it stabilizes in a
 handful of steps.
 
@@ -101,7 +101,6 @@ def solve_vi(
     g=0.0,
     system: FeSystem | None = None,
     warm_start: bool = False,
-    c: float = 1.0,
     max_iter: int = 100,
 ) -> VISolution:
     """Solve the discrete variational inequality by PDAS from a cold start.
@@ -135,7 +134,7 @@ def solve_vi(
     n_mult = trace.shape[0]
     g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
 
-    _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, c, max_iter)
+    _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, max_iter)
     u = np.zeros(mesh.num_vertices)
     u[system.dirichlet_idx] = system.dirichlet_values
 
@@ -146,7 +145,7 @@ def solve_vi(
         lam[active] = (F - A @ u)[trace[active]] / D[active]
         return u[trace], lam
 
-    active, lam, steps, converged = pdas(solve_fixed, g, D, active, c, max_iter)
+    active, lam, steps, converged = pdas(solve_fixed, g, D, active, max_iter)
     level = mesh.level
     solution = VISolution(
         u=FeFunction(level, u),
@@ -160,13 +159,13 @@ def solve_vi(
     return solution
 
 
-def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, c: float, max_iter: int):
+def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, max_iter: int):
     """Primal-dual active set iteration on a nodal complementarity system.
 
     solve_fixed(active) solves the system with the trace fixed to g on the
     active DOFs and the multiplier zero off them, and returns the trace
     values t and the multiplier lam.  The next active set is
-    { j : lam_j + c (t_j - g_j) / D_j > 0 }; the iteration has converged
+    { j : lam_j + (t_j - g_j) / D_j > 0 }; the iteration has converged
     when it repeats.  Returns (active, lam, iterations, converged), where
     lam is the last step's multiplier and active the set that follows it.
     """
@@ -174,14 +173,14 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, c: float
     iterations = 0
     for iterations in range(1, max_iter + 1):
         t, lam = solve_fixed(active)
-        new_active = (lam + c * (t - g) / D) > 0.0
+        new_active = (lam + (t - g) / D) > 0.0
         if np.array_equal(new_active, active):
             return active, lam, iterations, True
         active = new_active
     return active, lam, iterations, False
 
 
-def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, c: float, max_iter: int):
+def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, max_iter: int):
     """``pdas`` from the empty active set on a dense trace system.
 
     The multiplier of trace values t is lambda = nu - sigma t.  Each step
@@ -202,7 +201,7 @@ def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, 
         lam[active] = nu[active] - sigma[active] @ t
         return t, lam
 
-    active, lam, iterations, converged = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), c, max_iter)
+    active, lam, iterations, converged = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), max_iter)
     return t, lam, active, iterations, converged
 
 

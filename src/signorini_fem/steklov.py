@@ -151,8 +151,7 @@ def exact_trace_values(sol, tmap: TraceMap, lumped: np.ndarray) -> np.ndarray:
     The moments against the dual basis are integrated with the solution's
     kinks as breakpoints.
     """
-    kinks = getattr(sol, "kink_x", (sol.x_left, sol.x_right))
-    return trace_moments(sol.u_trace, tmap, kinks=kinks) / lumped
+    return trace_moments(sol.u_trace, tmap, kinks=sol.kink_x) / lumped
 
 
 def trace_moments(fn, tmap: TraceMap, kinks=()) -> np.ndarray:
@@ -183,7 +182,6 @@ def solve_schur_vi(
     load: np.ndarray,
     dirichlet_values: np.ndarray,
     g=0.0,
-    c: float = 1.0,
     max_iter: int = 100,
 ):
     """Solve the boundary-reduced complementarity system by dense PDAS.
@@ -199,7 +197,7 @@ def solve_schur_vi(
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()
     sigma = smap.dense_matrix()
     nu = smap.newton_potential(load, dirichlet_values=dirichlet_values).values
-    t, lam, active, _, converged = dense_pdas(sigma, nu, g, smap.lumped, c, max_iter)
+    t, lam, active, _, converged = dense_pdas(sigma, nu, g, smap.lumped, max_iter)
     if not converged:
         raise SolverError("boundary PDAS did not converge")
     return t, lam, active

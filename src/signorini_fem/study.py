@@ -111,8 +111,9 @@ class StudyConfig:
         if not (knots_ok and all(_is_real(k) for k in self.knots)):
             raise ValueError(f"knots must be two real numbers, got {self.knots!r}")
         self.solution()  # the cut-off and the benchmark check where the knots lie
-        if self.out_dir is not None and not isinstance(self.out_dir, str):
-            raise ValueError(f"out_dir must be a path string, got {self.out_dir!r}")
+        # an empty path would write the reports into the working directory
+        if self.out_dir is not None and not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ValueError(f"out_dir must be a path string, not empty, got {self.out_dir!r}")
 
     def solution(self) -> ExactSolution:
         return ExactSolution(cutoff=CutoffSpline(*self.knots))
@@ -277,8 +278,9 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
     """Write results.csv and results.json.
 
     Returns the written paths.  The JSON mirror carries the configuration,
-    full-precision errors, both rate families, the quadrature settings and
-    ``failed_levels``, the configured levels without a record.
+    every ``ConvergenceRecord`` field in full precision (``rates`` as
+    ``rates_averaged``) and ``failed_levels``, the configured levels without
+    a record.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -297,20 +299,7 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
     payload = {
         "config": asdict(config),
         "records": [
-            {
-                "level": rec.level,
-                "h": rec.h,
-                "errors": rec.errors,
-                "rates_averaged": rec.rates,
-                "rates_stepwise": rec.rates_stepwise,
-                "xl_dist": rec.xl_dist,
-                "xl_ratio": rec.xl_ratio,
-                "xr_dist": rec.xr_dist,
-                "xr_ratio": rec.xr_ratio,
-                "iterations": rec.iterations,
-                "seconds": rec.seconds,
-                "tolerances": rec.tolerances,
-            }
+            {("rates_averaged" if key == "rates" else key): value for key, value in asdict(rec).items()}
             for rec in records
         ],
         "failed_levels": sorted(set(configured) - {rec.level for rec in records}),

@@ -145,7 +145,7 @@ def refine_loop(mesh: TriMesh) -> TriMesh:
     )
 
 
-def full_space_vi(system: FeSystem, g=0.0, c: float = 1.0, max_iter: int = 100) -> VISolution:
+def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
     """The contact problem by full-space PDAS from the empty active set.
 
     Every step factorizes the free block of its active set with
@@ -177,7 +177,7 @@ def full_space_vi(system: FeSystem, g=0.0, c: float = 1.0, max_iter: int = 100) 
         return u[trace], lam
 
     start = np.zeros(n_mult, dtype=bool)
-    active, lam, iterations, converged = pdas(solve_fixed, g, D, start, c, max_iter)
+    active, lam, iterations, converged = pdas(solve_fixed, g, D, start, max_iter)
     if not converged:
         raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations")
     r = F - A @ u

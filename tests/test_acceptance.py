@@ -12,7 +12,6 @@ import scipy.sparse.linalg as spla
 
 from signorini_fem import (
     ExactSolution,
-    SteklovMap,
     StudyConfig,
     build_system,
     mesh_at_level,
@@ -23,6 +22,7 @@ from signorini_fem import (
 from signorini_fem.assembly import assemble_stiffness, boundary_lumped_mass
 from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import h_minus1_error
+from signorini_fem.steklov import SteklovMap
 from signorini_fem.study import averaged_rate
 
 from oracles import assemble_coupling, schur_consistency

@@ -242,7 +242,7 @@ def test_build_system_partitions(sol):
     assert system.dirichlet_idx.shape[0] == n_boundary - 7
     assert not np.any(system.free_mask[system.dirichlet_idx])
     assert np.all(system.free_mask[system.trace_dofs])
-    assert set(system.interior_idx).isdisjoint(set(system.trace_dofs))
+    assert set(system.grid.interior).isdisjoint(set(system.trace_dofs))
     # Dirichlet values are the nodal values of the exact solution
     expect = sol.u(m.vertices[system.dirichlet_idx, 0], m.vertices[system.dirichlet_idx, 1])
     assert np.allclose(system.dirichlet_values, expect, rtol=0, atol=0)

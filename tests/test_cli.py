@@ -117,6 +117,26 @@ def test_removed_config_keys_exit_nonzero_naming_the_line(tmp_path):
         assert "accepted keys: min_level, max_level, knots, compute_lambda_tilde, out_dir" in result.output
 
 
+def test_empty_out_dir_flag_exits_nonzero_and_writes_nothing(tmp_path):
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, ["study", "--min-level", "2", "--max-level", "2", "--out-dir", ""])
+        assert result.exit_code != 0
+        assert "out_dir must be a path string, not empty" in result.output
+        assert list(Path(cwd).iterdir()) == []
+
+
+def test_empty_out_dir_config_key_exits_nonzero_and_writes_nothing(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("min_level = 2\nmax_level = 2\nout_dir =\n")
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        result = runner.invoke(main, ["study", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert "out_dir must be a path string, not empty" in result.output
+        assert list(Path(cwd).iterdir()) == []
+
+
 def test_repeated_config_key_exits_nonzero_naming_both_lines(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("min_level = 2\nmax_level = 3\nmax_level = 4\n")

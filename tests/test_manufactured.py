@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from signorini_fem import mesh
 from signorini_fem.manufactured import CutoffSpline, ExactSolution, singular_term
 
 
@@ -22,6 +23,13 @@ def test_parameters(sol):
     assert np.isclose(sol.x_right, 1.2 - 0.3 / math.pi, rtol=0, atol=0)
     assert sol.weight == 0.7
     assert sol.width == 1.4 + math.e / 2.7
+
+
+def test_width_is_the_mesh_width_and_not_settable():
+    # the H^-1 reference grid spans sol.width, so it must be the mesh's
+    assert ExactSolution().width == mesh.WIDTH
+    with pytest.raises(TypeError):
+        ExactSolution(width=2.0)
 
 
 def test_trace_zero_on_contact_interval(sol):

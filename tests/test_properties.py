@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from signorini_fem import ExactSolution, SteklovMap, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem import ExactSolution, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem.steklov import SteklovMap
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 

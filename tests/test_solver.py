@@ -7,11 +7,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from signorini_fem import ExactSolution, SolverError, SteklovMap, build_system, mesh_at_level, solve_vi, trace_map
+from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem import solver, steklov
 from signorini_fem.biortho import MultiplierFunction
 from signorini_fem.mesh import elimination_order
 from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discrete_transmission_points, linear_subsolve
+from signorini_fem.steklov import SteklovMap
 from signorini_fem.assembly import FeFunction
 
 from oracles import count_grid_builds, full_space_vi
@@ -127,7 +128,7 @@ def test_elimination_order_fills_less_than_colamd(sol):
     assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
 
     smap = SteklovMap(mesh, tmap, stiffness=A, lumped=system.lumped_mass)
-    ii = system.interior_idx
+    ii = np.sort(system.grid.interior)
     colamd = spla.splu(A[ii][:, ii].tocsc(), permc_spec="COLAMD")
     assert smap._lu.L.nnz + smap._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -253,7 +254,7 @@ def test_a_wrong_trace_system_only_moves_the_start(level, sol, monkeypatch):
     sigma = sigma + np.abs(sigma).max() * np.eye(nu.shape[0])
     monkeypatch.setattr(solver, "condense_system", lambda s: (sigma, nu))
     vi = solve_vi(mesh, tmap, None, system=system)
-    trace_steps = solver.dense_pdas(sigma, nu, np.zeros(nu.shape[0]), system.lumped_mass, 1.0, 100)[3]
+    trace_steps = solver.dense_pdas(sigma, nu, np.zeros(nu.shape[0]), system.lumped_mass, 100)[3]
     assert vi.iterations - trace_steps > 1
     ref = full_space_vi(system)
     assert np.array_equal(vi.active, ref.active)

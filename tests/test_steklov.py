@@ -10,7 +10,6 @@ from scipy.integrate import quad as scipy_quad
 from signorini_fem import (
     ExactSolution,
     SolverError,
-    SteklovMap,
     build_system,
     mesh_at_level,
     solve_vi,
@@ -20,7 +19,7 @@ from signorini_fem import mesh as msh
 from signorini_fem import steklov
 from signorini_fem.assembly import GridPoisson, assemble_stiffness, dof_partition
 from signorini_fem.solver import condense_system
-from signorini_fem.steklov import exact_trace_values, solve_schur_vi, trace_moments
+from signorini_fem.steklov import SteklovMap, exact_trace_values, solve_schur_vi, trace_moments
 
 from oracles import schur_complement_dense, schur_consistency
 

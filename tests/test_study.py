@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
 from signorini_fem.manufactured import X_LEFT_DEFAULT, X_RIGHT_DEFAULT
-from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, averaged_rate, config_from_file, emit_reports
+from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
 from oracles import count_grid_builds
 
@@ -74,6 +75,7 @@ def test_level_cap_names_the_measured_reason():
         (dict(knots="0.5,1.0"), "knots must be two real numbers"),
         (dict(knots=(0.5,)), "knots must be two real numbers"),
         (dict(out_dir=3), "out_dir must be a path string"),
+        (dict(out_dir=""), "out_dir must be a path string, not empty"),
     ],
 )
 def test_config_validation_types_and_ranges(kwargs, message):
@@ -127,6 +129,17 @@ def test_json_roundtrip(records_small):
         assert blob["rates_averaged"] == rec.rates
         assert blob["xl_dist"] == rec.xl_dist
         assert blob["iterations"] == rec.iterations
+
+
+def test_json_record_keys_are_the_record_fields_in_order(records_small):
+    _, _, out = records_small
+    payload = json.loads((out / "results.json").read_text())
+    expected = [
+        "rates_averaged" if f.name == "rates" else f.name for f in dataclasses.fields(ConvergenceRecord)
+    ]
+    assert expected[:5] == ["level", "h", "errors", "rates_averaged", "rates_stepwise"]
+    for blob in payload["records"]:
+        assert list(blob) == expected
 
 
 def test_determinism_modulo_seconds(tmp_path):
