@@ -227,15 +227,15 @@ def triangle_areas(tri: np.ndarray) -> np.ndarray:
     return np.abs(signed_areas(tri))
 
 
-def element_gradients(mesh: TriMesh):
-    """Gradients of the three barycentric shape functions per triangle.
+def element_gradients(tri: np.ndarray):
+    """Gradients of the three barycentric shape functions of triangles given
+    as coordinates (t, 3, 2).
 
-    Returns (grads, area) with grads of shape (t, 2, 3).
+    Returns (grads, area) with grads of shape (t, 2, 3) and signed areas.
     """
-    p = mesh.vertices[mesh.triangles]
-    area = mesh.signed_areas()
-    x = p[..., 0]
-    y = p[..., 1]
+    area = signed_areas(tri)
+    x = tri[..., 0]
+    y = tri[..., 1]
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     grads = np.stack([gx, gy], axis=1) / (2.0 * area)[:, None, None]
@@ -244,7 +244,7 @@ def element_gradients(mesh: TriMesh):
 
 def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     """Exact P1 stiffness matrix of the Laplacian (no boundary conditions)."""
-    grads, area = element_gradients(mesh)
+    grads, area = element_gradients(mesh.vertices[mesh.triangles])
     local = np.einsum("tdi,tdj->tij", grads, grads) * area[:, None, None]
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
@@ -345,7 +345,7 @@ def assemble_load(
     """
     bary, w = tri_quadrature(degree)
     coords = mesh.vertices[mesh.triangles]
-    area = mesh.signed_areas()
+    area = signed_areas(coords)
     load = np.zeros(mesh.num_vertices)
 
     if refine_near is None:
@@ -382,14 +382,13 @@ def assemble_load(
         children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
         pieces = np.concatenate([pieces[~refined], children])
         parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
-    grads = element_gradients(mesh)[0]
     for start in range(0, pieces.shape[0], TRIANGLE_CHUNK):
         sub = pieces[start : start + TRIANGLE_CHUNK]
         owner = parent[start : start + TRIANGLE_CHUNK]
         pts = np.einsum("qk,pkd->pqd", bary, sub)
         vals = f(pts[..., 0], pts[..., 1])
         # parent hat functions at the points, from their affine representation
-        hats = np.einsum("pqd,pdk->pqk", pts - coords[owner, None, 0], grads[owner])
+        hats = np.einsum("pqd,pdk->pqk", pts - coords[owner, None, 0], element_gradients(coords[owner])[0])
         hats[..., 0] += 1.0
         contrib = np.einsum("pq,q,pqk->pk", vals, w, hats) * triangle_areas(sub)[:, None]
         np.add.at(load, mesh.triangles[owner].ravel(), contrib.ravel())
@@ -430,12 +429,16 @@ def line_grams(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 def dof_partition(mesh: TriMesh, tmap: TraceMap):
     """Dirichlet / free / interior split of the vertices.
 
+    The boundary vertices are those on a side of the mesh's bounding box,
+    which is the boundary of every domain this package meshes (a rectangle).
     The Dirichlet vertices are the boundary vertices that are not multiplier
     DOFs (interior Gamma_S vertices); every other vertex is free, and the
     free vertices that are not multiplier DOFs are interior.  Returns
     (dirichlet_idx, free_mask, interior_idx) with sorted index arrays.
     """
-    dirichlet_idx = np.setdiff1d(mesh.boundary_edges, tmap.multiplier_vertices)
+    x, y = mesh.vertices.T
+    boundary = (x == x.min()) | (x == x.max()) | (y == y.min()) | (y == y.max())
+    dirichlet_idx = np.setdiff1d(np.flatnonzero(boundary), tmap.multiplier_vertices)
     free_mask = np.ones(mesh.num_vertices, dtype=bool)
     free_mask[dirichlet_idx] = False
     interior_mask = free_mask.copy()
@@ -606,6 +609,13 @@ class FeSystem:
     def __post_init__(self):
         if self.grid.stiffness is not self.stiffness:
             raise ValueError("the grid solver was built on another stiffness")
+
+    def lift(self) -> np.ndarray:
+        """A new vertex vector: the Dirichlet values on their vertices, zero
+        elsewhere.  Every solve of the system starts from it."""
+        w = np.zeros(self.mesh.num_vertices)
+        w[self.dirichlet_idx] = self.dirichlet_values
+        return w
 
 
 def build_system(mesh: TriMesh, tmap: TraceMap | None, sol) -> FeSystem:

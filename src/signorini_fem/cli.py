@@ -55,6 +55,8 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
         records = run_study(config)
     except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
+    except OSError as exc:  # e.g. a report directory under an existing file
+        raise click.ClickException(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
     click.echo(f"levels {records[0].level}..{records[-1].level} done")
     header = f"{'level':>5} {'h':>12} {'e_L2_omega':>12} {'rate':>6} {'e_Hmhalf_lam':>13} {'rate':>6} {'iters':>5}"

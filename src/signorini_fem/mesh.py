@@ -2,7 +2,10 @@
 
 The domain is Omega = (0, WIDTH) x (0, HEIGHT) with WIDTH = 1.4 + e/2.7 and
 HEIGHT = 0.5.  The contact boundary Gamma_S is the bottom edge y = 0; the
-other three sides form the Dirichlet boundary Gamma_D.
+other three sides form the Dirichlet boundary Gamma_D.  A mesh carries no
+boundary lists: the split is decided from vertex coordinates, by
+``trace_map`` (the vertices on y = 0) and ``assembly.dof_partition`` (the
+vertices on the sides of the bounding box).
 
 Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
 triangles along the diagonal from the lower-left to the upper-right corner
@@ -27,9 +30,6 @@ import numpy as np
 WIDTH = 1.4 + math.e / 2.7
 HEIGHT = 0.5
 
-DIRICHLET = 0
-SIGNORINI = 1
-
 _NX0 = 4
 _NY0 = 2
 
@@ -39,7 +39,7 @@ _ND_LEAF = 16
 
 @dataclass(frozen=True)
 class TriMesh:
-    """Conforming triangulation with tagged boundary.
+    """Conforming triangulation; its boundary is read from the coordinates.
 
     Attributes
     ----------
@@ -49,17 +49,11 @@ class TriMesh:
         Vertex coordinates.
     triangles : (t, 3) int array
         Vertex indices per triangle, counterclockwise.
-    boundary_edges : (b, 2) int array
-        Vertex pairs of boundary edges.
-    boundary_tags : (b,) int array
-        DIRICHLET or SIGNORINI per boundary edge.
     """
 
     level: int
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
-    boundary_tags: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -68,9 +62,6 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    def signed_areas(self) -> np.ndarray:
-        return signed_areas(self.vertices[self.triangles])
 
     def max_edge_length(self) -> float:
         """Mesh size h: the maximal edge length over all triangles."""
@@ -152,27 +143,7 @@ def build_initial() -> TriMesh:
             triangles.append((ll, lr, ur))
             triangles.append((ll, ur, ul))
 
-    edges = []
-    tags = []
-    for ix in range(nx):
-        edges.append((vid(ix, 0), vid(ix + 1, 0)))
-        tags.append(SIGNORINI)
-    for ix in range(nx):
-        edges.append((vid(ix, ny), vid(ix + 1, ny)))
-        tags.append(DIRICHLET)
-    for iy in range(ny):
-        edges.append((vid(0, iy), vid(0, iy + 1)))
-        tags.append(DIRICHLET)
-        edges.append((vid(nx, iy), vid(nx, iy + 1)))
-        tags.append(DIRICHLET)
-
-    return TriMesh(
-        level=1,
-        vertices=vertices,
-        triangles=np.asarray(triangles, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags, dtype=np.int64),
-    )
+    return TriMesh(level=1, vertices=vertices, triangles=np.asarray(triangles, dtype=np.int64))
 
 
 def refine(mesh: TriMesh) -> TriMesh:
@@ -180,19 +151,16 @@ def refine(mesh: TriMesh) -> TriMesh:
 
     Existing vertices keep their indices; midpoint vertices are appended in
     the deterministic order of first encounter (triangles in order, local
-    edges (0,1), (1,2), (2,0)).  Boundary edges split into two children that
-    inherit the parent tag.
+    edges (0,1), (1,2), (2,0)).
     """
     n_old = mesh.num_vertices
-
-    def edge_key(p, q):
-        # one integer per edge, from its sorted vertex pair
-        return np.minimum(p, q) * (n_old + 1) + np.maximum(p, q)
-
     tri = mesh.triangles
     # every triangle's local edges (0,1), (1,2), (2,0), in encounter order
     ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
-    keys, first, inverse = np.unique(edge_key(*ends.T), return_index=True, return_inverse=True)
+    # one integer per edge, from its sorted vertex pair
+    p, q = ends.T
+    edge_key = np.minimum(p, q) * (n_old + 1) + np.maximum(p, q)
+    keys, first, inverse = np.unique(edge_key, return_index=True, return_inverse=True)
     # rank the unique edges by first encounter
     rank = np.empty(keys.shape[0], dtype=np.int64)
     rank[np.argsort(first)] = np.arange(keys.shape[0])
@@ -208,22 +176,12 @@ def refine(mesh: TriMesh) -> TriMesh:
         axis=1,
     ).reshape(-1, 3)
 
-    ea, eb = mesh.boundary_edges.T
-    m = n_old + rank[np.searchsorted(keys, edge_key(ea, eb))]
-    edges = np.stack([np.column_stack([ea, m]), np.column_stack([m, eb])], axis=1).reshape(-1, 2)
-
     # the unique edges' end pairs, listed in midpoint order
     pairs = np.empty((keys.shape[0], 2), dtype=np.int64)
     pairs[rank] = ends[first]
     vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])])
 
-    return TriMesh(
-        level=mesh.level + 1,
-        vertices=vertices,
-        triangles=tris.astype(np.int64),
-        boundary_edges=edges.astype(np.int64),
-        boundary_tags=np.repeat(mesh.boundary_tags, 2).astype(np.int64),
-    )
+    return TriMesh(level=mesh.level + 1, vertices=vertices, triangles=tris.astype(np.int64))
 
 
 def mesh_at_level(level: int) -> TriMesh:

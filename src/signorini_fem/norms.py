@@ -68,7 +68,7 @@ def geometric_mean(a: float, b: float) -> float:
 
 def _affine_data(mesh: TriMesh, u_values: np.ndarray):
     """Per-triangle affine representation (c0, cx, cy) and gradient of u_h."""
-    grads, _ = element_gradients(mesh)  # (t, 2, 3)
+    grads, _ = element_gradients(mesh.vertices[mesh.triangles])  # (t, 2, 3)
     vals = u_values[mesh.triangles]  # (t, 3)
     g = np.einsum("tdk,tk->td", grads, vals)  # (t, 2)
     v0 = mesh.vertices[mesh.triangles[:, 0]]

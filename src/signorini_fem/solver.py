@@ -88,10 +88,8 @@ def condense_system(system: FeSystem):
     Dirichlet lifting, is the Newton potential.  The contact problem on the
     trace is: t <= g, lambda = nu - sigma t >= 0, and lambda (t - g) = 0.
     """
-    lift = np.zeros(system.mesh.num_vertices)
-    lift[system.dirichlet_idx] = system.dirichlet_values
     D = system.lumped_mass
-    return system.grid.schur / D[:, None], system.grid.flux(lift, system.load) / D
+    return system.grid.schur / D[:, None], system.grid.flux(system.lift(), system.load) / D
 
 
 def solve_vi(
@@ -135,8 +133,7 @@ def solve_vi(
     g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
 
     _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, max_iter)
-    u = np.zeros(mesh.num_vertices)
-    u[system.dirichlet_idx] = system.dirichlet_values
+    u = system.lift()
 
     def solve_fixed(active):
         u[trace[active]] = g[active]

@@ -153,10 +153,14 @@ def averaged_rate(err_first: float, err_k: float, k: int) -> float:
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Execute the study and, when configured, write the report files.
 
-    A level whose solve raises SolverError is skipped and the study goes on;
-    once the reports of the other levels are written, StudyError names
-    every skipped level with its message and carries the records.
+    The report directory is created first, so a path that cannot be one
+    raises OSError before any level runs.  A level whose solve raises
+    SolverError is skipped and the study goes on; once the reports of the
+    other levels are written, StudyError names every skipped level with its
+    message and carries the records.
     """
+    if config.out_dir is not None:
+        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     sol = config.solution()
     ref_level = config.max_level + REF_OFFSET
     records: list[ConvergenceRecord] = []
@@ -204,8 +208,7 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         # the multiplier of the exact trace z, read as the boundary residual
         # of its refined extension: at level 8 nu - sigma z subtracts two
         # values near 194 to leave one near 1.3
-        w = np.zeros(mesh.num_vertices)
-        w[system.dirichlet_idx] = system.dirichlet_values
+        w = system.lift()
         w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
         lam_tilde = MultiplierFunction(mesh.level, system.grid.flux(w, system.load) / system.lumped_mass)
 

@@ -4,8 +4,9 @@ Each reference computes a quantity the package also computes, by the plain
 route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, the full-space PDAS from the empty active set for the
-contact solve.  The boundary-edge and cone helpers are views that only the
-tests need, and ``count_grid_builds`` counts the grid solvers a call builds.
+contact solve, and edge lists for the boundary that the package reads
+from vertex coordinates.  The cone helper is a view that only the tests
+need, and ``count_grid_builds`` counts the grid solvers a call builds.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from signorini_fem import assembly, solver
 from signorini_fem.assembly import FeFunction, FeSystem, assemble_stiffness, dof_partition
 from signorini_fem.biortho import MultiplierFunction, dual_shape_values
-from signorini_fem.mesh import DIRICHLET, SIGNORINI, TraceMap, TriMesh, elimination_order, trace_map
+from signorini_fem.mesh import TraceMap, TriMesh, build_initial, elimination_order, trace_map
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
 
@@ -31,12 +32,70 @@ def count_grid_builds(monkeypatch):
     return built
 
 
-def signorini_edges(mesh: TriMesh) -> np.ndarray:
-    return mesh.boundary_edges[mesh.boundary_tags == SIGNORINI]
+def boundary_edges(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gamma_S and Gamma_D edges of ``mesh_at_level(level)``, from
+    topology alone: the level-1 edges are listed by hand, and every
+    refinement splits each edge at the midpoint vertex ``refine_loop``
+    numbers for it.  Returns two (b, 2) vertex-pair arrays."""
+    nx, ny = 4, 2
+
+    def vid(ix, iy):
+        return iy * (nx + 1) + ix
+
+    gamma_s = [(vid(ix, 0), vid(ix + 1, 0)) for ix in range(nx)]
+    gamma_d = [(vid(ix, ny), vid(ix + 1, ny)) for ix in range(nx)]
+    gamma_d += [(vid(ix, iy), vid(ix, iy + 1)) for ix in (0, nx) for iy in range(ny)]
+    mesh = build_initial()
+    for _ in range(level - 1):
+        mesh, midpoint = refine_loop(mesh)
+        gamma_s, gamma_d = (_split_edges(edges, midpoint) for edges in (gamma_s, gamma_d))
+    return np.asarray(gamma_s, dtype=np.int64), np.asarray(gamma_d, dtype=np.int64)
 
 
-def dirichlet_edges(mesh: TriMesh) -> np.ndarray:
-    return mesh.boundary_edges[mesh.boundary_tags == DIRICHLET]
+def _split_edges(edges: list, midpoint: dict) -> list:
+    halves = []
+    for a, b in edges:
+        m = midpoint[min(a, b), max(a, b)]
+        halves += [(a, m), (m, b)]
+    return halves
+
+
+def unit_right_triangle() -> tuple[TriMesh, np.ndarray, np.ndarray]:
+    """One triangle on (0,0), (1,0), (0,1); Gamma_S is its bottom edge.
+    Returns the mesh with its Gamma_S and Gamma_D edges."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = TriMesh(1, verts, np.array([[0, 1, 2]]))
+    return mesh, np.array([[0, 1]]), np.array([[1, 2], [2, 0]])
+
+
+def square_patch() -> tuple[TriMesh, np.ndarray, np.ndarray]:
+    """The square (0, 2)^2 as 2 x 2 unit quads split along their diagonals,
+    so one vertex, (1, 1), is interior; Gamma_S is the bottom side.
+    Returns the mesh with its Gamma_S and Gamma_D edges."""
+    verts = np.array([[x, y] for y in (0.0, 1.0, 2.0) for x in (0.0, 1.0, 2.0)])
+    tris = []
+    for iy in range(2):
+        for ix in range(2):
+            ll = iy * 3 + ix
+            tris += [(ll, ll + 1, ll + 4), (ll, ll + 4, ll + 3)]
+    mesh = TriMesh(1, verts, np.array(tris))
+    gamma_d = np.array([(2, 5), (5, 8), (8, 7), (7, 6), (6, 3), (3, 0)])
+    return mesh, np.array([(0, 1), (1, 2)]), gamma_d
+
+
+def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
+    """What ``trace_map`` and ``dof_partition`` must find for these edges.
+
+    Returns (trace_vertices, trace_pairs, multipliers, dirichlet_idx): the
+    sorted Gamma_S vertices; the set of their neighbour pairs along Gamma_S;
+    the sorted multiplier vertices, which lie on two Gamma_S edges (the two
+    ends of the chain lie on one and close Gamma_D); and the sorted
+    Dirichlet vertices, every other boundary vertex.
+    """
+    trace_vertices, count = np.unique(gamma_s, return_counts=True)
+    multipliers = trace_vertices[count == 2]
+    dirichlet_idx = np.setdiff1d(np.concatenate([gamma_s, gamma_d]), multipliers)
+    return trace_vertices, {frozenset(e) for e in gamma_s.tolist()}, multipliers, dirichlet_idx
 
 
 def in_cone(mult: MultiplierFunction, tol: float = 0.0) -> bool:
@@ -101,8 +160,11 @@ def schur_consistency(mesh: TriMesh) -> float:
     return float(np.linalg.norm(dense_op - schur) / np.linalg.norm(schur))
 
 
-def refine_loop(mesh: TriMesh) -> TriMesh:
-    """``mesh.refine`` one triangle at a time, midpoints numbered by a dict."""
+def refine_loop(mesh: TriMesh) -> tuple[TriMesh, dict]:
+    """``mesh.refine`` one triangle at a time, midpoints numbered by a dict.
+
+    Returns the refined mesh and that dict, from sorted vertex pairs to
+    midpoint vertices."""
     midpoint: dict[tuple[int, int], int] = {}
     next_id = mesh.num_vertices
     new_coords = []
@@ -128,21 +190,12 @@ def refine_loop(mesh: TriMesh) -> TriMesh:
         tris.append((c, mca, mbc))
         tris.append((mab, mbc, mca))
 
-    edges = []
-    tags = []
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = mid(int(a), int(b))
-        edges.append((a, m))
-        edges.append((m, b))
-        tags.extend((tag, tag))
-
-    return TriMesh(
+    fine = TriMesh(
         level=mesh.level + 1,
         vertices=np.vstack([mesh.vertices, np.asarray(new_coords)]),
         triangles=np.asarray(tris, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=np.asarray(tags, dtype=np.int64),
     )
+    return fine, midpoint
 
 
 def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:

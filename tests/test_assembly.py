@@ -6,7 +6,7 @@ import pytest
 from signorini_fem import ExactSolution, assembly, mesh as msh
 from signorini_fem.mesh import WIDTH
 
-from oracles import split_by_lines
+from oracles import boundary_edges, split_by_lines, unit_right_triangle
 
 
 @pytest.fixture(scope="module")
@@ -14,16 +14,8 @@ def sol():
     return ExactSolution()
 
 
-def unit_right_triangle():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2]])
-    edges = np.array([[0, 1], [1, 2], [2, 0]])
-    tags = np.array([msh.SIGNORINI, msh.DIRICHLET, msh.DIRICHLET])
-    return msh.TriMesh(1, verts, tris, edges, tags)
-
-
 def test_local_stiffness_unit_right_triangle():
-    m = unit_right_triangle()
+    m, _, _ = unit_right_triangle()
     K = assembly.assemble_stiffness(m).toarray()
     expected = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, expected, rtol=0, atol=1e-15)
@@ -106,7 +98,7 @@ def test_load_split_lines_matter(sol):
 def _load_oracle(m, f, degree, refine_near, split_x):
     """Per-triangle load assembly: cut, quadrisect and scatter one cell at a time."""
     bary, w = assembly.tri_quadrature(degree)
-    grads, _ = assembly.element_gradients(m)
+    grads, _ = assembly.element_gradients(m.vertices[m.triangles])
     points, radius = refine_near
     load = np.zeros(m.num_vertices)
     for t, tri in enumerate(m.vertices[m.triangles]):
@@ -224,7 +216,7 @@ def test_patch_test_affine_reproduction():
     m = msh.mesh_at_level(3)
     A = assembly.assemble_stiffness(m)
     affine = 0.75 * m.vertices[:, 0] - 1.25 * m.vertices[:, 1] + 0.5
-    boundary = np.unique(m.boundary_edges.ravel())
+    boundary = np.unique(np.concatenate(boundary_edges(3)))
     free = np.ones(m.num_vertices, bool)
     free[boundary] = False
     fi = np.flatnonzero(free)
@@ -238,7 +230,7 @@ def test_build_system_partitions(sol):
     tm = msh.trace_map(m)
     system = assembly.build_system(m, tm, sol)
     assert system.trace_dofs.shape == (7,)
-    n_boundary = len(np.unique(m.boundary_edges.ravel()))
+    n_boundary = len(np.unique(np.concatenate(boundary_edges(2))))
     assert system.dirichlet_idx.shape[0] == n_boundary - 7
     assert not np.any(system.free_mask[system.dirichlet_idx])
     assert np.all(system.free_mask[system.trace_dofs])
@@ -246,3 +238,13 @@ def test_build_system_partitions(sol):
     # Dirichlet values are the nodal values of the exact solution
     expect = sol.u(m.vertices[system.dirichlet_idx, 0], m.vertices[system.dirichlet_idx, 1])
     assert np.allclose(system.dirichlet_values, expect, rtol=0, atol=0)
+
+
+def test_lift_is_the_dirichlet_values_and_zero_elsewhere(sol):
+    system = assembly.build_system(msh.mesh_at_level(3), None, sol)
+    lift = system.lift()
+    assert np.array_equal(lift[system.dirichlet_idx], system.dirichlet_values)
+    assert not lift[system.free_mask].any()
+    # a new vector per call: a solve may write into it
+    lift[:] = 1.0
+    assert not system.lift()[system.free_mask].any()

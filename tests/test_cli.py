@@ -5,6 +5,7 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import signorini_fem
@@ -185,3 +186,38 @@ def test_package_import_leaves_scipy_fft_out():
     code = "import sys, signorini_fem.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _config_with_out_dir(tmp_path, out_dir):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"min_level = 2\nmax_level = 3\nout_dir = {out_dir}\n")
+    return ["study", "--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an existing file named as the report directory
+        lambda tmp: _config_with_out_dir(tmp, tmp / "blocker"),
+        # a directory under an existing file
+        lambda tmp: ["study", "--min-level", "2", "--max-level", "3", "--out-dir", str(tmp / "blocker" / "sub")],
+    ],
+    ids=["config-file", "flag-under-file"],
+)
+def test_unusable_out_dir_exits_before_any_level_naming_the_path(tmp_path, monkeypatch, argv):
+    (tmp_path / "blocker").write_text("")
+    levels = []
+    run_level = study_module._run_level
+
+    def counted(mesh, *args):
+        levels.append(mesh.level)
+        return run_level(mesh, *args)
+
+    monkeypatch.setattr(study_module, "_run_level", counted)
+    result = CliRunner().invoke(main, argv(tmp_path))
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert levels == []
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and str(tmp_path / "blocker") in lines[0]
+    assert "Traceback" not in result.output

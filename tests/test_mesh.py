@@ -7,7 +7,7 @@ from signorini_fem import ExactSolution, build_system, trace_map
 from signorini_fem import assembly, norms
 from signorini_fem import mesh as msh
 
-from oracles import dirichlet_edges, refine_loop, signorini_edges
+from oracles import boundary_edges, boundary_sets, refine_loop, square_patch, unit_right_triangle
 
 
 def shoelace(vertices, triangles):
@@ -23,8 +23,9 @@ def test_initial_mesh_counts():
     assert m.num_vertices == 15
     assert m.num_triangles == 16
     # 4 x 2 quads: 4 contact edges on the bottom, 12 boundary edges in total
-    assert len(signorini_edges(m)) == 4
-    assert len(m.boundary_edges) == 12
+    gamma_s, gamma_d = boundary_edges(1)
+    assert len(gamma_s) == 4
+    assert len(gamma_s) + len(gamma_d) == 12
 
 
 def test_domain_width():
@@ -54,9 +55,9 @@ def test_refine_equals_the_per_triangle_loop():
     # by first encounter, from level 1 to level 8
     m = msh.build_initial()
     for _ in range(7):
-        fine, ref = msh.refine(m), refine_loop(m)
+        fine, (ref, _) = msh.refine(m), refine_loop(m)
         assert fine.level == ref.level
-        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        for name in ("vertices", "triangles"):
             got, want = getattr(fine, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
@@ -85,37 +86,27 @@ def test_positive_areas_after_refinement():
     assert np.all(shoelace(m.vertices, m.triangles) > 0)
 
 
-def test_signorini_edges_tile_bottom_and_halve():
-    m = msh.build_initial()
-    for _ in range(3):
-        edges = signorini_edges(m)
-        coords = m.vertices[edges]
-        assert np.all(coords[..., 1] == 0.0)
-        lengths = np.abs(coords[:, 1, 0] - coords[:, 0, 0])
-        xs = np.sort(coords[..., 0].ravel())
-        assert xs[0] == 0.0 and xs[-1] == msh.WIDTH
-        # edges tile the bottom without gaps
-        left = np.sort(coords[..., 0].min(axis=1))
-        right = np.sort(coords[..., 0].max(axis=1))
-        assert np.allclose(left[1:], right[:-1], rtol=0, atol=1e-15)
-        m2 = msh.refine(m)
-        l2 = np.abs(
-            m2.vertices[signorini_edges(m2)][:, 1, 0]
-            - m2.vertices[signorini_edges(m2)][:, 0, 0]
-        )
-        assert np.isclose(2.0 * l2.max(), lengths.max(), rtol=1e-14)
-        assert np.isclose(2.0 * l2.min(), lengths.min(), rtol=1e-14)
-        m = m2
-
-
-def test_boundary_tags_inherited():
-    m = msh.build_initial()
-    m2 = msh.refine(m)
-    assert len(signorini_edges(m2)) == 2 * len(signorini_edges(m))
-    assert len(dirichlet_edges(m2)) == 2 * len(dirichlet_edges(m))
-    # every child edge lies inside its parent's span (bottom edges)
-    child = m2.vertices[signorini_edges(m2)]
-    assert np.all(child[..., 1] == 0.0)
+@pytest.mark.parametrize("case", [*range(1, 7), "unit_right_triangle", "square_patch"])
+def test_coordinate_boundary_is_the_topological_boundary(case):
+    # the split read from coordinates against edge lists built by hand and
+    # split once per refinement
+    if isinstance(case, int):
+        m = msh.mesh_at_level(case)
+        gamma_s, gamma_d = boundary_edges(case)
+        # the Gamma_S edges halve with every level
+        lengths = np.abs(np.diff(m.vertices[gamma_s, 0], axis=1))
+        assert np.allclose(lengths, msh.WIDTH / (4 * 2 ** (case - 1)), rtol=1e-13, atol=0.0)
+    else:
+        m, gamma_s, gamma_d = {"unit_right_triangle": unit_right_triangle, "square_patch": square_patch}[case]()
+    trace_vertices, trace_pairs, multipliers, dirichlet_idx = boundary_sets(gamma_s, gamma_d)
+    tm = msh.trace_map(m)
+    # the trace runs along the Gamma_S edges, one edge between neighbours
+    assert np.array_equal(np.sort(tm.vertices), trace_vertices)
+    assert {frozenset(p) for p in zip(tm.vertices[:-1].tolist(), tm.vertices[1:].tolist())} == trace_pairs
+    assert np.array_equal(np.sort(tm.multiplier_vertices), multipliers)
+    got, _, _ = assembly.dof_partition(m, tm)
+    assert got.dtype.kind == "i"
+    assert np.array_equal(got, dirichlet_idx)
 
 
 def test_mesh_size_exact_halving():

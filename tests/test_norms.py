@@ -232,7 +232,7 @@ def _multiplier_l2_oracle(tm, hat, flux, kinks):
 def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, graded=True, degree=4):
     """Per-triangle depth-first quadrisection with scalar geometry."""
     bary, w = tri_quadrature(degree)
-    grads, _ = element_gradients(mesh)
+    grads, _ = element_gradients(mesh.vertices[mesh.triangles])
     vals = u_values[mesh.triangles]
     g = np.einsum("tdk,tk->td", grads, vals)
     c0 = vals[:, 0] - np.einsum("td,td->t", g, mesh.vertices[mesh.triangles[:, 0]])

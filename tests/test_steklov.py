@@ -21,7 +21,7 @@ from signorini_fem.assembly import GridPoisson, assemble_stiffness, dof_partitio
 from signorini_fem.solver import condense_system
 from signorini_fem.steklov import SteklovMap, exact_trace_values, solve_schur_vi, trace_moments
 
-from oracles import schur_complement_dense, schur_consistency
+from oracles import schur_complement_dense, schur_consistency, square_patch
 
 
 @pytest.fixture(scope="module")
@@ -101,28 +101,7 @@ def test_schur_hand_computed_single_interior_vertex():
     # 2, the center diagonal 4 (five-point stencil), and the coupling is -1
     # (-1/2 from each triangle sharing the edge), so the reduced operator is
     # 2 - (-1)^2 / 4 = 7/4
-    verts = np.array(
-        [
-            [0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
-            [0.0, 1.0], [1.0, 1.0], [2.0, 1.0],
-            [0.0, 2.0], [1.0, 2.0], [2.0, 2.0],
-        ]
-    )
-    tris = []
-    for iy in range(2):
-        for ix in range(2):
-            ll = iy * 3 + ix
-            lr = ll + 1
-            ul = ll + 3
-            ur = ll + 4
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    edges = [(0, 1), (1, 2)]
-    tags = [msh.SIGNORINI, msh.SIGNORINI]
-    for a, b in [(2, 5), (5, 8), (8, 7), (7, 6), (6, 3), (3, 0)]:
-        edges.append((a, b))
-        tags.append(msh.DIRICHLET)
-    m = msh.TriMesh(1, verts, np.array(tris), np.array(edges), np.array(tags))
+    m, _, _ = square_patch()
 
     tm = msh.trace_map(m)
     assert tm.num_multipliers == 1
