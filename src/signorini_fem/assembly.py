@@ -395,7 +395,7 @@ def assemble_load(
     return load
 
 
-def boundary_lumped_mass(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
+def boundary_lumped_mass(tmap: TraceMap) -> np.ndarray:
     """Diagonal entries <phi_j, 1> over Gamma_S per multiplier DOF.
 
     For a hat function at an interior trace vertex this is half the length of
@@ -403,10 +403,7 @@ def boundary_lumped_mass(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
     element length.
     """
     h = tmap.spacings()
-    full = np.zeros(tmap.x.shape[0])
-    full[:-1] += 0.5 * h
-    full[1:] += 0.5 * h
-    return full[tmap.interior]
+    return 0.5 * (h[:-1] + h[1:])
 
 
 def line_grams(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -580,9 +577,8 @@ def _dst2(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeFunction:
-    """Nodal P1 function: one coefficient per mesh vertex (or trace vertex)."""
+    """Coefficients of u_h (one per vertex) or lambda_h (one per multiplier DOF)."""
 
-    level: int
     values: np.ndarray
 
 
@@ -596,7 +592,6 @@ class FeSystem:
     """
 
     mesh: TriMesh
-    tmap: TraceMap
     stiffness: sp.csr_matrix
     load: np.ndarray
     lumped_mass: np.ndarray  # D_j per multiplier DOF
@@ -637,10 +632,9 @@ def build_system(mesh: TriMesh, tmap: TraceMap | None, sol) -> FeSystem:
     trace_dofs = tmap.multiplier_vertices
     return FeSystem(
         mesh=mesh,
-        tmap=tmap,
         stiffness=stiffness,
         load=load,
-        lumped_mass=boundary_lumped_mass(mesh, tmap),
+        lumped_mass=boundary_lumped_mass(tmap),
         dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
         trace_dofs=trace_dofs,

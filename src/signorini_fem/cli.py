@@ -66,9 +66,9 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
         r_hm = rec.rates.get("e_Hminushalf_lambda")
         click.echo(
             f"{rec.level:>5} {rec.h:>12.4e} {rec.errors['e_L2_omega']:>12.4e} "
-            f"{'' if r_l2 is None else f'{r_l2:6.3f}'} "
+            f"{'' if r_l2 is None else f'{r_l2:6.3f}':>6} "
             f"{rec.errors['e_Hminushalf_lambda']:>13.4e} "
-            f"{'' if r_hm is None else f'{r_hm:6.3f}'} {rec.iterations:>5}"
+            f"{'' if r_hm is None else f'{r_hm:6.3f}':>6} {rec.iterations:>5}"
         )
     if config.out_dir is not None:
         click.echo(f"reports written to {config.out_dir}")

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import WIDTH
-
 #: constant appearing in the reflected cut-off argument cut(1.4 - x); kept
 #: literal (not WIDTH - x), which makes the construction asymmetric on
 #: purpose for weight != 1.
@@ -118,11 +116,6 @@ class ExactSolution:
             )
         if self.weight <= 0.0:
             raise ValueError("reflection weight must be positive")
-
-    @property
-    def width(self) -> float:
-        """Length of the contact boundary: the mesh's ``WIDTH``."""
-        return WIDTH
 
     @property
     def load_split_x(self) -> tuple[float, ...]:

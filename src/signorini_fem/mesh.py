@@ -5,7 +5,8 @@ HEIGHT = 0.5.  The contact boundary Gamma_S is the bottom edge y = 0; the
 other three sides form the Dirichlet boundary Gamma_D.  A mesh carries no
 boundary lists: the split is decided from vertex coordinates, by
 ``trace_map`` (the vertices on y = 0) and ``assembly.dof_partition`` (the
-vertices on the sides of the bounding box).
+vertices on the sides of the bounding box).  All Gamma_S vertices but
+the two ends are multiplier DOFs; ``trace_grid`` gives a level's Gamma_S x.
 
 Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
 triangles along the diagonal from the lower-left to the upper-right corner
@@ -89,25 +90,24 @@ class TraceMap:
     """Ordered view of the contact-boundary vertices.
 
     The multiplier degrees of freedom are exactly the Signorini vertices
-    strictly inside Gamma_S; the two corner vertices lie on the closure of
-    Gamma_D and carry Dirichlet data.
+    strictly inside Gamma_S, ``vertices[1:-1]``; the two corner vertices lie
+    on the closure of Gamma_D and carry Dirichlet data.
     """
 
     vertices: np.ndarray  # vertex ids on y = 0, ordered by x
     x: np.ndarray  # their x coordinates, strictly increasing
-    interior: np.ndarray  # bool mask, False exactly at the two endpoints
 
     @property
     def num_multipliers(self) -> int:
-        return int(np.count_nonzero(self.interior))
+        return self.vertices.shape[0] - 2
 
     @property
     def multiplier_vertices(self) -> np.ndarray:
-        return self.vertices[self.interior]
+        return self.vertices[1:-1]
 
     @property
     def multiplier_x(self) -> np.ndarray:
-        return self.x[self.interior]
+        return self.x[1:-1]
 
     def spacings(self) -> np.ndarray:
         return np.diff(self.x)
@@ -199,11 +199,13 @@ def trace_map(mesh: TriMesh) -> TraceMap:
     on_gamma_s = np.flatnonzero(mesh.vertices[:, 1] == 0.0)
     order = np.argsort(mesh.vertices[on_gamma_s, 0], kind="stable")
     ids = on_gamma_s[order]
-    x = mesh.vertices[ids, 0]
-    interior = np.ones(ids.shape[0], dtype=bool)
-    interior[0] = False
-    interior[-1] = False
-    return TraceMap(vertices=ids, x=x, interior=interior)
+    return TraceMap(vertices=ids, x=mesh.vertices[ids, 0])
+
+
+def trace_grid(level: int) -> np.ndarray:
+    """Uniform Gamma_S grid of a level: the x of ``trace_map``'s vertices
+    at that level, to rounding, without building the mesh."""
+    return np.linspace(0.0, WIDTH, _NX0 * 2 ** (level - 1) + 1)
 
 
 def grid_index(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, int, int]:

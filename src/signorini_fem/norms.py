@@ -7,9 +7,9 @@ form one batch, so the exact solution is evaluated a few times per depth
 rather than once per piece.  Trace norms are adaptive G10/K21 integrals
 (``quad``) over all trace elements at once, split at the known kink
 locations.  The negative-order boundary norm is a discrete dual norm on a
-fine reference trace space: the coarse nodal multiplier is prolongated
-exactly, the exact flux is interpolated, and the dual norm against the H1
-Gram matrix of the reference space is evaluated by a sparse solve.
+fine reference trace grid (``mesh.trace_grid``): the nodal multiplier
+is prolongated exactly, the exact flux is interpolated, and the dual norm
+against the H1 Gram matrix of the reference space is evaluated by a sparse solve.
 Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
 sqrt(H-1 * L2).
 """
@@ -31,7 +31,7 @@ from .assembly import (
     triangle_areas,
 )
 from .biortho import postprocess_multiplier
-from .mesh import TriMesh, TraceMap, cells_near
+from .mesh import TriMesh, TraceMap, cells_near, trace_grid
 
 #: Degree of the fixed triangle rule of the volume norms.
 VOLUME_DEGREE = 4
@@ -146,7 +146,7 @@ def _l2_gap_sq(fn, x, values, kinks) -> float:
     return float(np.sum(quad(sq_err, x[:-1], x[1:], kinks, TRACE_EPSABS, TRACE_EPSREL)))
 
 
-def trace_errors(mesh: TriMesh, tmap: TraceMap, u_values: np.ndarray, sol):
+def trace_errors(tmap: TraceMap, u_values: np.ndarray, sol):
     """L2, full H1 and surrogate H^1/2 errors of the trace of u_h on Gamma_S."""
     x = tmap.x
     vals = u_values[tmap.vertices]
@@ -165,12 +165,6 @@ def trace_errors(mesh: TriMesh, tmap: TraceMap, u_values: np.ndarray, sol):
 def multiplier_l2_error(tmap: TraceMap, hat_values: np.ndarray, flux_fn, kinks) -> float:
     """L2(Gamma_S) distance between the nodal multiplier and the exact flux."""
     return float(np.sqrt(_l2_gap_sq(flux_fn, tmap.x, hat_values, kinks)))
-
-
-def reference_trace_grid(level: int, width: float) -> np.ndarray:
-    """Uniform Gamma_S grid of the given level: 4 * 2^(level-1) elements."""
-    n = 4 * 2 ** (level - 1)
-    return np.linspace(0.0, width, n + 1)
 
 
 def prolong_trace_values(values: np.ndarray, times: int) -> np.ndarray:
@@ -201,23 +195,17 @@ def dual_norm(err_values: np.ndarray, mass, h1gram) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def h_minus1_error(
-    hat_values: np.ndarray,
-    level: int,
-    flux_fn,
-    ref_level: int,
-    width: float,
-) -> float:
+def h_minus1_error(hat_values: np.ndarray, level: int, flux_fn, ref_level: int) -> float:
     """H^-1(Gamma_S) error of a nodal multiplier on the reference trace space.
 
     The multiplier (nodal values over all trace vertices of its level) is
-    prolongated exactly to the reference grid; the exact flux enters by nodal
-    interpolation there.
+    prolongated exactly to the reference grid, ``mesh.trace_grid(ref_level)``;
+    the exact flux enters by nodal interpolation there.
     """
     if ref_level < level:
         raise ValueError("reference level must not be coarser than the data")
     fine = prolong_trace_values(hat_values, ref_level - level)
-    x_ref = reference_trace_grid(ref_level, width)
+    x_ref = trace_grid(ref_level)
     if fine.shape[0] != x_ref.shape[0]:
         raise ValueError("trace value count does not match its level")
     err = fine - flux_fn(x_ref)
@@ -235,19 +223,19 @@ def error_report(
 ) -> ErrorReport:
     """Collect every norm of one converged level into an ErrorReport."""
     e_l2, e_h1 = volume_errors(mesh, solution.u.values, sol)
-    t_l2, t_h1, t_half = trace_errors(mesh, tmap, solution.u.values, sol)
+    t_l2, t_h1, t_half = trace_errors(tmap, solution.u.values, sol)
 
-    def multiplier_errors(multiplier, suffix: str) -> dict:
-        hat = postprocess_multiplier(multiplier, tmap)
+    def multiplier_errors(coeffs, suffix: str) -> dict:
+        hat = postprocess_multiplier(coeffs)
         l2 = multiplier_l2_error(tmap, hat, sol.flux, sol.kink_x)
-        hm1 = h_minus1_error(hat, mesh.level, sol.flux, ref_level, sol.width)
+        hm1 = h_minus1_error(hat, mesh.level, sol.flux, ref_level)
         return {
             f"e_L2_lambda{suffix}": l2,
             f"e_Hminus1_lambda{suffix}": hm1,
             f"e_Hminushalf_lambda{suffix}": geometric_mean(hm1, l2),
         }
 
-    fields = multiplier_errors(solution.multiplier, "")
+    fields = multiplier_errors(solution.multiplier.values, "")
     if lam_tilde is not None:
         fields.update(multiplier_errors(lam_tilde, "_tilde"))
     return ErrorReport(

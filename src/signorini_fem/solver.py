@@ -31,7 +31,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import FeFunction, FeSystem, SolverError, build_system
-from .biortho import MultiplierFunction
 from .mesh import TriMesh, TraceMap
 
 # SuperLU settings for an SPD block listed in elimination order: keep the
@@ -43,8 +42,8 @@ LU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(Symm
 class VISolution:
     """Converged primal/dual pair with its active set and iteration data."""
 
-    u: FeFunction
-    multiplier: MultiplierFunction
+    u: FeFunction  # one value per mesh vertex
+    multiplier: FeFunction  # one coefficient per multiplier DOF
     active: np.ndarray  # bool per multiplier DOF
     iterations: int  # PDAS steps on the trace plus full-space steps
     residual: float  # inf-norm of the saddle-point residual on free rows
@@ -104,7 +103,8 @@ def solve_vi(
     """Solve the discrete variational inequality by PDAS from a cold start.
 
     g is the obstacle at the multiplier DOFs (scalar or per-DOF array;
-    affine obstacles are supported through the array form).  Dirichlet data
+    affine obstacles are supported through the array form); ``pdas``
+    refuses one with a non-finite entry.  Dirichlet data
     are the nodal values of sol on Gamma_D; sol is read only to assemble
     the system when none is given.  The solve is trace first: PDAS runs
     from the empty active set on (sigma, nu) of ``condense_system``, and
@@ -143,10 +143,9 @@ def solve_vi(
         return u[trace], lam
 
     active, lam, steps, converged = pdas(solve_fixed, g, D, active, max_iter)
-    level = mesh.level
     solution = VISolution(
-        u=FeFunction(level, u),
-        multiplier=MultiplierFunction(level, lam),
+        u=FeFunction(u),
+        multiplier=FeFunction(lam),
         active=active,
         iterations=trace_steps + steps,
         residual=_saddle_residual(system, u, lam),
@@ -165,7 +164,12 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, max_iter
     { j : lam_j + (t_j - g_j) / D_j > 0 }; the iteration has converged
     when it repeats.  Returns (active, lam, iterations, converged), where
     lam is the last step's multiplier and active the set that follows it.
+    An obstacle with a NaN or infinite entry raises ValueError before the
+    first step: no comparison with it decides a set.
     """
+    bad = np.count_nonzero(~np.isfinite(g))
+    if bad:
+        raise ValueError(f"the obstacle has {bad} non-finite of {g.shape[0]} entries")
     lam = np.zeros(g.shape[0])
     iterations = 0
     for iterations in range(1, max_iter + 1):

@@ -16,7 +16,8 @@ extensions, Newton potential and consistency flux, and ``solve_schur_vi``
 on them, are the independent cross-check of the grid solver
 (``assembly.GridPoisson``) that the contact path and the study use.  Only
 its dense matrix comes from a grid solver, built on the map's stiffness.
-The module also integrates the trace moments against the dual basis.
+The map returns multipliers as coefficient arrays.  The module also
+integrates the trace moments against the dual basis.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import GridPoisson, SolverError, assemble_stiffness, boundary_lumped_mass, dof_partition, quad
-from .biortho import MultiplierFunction, dual_shape_values
+from .biortho import dual_shape_values
 from .mesh import TriMesh, TraceMap, elimination_order
 from .solver import LU_OPTIONS, dense_pdas
 
@@ -51,7 +52,7 @@ class SteklovMap:
         self.mesh = mesh
         self.tmap = tmap
         self.stiffness = assemble_stiffness(mesh) if stiffness is None else stiffness
-        self.lumped = boundary_lumped_mass(mesh, tmap) if lumped is None else lumped
+        self.lumped = boundary_lumped_mass(tmap) if lumped is None else lumped
         self.trace_dofs = tmap.multiplier_vertices
         self.dirichlet_idx, _, interior_idx = dof_partition(mesh, tmap)
         order = elimination_order(mesh)
@@ -93,16 +94,16 @@ class SteklovMap:
             r = r + load
         return r[self.trace_dofs] / self.lumped
 
-    def apply(self, z: np.ndarray) -> MultiplierFunction:
+    def apply(self, z: np.ndarray) -> np.ndarray:
         """Apply the operator to nodal trace values z at the multiplier DOFs.
 
-        Returns the multiplier representing the negative boundary flux of
+        Returns the multiplier coefficients of the negative boundary flux of
         the harmonic extension.
         """
         w = self.extension(np.asarray(z, dtype=float))
-        return MultiplierFunction(self.mesh.level, -self._boundary_flux(w))
+        return -self._boundary_flux(w)
 
-    def newton_potential(self, load: np.ndarray, dirichlet_values=None) -> MultiplierFunction:
+    def newton_potential(self, load: np.ndarray, dirichlet_values=None) -> np.ndarray:
         """Multiplier of the saddle point with volume load and zero trace moments.
 
         Dirichlet values, when given, lift inhomogeneous data on Gamma_D into
@@ -111,9 +112,9 @@ class SteklovMap:
         """
         z = np.zeros(self.num_multipliers)
         w = self.extension(z, dirichlet_values=dirichlet_values, load=load)
-        return MultiplierFunction(self.mesh.level, self._boundary_flux(w, load))
+        return self._boundary_flux(w, load)
 
-    def exact_trace_flux(self, sol, load: np.ndarray):
+    def exact_trace_flux(self, sol, load: np.ndarray) -> np.ndarray:
         """Multiplier of the linear saddle point fed with the exact trace.
 
         The trace of the exact solution enters through its moments against
@@ -131,7 +132,7 @@ class SteklovMap:
         # unrefined, level 8's H^-1 flux error moved by up to 4.7e-8
         # relative when only the order of the unknowns changed
         w[self.interior_idx] += self._lu.solve((load - self.stiffness @ w)[self.interior_idx])
-        return MultiplierFunction(self.mesh.level, self._boundary_flux(w, load))
+        return self._boundary_flux(w, load)
 
     def dense_matrix(self) -> np.ndarray:
         """The operator as a dense matrix, D^-1 S, with S from
@@ -164,10 +165,9 @@ def trace_moments(fn, tmap: TraceMap, kinks=()) -> np.ndarray:
     integrator ``quad``, with the known kink locations as breakpoints.
     """
     x = tmap.x
-    p = np.flatnonzero(tmap.interior)
-    m = p.shape[0]
-    lo = np.concatenate([x[p - 1], x[p]])
-    hi = np.concatenate([x[p], x[p + 1]])
+    m = tmap.num_multipliers
+    lo = np.concatenate([x[:-2], x[1:-1]])
+    hi = np.concatenate([x[1:-1], x[2:]])
 
     def integrand(s, i):
         psi_left, psi_right = dual_shape_values((s - lo[i]) / (hi[i] - lo[i]))
@@ -187,7 +187,8 @@ def solve_schur_vi(
     """Solve the boundary-reduced complementarity system by dense PDAS.
 
     Returns (trace values, multiplier coefficients, active mask).  Cross
-    check against the full-space solver.  The dense Steklov matrix comes
+    check against the full-space solver; a non-finite obstacle raises
+    ValueError, as in ``solver.pdas``.  The dense Steklov matrix comes
     from ``SteklovMap.dense_matrix``, computed on the map's first call and
     reused after; the Newton potential is one solve with the map's
     interior factor, and each PDAS step solves a dense system of up to the
@@ -196,7 +197,7 @@ def solve_schur_vi(
     n = smap.num_multipliers
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()
     sigma = smap.dense_matrix()
-    nu = smap.newton_potential(load, dirichlet_values=dirichlet_values).values
+    nu = smap.newton_potential(load, dirichlet_values=dirichlet_values)
     t, lam, active, _, converged = dense_pdas(sigma, nu, g, smap.lumped, max_iter)
     if not converged:
         raise SolverError("boundary PDAS did not converge")

@@ -13,7 +13,7 @@ import numpy as np
 
 from signorini_fem import assembly, solver
 from signorini_fem.assembly import FeFunction, FeSystem, assemble_stiffness, dof_partition
-from signorini_fem.biortho import MultiplierFunction, dual_shape_values
+from signorini_fem.biortho import dual_shape_values
 from signorini_fem.mesh import TraceMap, TriMesh, build_initial, elimination_order, trace_map
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
@@ -98,9 +98,9 @@ def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
     return trace_vertices, {frozenset(e) for e in gamma_s.tolist()}, multipliers, dirichlet_idx
 
 
-def in_cone(mult: MultiplierFunction, tol: float = 0.0) -> bool:
+def in_cone(coeffs: np.ndarray, tol: float = 0.0) -> bool:
     """Discrete cone membership: every multiplier coefficient non-negative."""
-    return bool(np.all(mult.values >= -tol))
+    return bool(np.all(coeffs >= -tol))
 
 
 def assemble_coupling(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
@@ -114,18 +114,17 @@ def assemble_coupling(mesh: TriMesh, tmap: TraceMap) -> np.ndarray:
     tq = 0.5 * (xg + 1.0)
     wq = 0.5 * wg
     n_trace = tmap.x.shape[0]
-    mult_pos = np.flatnonzero(tmap.interior)
-    coupling = np.zeros((n_trace, mult_pos.shape[0]))
+    coupling = np.zeros((n_trace, n_trace - 2))
     h = tmap.spacings()
     psi_l, psi_r = dual_shape_values(tq)
     phi_l, phi_r = 1.0 - tq, tq
     for e in range(n_trace - 1):
         # local duals belong to the element's left/right vertex; a dual is a
-        # DOF only if its vertex is interior
+        # DOF only if its vertex is not an end of Gamma_S
         for local_psi, vtx in ((psi_l, e), (psi_r, e + 1)):
-            if not tmap.interior[vtx]:
+            if vtx in (0, n_trace - 1):
                 continue
-            col = int(np.searchsorted(mult_pos, vtx))
+            col = vtx - 1
             coupling[e, col] += h[e] * np.sum(wq * phi_l * local_psi)
             coupling[e + 1, col] += h[e] * np.sum(wq * phi_r * local_psi)
     return coupling
@@ -236,8 +235,8 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
     r = F - A @ u
     r[trace] -= lam * D
     return VISolution(
-        u=FeFunction(mesh.level, u),
-        multiplier=MultiplierFunction(mesh.level, lam),
+        u=FeFunction(u),
+        multiplier=FeFunction(lam),
         active=active,
         iterations=iterations,
         residual=float(np.max(np.abs(r[system.free_mask]))),

@@ -177,7 +177,7 @@ def test_load_polynomial_exactness():
 def test_boundary_lumped_mass_uniform():
     m = msh.mesh_at_level(2)
     tm = msh.trace_map(m)
-    d = assembly.boundary_lumped_mass(m, tm)
+    d = assembly.boundary_lumped_mass(tm)
     assert d.shape == (7,)
     assert np.allclose(d, WIDTH / 8.0, rtol=1e-13)
     assert np.all(d > 0.0)
@@ -186,7 +186,7 @@ def test_boundary_lumped_mass_uniform():
 def test_boundary_lumped_mass_total():
     m = msh.mesh_at_level(3)
     tm = msh.trace_map(m)
-    d = assembly.boundary_lumped_mass(m, tm)
+    d = assembly.boundary_lumped_mass(tm)
     h = tm.spacings()
     corners = 0.5 * h[0] + 0.5 * h[-1]
     assert np.isclose(d.sum() + corners, WIDTH, rtol=1e-13)

@@ -44,6 +44,17 @@ def test_study_command_runs(tmp_path):
     assert [rec["level"] for rec in payload["records"]] == [2, 3]
 
 
+def test_summary_rows_line_up_with_the_header():
+    # the first level has no rates; its blank cells keep the column width
+    result = CliRunner().invoke(main, ["study", "--min-level", "1", "--max-level", "3", "--no-lambda-tilde"])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.lstrip().startswith("level "))
+    rows = lines[header + 1 :]
+    assert len(rows) == 3
+    assert [len(row) for row in rows] == [len(lines[header])] * 3
+
+
 def test_flag_overrides_config(tmp_path):
     out = tmp_path / "results"
     cfg = tmp_path / "study.cfg"
@@ -169,7 +180,7 @@ def test_failed_level_exits_nonzero_after_writing_the_other_levels(monkeypatch, 
 
 def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):
     built = []
-    monkeypatch.setattr(study_module, "build_initial", lambda: built.append(1))
+    monkeypatch.setattr(study_module, "mesh_at_level", lambda level: built.append(level))
     start = time.perf_counter()
     result = CliRunner().invoke(main, ["study", "--max-level", str(MAX_LEVEL + 1)])
     assert time.perf_counter() - start < 1.0

@@ -1,12 +1,16 @@
 """The package's import graph: every sibling import sits at module level,
-and the root exports only the names of the README example and the CLI.
+and the root exports only the names of the README example and the CLI,
+and that example runs as printed.
 
 A sibling imported inside a function body hides an import cycle; at module
 level the cycle fails at import time instead.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
 
 import signorini_fem
 
@@ -63,3 +67,17 @@ def test_no_module_imports_a_sibling_inside_a_function():
         if (found := sibling_imports_in_functions(path.read_text(encoding="utf-8")))
     }
     assert deferred == {}
+
+
+def test_the_readme_library_example_runs_and_its_claim_holds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    names = {}
+    exec(compile(code, "README.md", "exec"), names)
+    # "Dirichlet-to-Neumann: vi.multiplier.values"
+    lam, expected = names["lam"], names["vi"].multiplier.values
+    assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()
+    hat = names["hat"]
+    assert hat.shape == names["tmap"].x.shape and hat[0] == hat[-1] == 0.0
+    assert np.array_equal(hat[1:-1], lam)

@@ -22,14 +22,6 @@ def test_parameters(sol):
     assert np.isclose(sol.x_left, 0.2 + 0.3 / math.pi, rtol=0, atol=0)
     assert np.isclose(sol.x_right, 1.2 - 0.3 / math.pi, rtol=0, atol=0)
     assert sol.weight == 0.7
-    assert sol.width == 1.4 + math.e / 2.7
-
-
-def test_width_is_the_mesh_width_and_not_settable():
-    # the H^-1 reference grid spans sol.width, so it must be the mesh's
-    assert ExactSolution().width == mesh.WIDTH
-    with pytest.raises(TypeError):
-        ExactSolution(width=2.0)
 
 
 def test_trace_zero_on_contact_interval(sol):
@@ -40,7 +32,7 @@ def test_trace_zero_on_contact_interval(sol):
 
 def test_trace_negative_outside(sol):
     x = np.concatenate(
-        [np.linspace(1e-6, sol.x_left - 1e-9, 100), np.linspace(sol.x_right + 1e-9, sol.width - 1e-6, 100)]
+        [np.linspace(1e-6, sol.x_left - 1e-9, 100), np.linspace(sol.x_right + 1e-9, mesh.WIDTH - 1e-6, 100)]
     )
     assert np.all(sol.u_trace(x) < 0.0)
 
@@ -53,7 +45,7 @@ def test_trace_value_left_of_contact(sol):
 
 def test_gradient_matches_fd(sol):
     rng = np.random.default_rng(42)
-    x = rng.uniform(0.05, sol.width - 0.05, 100)
+    x = rng.uniform(0.05, mesh.WIDTH - 0.05, 100)
     y = rng.uniform(0.05, 0.45, 100)
     h = 1e-4
     ux_fd = (-sol.u(x + 2 * h, y) + 8 * sol.u(x + h, y) - 8 * sol.u(x - h, y) + sol.u(x - 2 * h, y)) / (12 * h)
@@ -87,7 +79,7 @@ def test_rhs_matches_fd_laplacian(sol):
     rng = np.random.default_rng(3)
     pts = []
     while len(pts) < 100:
-        x = rng.uniform(0.05, sol.width - 0.05)
+        x = rng.uniform(0.05, mesh.WIDTH - 0.05)
         y = rng.uniform(0.05, 0.45)
         if min(np.hypot(x - sol.x_left, y), np.hypot(x - sol.x_right, y)) >= 0.05:
             pts.append((x, y))
@@ -106,7 +98,7 @@ def test_rhs_bounded_at_transmission_points(sol):
 
 
 def test_flux_zero_outside_contact(sol):
-    x = np.concatenate([np.linspace(0.0, sol.x_left, 64), np.linspace(sol.x_right, sol.width, 64)])
+    x = np.concatenate([np.linspace(0.0, sol.x_left, 64), np.linspace(sol.x_right, mesh.WIDTH, 64)])
     lam = sol.flux(x)
     assert np.all(lam == 0.0)
 
@@ -128,7 +120,7 @@ def test_flux_positive_inside(sol):
 
 
 def test_complementarity_exact(sol):
-    x = np.linspace(0.0, sol.width, 10_000)
+    x = np.linspace(0.0, mesh.WIDTH, 10_000)
     u = sol.u_trace(x)
     lam = sol.flux(x)
     assert np.all(lam * u == 0.0)

@@ -141,8 +141,20 @@ def test_trace_map_endpoints():
         tm = msh.trace_map(msh.mesh_at_level(level))
         assert tm.x[0] == 0.0
         assert tm.x[-1] == msh.WIDTH
-        assert not tm.interior[0] and not tm.interior[-1]
-        assert np.all(tm.interior[1:-1])
+        # the multiplier DOFs are every Gamma_S vertex but the two ends
+        assert tm.num_multipliers == tm.vertices.shape[0] - 2
+        assert np.array_equal(tm.multiplier_vertices, tm.vertices[1:-1])
+        assert 0.0 < tm.multiplier_x.min() and tm.multiplier_x.max() < msh.WIDTH
+
+
+def test_trace_grid_is_the_trace_map_grid():
+    # the H^-1 norms' reference grid, built without a mesh
+    for level in range(1, 9):
+        grid = msh.trace_grid(level)
+        assert grid[0] == 0.0 and grid[-1] == msh.WIDTH
+        x = msh.trace_map(msh.mesh_at_level(level)).x
+        assert grid.shape == x.shape
+        assert np.abs(grid - x).max() <= 1e-15
 
 
 def test_initial_trace_counts():

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 
 from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem import solver, steklov
-from signorini_fem.biortho import MultiplierFunction
 from signorini_fem.mesh import elimination_order
 from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discrete_transmission_points, linear_subsolve
 from signorini_fem.steklov import SteklovMap
@@ -359,8 +358,8 @@ def test_transmission_points_single_dof(sol):
     active = np.zeros(tmap.num_multipliers, dtype=bool)
     active[4] = True
     synthetic = VISolution(
-        u=FeFunction(2, np.zeros(1)),
-        multiplier=MultiplierFunction(2, np.zeros(tmap.num_multipliers)),
+        u=FeFunction(np.zeros(1)),
+        multiplier=FeFunction(np.zeros(tmap.num_multipliers)),
         active=active,
         iterations=1,
         residual=0.0,
@@ -372,8 +371,8 @@ def test_transmission_points_single_dof(sol):
 def test_transmission_points_empty_active_set(sol):
     tmap = trace_map(mesh_at_level(2))
     synthetic = VISolution(
-        u=FeFunction(2, np.zeros(1)),
-        multiplier=MultiplierFunction(2, np.zeros(tmap.num_multipliers)),
+        u=FeFunction(np.zeros(1)),
+        multiplier=FeFunction(np.zeros(tmap.num_multipliers)),
         active=np.zeros(tmap.num_multipliers, dtype=bool),
         iterations=1,
         residual=0.0,
@@ -389,6 +388,21 @@ def test_affine_obstacle_supported(sol):
     assert np.all(vi.u.values[system.trace_dofs] <= g + 1e-10)
     for active, u, lam in brute_force_vi(system, g=g):
         assert np.abs(vi.u.values - u).max() <= 1e-10
+
+
+@pytest.mark.parametrize("entry", [np.nan, -np.inf, np.inf])
+def test_a_non_finite_obstacle_is_refused(sol, entry):
+    # every comparison with NaN is false, so unchecked it would leave all
+    # DOFs inactive and "converge"
+    mesh, tmap, system = make_problem(4, sol)
+    smap = SteklovMap(mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass)
+    one_bad = np.zeros(tmap.num_multipliers)
+    one_bad[3] = entry
+    for g, message in ((one_bad, "1 non-finite of 31"), (entry, "31 non-finite of 31")):
+        with pytest.raises(ValueError, match=message):
+            solve_vi(mesh, tmap, sol, g=g, system=system)
+        with pytest.raises(ValueError, match=message):
+            steklov.solve_schur_vi(smap, system.load, system.dirichlet_values, g=g)
 
 
 def test_nonconvergence_carries_iterate(sol):

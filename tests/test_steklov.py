@@ -33,7 +33,7 @@ def test_apply_zero_is_zero(sol):
     m = mesh_at_level(2)
     smap = SteklovMap(m, trace_map(m))
     out = smap.apply(np.zeros(smap.num_multipliers))
-    assert np.all(out.values == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_linearity(sol):
@@ -42,8 +42,8 @@ def test_linearity(sol):
     rng = np.random.default_rng(0)
     z1 = rng.standard_normal(smap.num_multipliers)
     z2 = rng.standard_normal(smap.num_multipliers)
-    lhs = smap.apply(2.0 * z1 - 3.0 * z2).values
-    rhs = 2.0 * smap.apply(z1).values - 3.0 * smap.apply(z2).values
+    lhs = smap.apply(2.0 * z1 - 3.0 * z2)
+    rhs = 2.0 * smap.apply(z1) - 3.0 * smap.apply(z2)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -57,7 +57,7 @@ def test_ellipticity_identity(sol):
     for _ in range(10):
         v = rng.standard_normal(smap.num_multipliers)
         s, w = smap.apply(v), smap.extension(v)
-        pairing = float(np.sum(v * s.values * smap.lumped))
+        pairing = float(np.sum(v * s * smap.lumped))
         energy = float(w @ (A @ w))
         assert abs(pairing - energy) <= 1e-10 * abs(energy)
 
@@ -68,8 +68,8 @@ def test_symmetry(sol):
     rng = np.random.default_rng(9)
     v = rng.standard_normal(smap.num_multipliers)
     w = rng.standard_normal(smap.num_multipliers)
-    left = float(np.sum(v * smap.apply(w).values * smap.lumped))
-    right = float(np.sum(w * smap.apply(v).values * smap.lumped))
+    left = float(np.sum(v * smap.apply(w) * smap.lumped))
+    right = float(np.sum(w * smap.apply(v) * smap.lumped))
     assert abs(left - right) <= 1e-10 * max(abs(left), 1e-30)
 
 
@@ -129,7 +129,7 @@ def apply_columns(smap):
     for k in range(n):
         e = np.zeros(n)
         e[k] = 1.0
-        cols[:, k] = smap.apply(e).values
+        cols[:, k] = smap.apply(e)
     return cols
 
 
@@ -289,7 +289,7 @@ def test_condensed_load_is_the_newton_potential(level, sol):
     system = build_system(m, tm, sol)
     _, nu = condense_system(system)
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
-    ref = smap.newton_potential(system.load, dirichlet_values=system.dirichlet_values).values
+    ref = smap.newton_potential(system.load, dirichlet_values=system.dirichlet_values)
     assert np.abs(nu - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -302,7 +302,7 @@ def test_condensed_system_gives_the_consistency_flux(level, sol):
     sigma, nu = condense_system(system)
     z = exact_trace_values(sol, tm, system.lumped_mass)
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
-    ref = smap.exact_trace_flux(sol, system.load).values
+    ref = smap.exact_trace_flux(sol, system.load)
     assert np.abs(nu - sigma @ z - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -318,7 +318,7 @@ def test_grid_flux_is_the_consistency_flux(level, sol):
     w[system.trace_dofs] = exact_trace_values(sol, tm, system.lumped_mass)
     lam = system.grid.flux(w, system.load) / system.lumped_mass
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
-    ref = smap.exact_trace_flux(sol, system.load).values
+    ref = smap.exact_trace_flux(sol, system.load)
     assert np.abs(lam - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -326,7 +326,7 @@ def test_newton_potential_zero_data(sol):
     m = mesh_at_level(2)
     smap = SteklovMap(m, trace_map(m))
     nu = smap.newton_potential(np.zeros(m.num_vertices))
-    assert np.all(nu.values == 0.0)
+    assert np.all(nu == 0.0)
 
 
 def test_newton_potential_linear_in_load(sol):
@@ -334,8 +334,8 @@ def test_newton_potential_linear_in_load(sol):
     tm = trace_map(m)
     system = build_system(m, tm, sol)
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
-    nu1 = smap.newton_potential(system.load).values
-    nu3 = smap.newton_potential(3.0 * system.load).values
+    nu1 = smap.newton_potential(system.load)
+    nu3 = smap.newton_potential(3.0 * system.load)
     assert np.allclose(nu3, 3.0 * nu1, rtol=1e-12)
 
 
@@ -392,7 +392,7 @@ def _trace_moments_oracle(fn, tm, kinks, epsabs=1e-12):
     batched integrator replaced, kept as its reference."""
     x = tm.x
     moments = []
-    for p in np.flatnonzero(tm.interior):
+    for p in range(1, x.shape[0] - 1):
         total = 0.0
         for lo, hi, slope, offset in ((x[p - 1], x[p], 3.0, -1.0), (x[p], x[p + 1], -3.0, 2.0)):
             pts = [k for k in kinks if lo < k < hi]
@@ -452,7 +452,7 @@ def test_exact_trace_flux_reproduces_discrete_flux_of_p1_data(sol):
             return np.interp(x, tm.x, u[tm.vertices]) if np.all(np.asarray(y) == 0) else sol.u(x, y)
 
     lam_tilde = smap.exact_trace_flux(P1Data(), F)
-    assert np.abs(lam_tilde.values - flux).max() <= 1e-10
+    assert np.abs(lam_tilde - flux).max() <= 1e-10
 
 
 def test_exact_trace_flux_zero_problem():
@@ -474,7 +474,7 @@ def test_exact_trace_flux_zero_problem():
     tm = trace_map(m)
     smap = SteklovMap(m, tm)
     lam = smap.exact_trace_flux(Zero(), np.zeros(m.num_vertices))
-    assert np.abs(lam.values).max() <= 1e-14
+    assert np.abs(lam).max() <= 1e-14
 
 
 def test_schur_vi_nonconvergence_raises(sol):
