@@ -17,12 +17,19 @@ inside it.
 
 All evaluators are closed-form, vectorized over numpy arrays, and pure; the
 volume load is obtained from the product rule using that the singular terms
-are harmonic.  A finite-difference cross-check of the gradient and the
-Laplacian lives in the test suite, not in any runtime path.
+are harmonic.  Each singular term is evaluated only on its cut-off's
+support, x < s1 on the left and 1.4 - x < s1 on the right, and the spline
+only on its band (s0, s1): elsewhere the skipped products are exact zeros
+and the plateau values exactly 1 and 0, so the results are those of the
+formulas on every point.  ``u_and_grad`` returns u and its gradient from
+one evaluation of each term, for the volume norms.  A finite-difference
+cross-check of the gradient and the Laplacian lives in the test suite, not
+in any runtime path.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,6 +43,16 @@ REFLECTION_OFFSET = 1.4
 X_LEFT_DEFAULT = 0.2 + 0.3 / math.pi
 X_RIGHT_DEFAULT = 1.2 - 0.3 / math.pi
 
+#: A call with a coordinate of larger magnitude is evaluated unmasked: there
+#: r**1.5 can overflow, and inf * 0 is NaN, not the zero a skipped term
+#: stands for.
+_BOUNDED = 1e100
+
+#: Points per block of an evaluation.  A block's temporaries, 256 KiB each,
+#: stay in a core's 2 MiB L2 cache; unblocked, the level-8 load and volume
+#: norms took about 12 % longer on a 2-core Xeon.
+_BLOCK = 1 << 15
+
 
 def singular_term(r, theta):
     """Corner singularity r^(3/2) * sin(3 theta / 2), zero at r = 0."""
@@ -48,6 +65,27 @@ def _singular_with_gradient(r, theta):
     """singular_term and its partial derivatives along and across its axis."""
     sq = 1.5 * np.sqrt(r)
     return singular_term(r, theta), sq * np.sin(0.5 * theta), sq * np.cos(0.5 * theta)
+
+
+def _blockwise(method):
+    """Evaluator decorator: method(self, x, y) gets x and y broadcast to
+    float arrays of one shape, in flat blocks of ``_BLOCK`` points when there
+    are more.  The evaluators are pointwise, so the blocks change no value;
+    they keep the temporaries in cache.  method returns an array or a tuple
+    of arrays."""
+
+    @functools.wraps(method)
+    def evaluate(self, x, y):
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if x.size <= _BLOCK:
+            return method(self, x, y)
+        xf, yf = x.reshape(-1), y.reshape(-1)
+        blocks = [method(self, xf[i : i + _BLOCK], yf[i : i + _BLOCK]) for i in range(0, xf.size, _BLOCK)]
+        if isinstance(blocks[0], tuple):
+            return tuple(np.concatenate(parts).reshape(x.shape) for parts in zip(*blocks))
+        return np.concatenate(blocks).reshape(x.shape)
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -68,25 +106,35 @@ class CutoffSpline:
         if not 0.0 < self.s0 < self.s1:
             raise ValueError(f"cut-off knots must satisfy 0 < s0 < s1, got ({self.s0}, {self.s1})")
 
-    def _t(self, s):
+    def _values(self, s, order: int) -> list:
+        """The cut-off and its first ``order`` (at most 2) derivatives at s.
+
+        The quartic is evaluated on the band s0 < s < s1 only, NaN included;
+        there t lies in (0, 1].  Below the band the values are exactly 1 and
+        0, above it all 0, as the quartic gives at t = 0 and t = 1.
+        """
         s = np.asarray(s, dtype=float)
-        return np.clip((s - self.s0) / (self.s1 - self.s0), 0.0, 1.0)
+        below = s <= self.s0
+        band = ~(below | (s >= self.s1))
+        out = [np.asarray(below, dtype=float)] + [np.zeros(s.shape) for _ in range(order)]
+        h = self.s1 - self.s0
+        t = (s[band] - self.s0) / h
+        out[0][band] = 1.0 + t**3 * (3.0 * t - 4.0)
+        if order >= 1:
+            inside = (t > 0.0) & (t < 1.0)
+            out[1][band] = np.where(inside, 12.0 * t**2 * (t - 1.0) / h, 0.0)
+        if order >= 2:
+            out[2][band] = np.where(inside, (36.0 * t**2 - 24.0 * t) / h**2, 0.0)
+        return out
 
     def __call__(self, s):
-        t = self._t(s)
-        return 1.0 + t**3 * (3.0 * t - 4.0)
+        return self._values(s, 0)[0][()]
 
     def d1(self, s):
-        t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
-        h = self.s1 - self.s0
-        return np.where(inside, 12.0 * t**2 * (t - 1.0) / h, 0.0)
+        return self._values(s, 1)[1][()]
 
     def d2(self, s):
-        t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
-        h = self.s1 - self.s0
-        return np.where(inside, (36.0 * t**2 - 24.0 * t) / h**2, 0.0)
+        return self._values(s, 2)[2][()]
 
 
 @dataclass(frozen=True)
@@ -140,33 +188,71 @@ class ExactSolution:
         theta = np.arctan2(y, xi)
         return r, theta
 
+    def _terms(self, x, y, order: int):
+        """The left and the reflected right singular term, each with its
+        cut-off and only where that cut-off can be nonzero.
+
+        Yields (on, weight, y[on], factors) per term, weight 1 on the left.
+        The factors are (S, C) for order 0 and (S, S_x, S_y, C, C_x) plus
+        C_xx for order 2, all at the points of the mask ``on`` and all
+        derivatives in x: the reflected term's S_xi and C' change sign.  Off
+        ``on`` the cut-off and its derivatives are exactly 0, so every
+        skipped product is an exact zero.  A call with a NaN, inf or huge
+        coordinate keeps every point on both supports, so the formulas see
+        them as they would unmasked.
+        """
+        tame = np.abs(x).max(initial=0.0) <= _BOUNDED and np.abs(y).max(initial=0.0) <= _BOUNDED
+        for reflected in (False, True):
+            if tame:
+                on = (REFLECTION_OFFSET - x if reflected else x) < self.cutoff.s1
+            else:
+                on = np.ones(x.shape, dtype=bool)
+            x_on, y_on = x[on], y[on]
+            if reflected:
+                xi, arg, weight = self.x_right - x_on, REFLECTION_OFFSET - x_on, self.weight
+            else:
+                xi, arg, weight = x_on - self.x_left, x_on, 1.0
+            cut = self.cutoff._values(arg, order)
+            if order == 0:
+                yield on, weight, y_on, (singular_term(*self._polar(xi, y_on)), cut[0])
+                continue
+            s, s_x, s_y = _singular_with_gradient(*self._polar(xi, y_on))
+            if reflected:
+                s_x = -s_x
+                cut[1] = -cut[1]
+            yield on, weight, y_on, (s, s_x, s_y, *cut)
+
+    @_blockwise
     def u(self, x, y):
         """Solution value at (x, y) in the closed domain."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s1 = singular_term(*self._polar(x - self.x_left, y))
-        s2 = singular_term(*self._polar(self.x_right - x, y))
-        c1 = self.cutoff(x)
-        c2 = self.cutoff(REFLECTION_OFFSET - x)
-        return (s1 * c1 + self.weight * s2 * c2) * (1.0 - y**2)
+        v = np.zeros(x.shape)
+        for on, a, _, (s, c) in self._terms(x, y, 0):
+            v[on] += a * s * c
+        return v * (1.0 - y**2)
+
+    @_blockwise
+    def u_and_grad(self, x, y):
+        """(u, u_x, u_y) at (x, y), each singular term evaluated once; the
+        values are those of ``u`` and ``grad_u``."""
+        v, ux, uy = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
+        for on, a, _, (s, s_x, s_y, c, c_x) in self._terms(x, y, 1):
+            v[on] += a * s * c
+            # u_x takes its four products one at a time, in the order of the
+            # unmasked sum, so that no rounding moves
+            part = ux[on]
+            part += a * s_x * c
+            part += a * s * c_x
+            ux[on] = part
+            uy[on] += a * s_y * c
+        yfac = 1.0 - y**2
+        return v * yfac, ux * yfac, uy * yfac + v * (-2.0 * y)
 
     def grad_u(self, x, y):
         """Gradient (u_x, u_y); at a transmission point the singular
         gradient vanishes like r^(1/2) and is continuously extended by 0."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
-        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
-        c1 = self.cutoff(x)
-        c2 = self.cutoff(REFLECTION_OFFSET - x)
-        c1p = self.cutoff.d1(x)
-        c2p = self.cutoff.d1(REFLECTION_OFFSET - x)  # derivative in the spline argument
-        yfac = 1.0 - y**2
-        a = self.weight
-        ux = (s1x * c1 + s1 * c1p + a * (-s2xi) * c2 + a * s2 * (-c2p)) * yfac
-        uy = (s1y * c1 + a * s2y * c2) * yfac + (s1 * c1 + a * s2 * c2) * (-2.0 * y)
-        return ux, uy
+        return self.u_and_grad(x, y)[1:]
 
+    @_blockwise
     def rhs(self, x, y):
         """Volume load f = -Laplace(u).
 
@@ -174,26 +260,11 @@ class ExactSolution:
         Laplace(S C Y) = 2 S_x C' Y + S C'' Y + 2 S_y C Y' + S C Y'' with
         Y = 1 - y^2.  The result is bounded on the closed domain.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
-        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
-        c1 = self.cutoff(x)
-        c2 = self.cutoff(REFLECTION_OFFSET - x)
-        c1p = self.cutoff.d1(x)
-        c2p = self.cutoff.d1(REFLECTION_OFFSET - x)
-        c1pp = self.cutoff.d2(x)
-        c2pp = self.cutoff.d2(REFLECTION_OFFSET - x)
-        yfac = 1.0 - y**2
-        # d/dx of cut(1.4 - x) is -c2p, d2/dx2 is +c2pp
-        lap1 = 2.0 * s1x * c1p * yfac + s1 * c1pp * yfac - 4.0 * y * s1y * c1 - 2.0 * s1 * c1
-        lap2 = (
-            2.0 * (-s2xi) * (-c2p) * yfac
-            + s2 * c2pp * yfac
-            - 4.0 * y * s2y * c2
-            - 2.0 * s2 * c2
-        )
-        return -(lap1 + self.weight * lap2)
+        lap = np.zeros(x.shape)
+        for on, a, y_on, (s, s_x, s_y, c, c_x, c_xx) in self._terms(x, y, 2):
+            yfac = 1.0 - y_on**2
+            lap[on] += a * (2.0 * s_x * c_x * yfac + s * c_xx * yfac - 4.0 * y_on * s_y * c - 2.0 * s * c)
+        return -lap
 
     def flux(self, x):
         """Multiplier lambda(x) = -du/dn = du/dy on y = 0.

@@ -299,6 +299,14 @@ def point_triangle_distances(point: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return dist
 
 
+def corner_range(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest of the three corner values c (t, 3) per triangle,
+    corner by corner: a min over the short corner axis is ~10x slower."""
+    lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
+    hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
+    return lo, hi
+
+
 def cells_near(tri: np.ndarray, points, radius) -> np.ndarray:
     """Mask of the triangles whose closure lies within radius of a point.
 
@@ -314,9 +322,7 @@ def cells_near(tri: np.ndarray, points, radius) -> np.ndarray:
     pad = radius * (1.0 + 1e-9) + 1e-12
 
     def grown_range(c):
-        # corner by corner: a min over the short corner axis is ~10x slower
-        lo = np.minimum(np.minimum(c[:, 0], c[:, 1]), c[:, 2])
-        hi = np.maximum(np.maximum(c[:, 0], c[:, 1]), c[:, 2])
+        lo, hi = corner_range(c)
         return lo - pad, hi + pad
 
     (x_lo, x_hi), (y_lo, y_hi) = grown_range(tri[..., 0]), grown_range(tri[..., 1])

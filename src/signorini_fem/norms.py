@@ -4,18 +4,22 @@ Volume norms use a fixed triangle rule per cell, with graded quadrisection
 near the transmission points, where the exact solution has fractional
 regularity.  The subdivision runs breadth first: all pieces of one depth
 form one batch, so the exact solution is evaluated a few times per depth
-rather than once per piece.  Trace norms are adaptive G10/K21 integrals
+rather than once per piece, and each evaluation is one call of the fused
+``u_and_grad``, which evaluates each singular term once and only on its
+cut-off's support.  Trace norms are adaptive G10/K21 integrals
 (``quad``) over all trace elements at once, split at the known kink
 locations.  The negative-order boundary norm is a discrete dual norm on a
 fine reference trace grid (``mesh.trace_grid``): the nodal multiplier
 is prolongated exactly, the exact flux is interpolated, and the dual norm
-against the H1 Gram matrix of the reference space is evaluated by a sparse solve.
+against the H1 Gram matrix of the reference space is evaluated with a
+sparse factorization made once per reference level.
 Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
 sqrt(H-1 * L2).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +29,7 @@ from .assembly import (
     TRIANGLE_CHUNK,
     element_gradients,
     line_grams,
+    map_points,
     quad,
     quadrisect,
     tri_quadrature,
@@ -101,11 +106,8 @@ def volume_errors(
             sel = leaves[start : start + TRIANGLE_CHUNK]
             cells = tri[sel]
             t = owner[sel, None]
-            pts = np.einsum("qk,tkd->tqd", bary, cells)
-            x = pts[..., 0]
-            y = pts[..., 1]
-            ue = sol.u(x, y)
-            uex, uey = sol.grad_u(x, y)
+            x, y = map_points(bary, cells)
+            ue, uex, uey = sol.u_and_grad(x, y)
             uh = c0[t] + g[t, 0] * x + g[t, 1] * y
             area = triangle_areas(cells)
             l2 += float(np.einsum("tq,q,t->", (ue - uh) ** 2, w, area))
@@ -178,21 +180,37 @@ def prolong_trace_values(values: np.ndarray, times: int) -> np.ndarray:
     return v
 
 
-def dual_norm(err_values: np.ndarray, mass, h1gram) -> float:
+def h1_interior_solver(mass, stiff):
+    """Solver with the interior block (endpoints removed) of the H1 Gram
+    matrix mass + stiff of a line grid, factorized once."""
+    return spla.factorized((mass + stiff).tocsr()[1:-1, 1:-1].tocsc())
+
+
+def dual_norm(err_values: np.ndarray, mass, solve_inner) -> float:
     """Discrete dual norm of a nodal error against the H1 Gram matrix.
 
     Computes sup over the reference space functions vanishing at the
-    endpoints of <e, w> / ||w||_H1 via one sparse solve: with r = M e,
-    the value is sqrt(r^T y) where H y = r on the interior nodes.
+    endpoints of <e, w> / ||w||_H1: with r = M e, the value is sqrt(r^T y)
+    where H y = r on the interior nodes, and ``solve_inner`` solves with
+    that interior block (``h1_interior_solver``).
     """
     r = mass @ err_values
     inner = slice(1, -1)
-    h_inner = h1gram[inner, inner].tocsc()
-    y = spla.spsolve(h_inner, r[inner])
+    y = solve_inner(r[inner])
     val = float(r[inner] @ y)
     if not np.isfinite(val) or val < -1e-14:
         raise ValueError("dual norm solve failed")
     return float(np.sqrt(max(val, 0.0)))
+
+
+@functools.lru_cache(maxsize=4)
+def _reference_space(ref_level: int):
+    """The reference trace grid of ref_level, its mass matrix and its H1
+    interior solver.  A study uses one reference level for every level and
+    multiplier, so the factorization is made once."""
+    x_ref = trace_grid(ref_level)
+    mass, stiff = line_grams(x_ref)
+    return x_ref, mass, h1_interior_solver(mass, stiff)
 
 
 def h_minus1_error(hat_values: np.ndarray, level: int, flux_fn, ref_level: int) -> float:
@@ -205,12 +223,11 @@ def h_minus1_error(hat_values: np.ndarray, level: int, flux_fn, ref_level: int) 
     if ref_level < level:
         raise ValueError("reference level must not be coarser than the data")
     fine = prolong_trace_values(hat_values, ref_level - level)
-    x_ref = trace_grid(ref_level)
+    x_ref, mass, solve_inner = _reference_space(ref_level)
     if fine.shape[0] != x_ref.shape[0]:
         raise ValueError("trace value count does not match its level")
     err = fine - flux_fn(x_ref)
-    mass, stiff = line_grams(x_ref)
-    return dual_norm(err, mass, (mass + stiff).tocsr())
+    return dual_norm(err, mass, solve_inner)
 
 
 def error_report(

@@ -4,17 +4,33 @@ Each reference computes a quantity the package also computes, by the plain
 route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, the full-space PDAS from the empty active set for the
-contact solve, and edge lists for the boundary that the package reads
-from vertex coordinates.  The cone helper is a view that only the tests
-need, and ``count_grid_builds`` counts the grid solvers a call builds.
+contact solve, edge lists for the boundary that the package reads
+from vertex coordinates, both singular terms of the exact solution on
+every point, ``einsum`` for the load's and the volume norms' point maps
+and sums, and a fresh sparse solve per H^-1 dual norm.  The cone helper is
+a view that only the tests need, and ``count_grid_builds`` counts the grid
+solvers a call builds.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from signorini_fem import assembly, solver
-from signorini_fem.assembly import FeFunction, FeSystem, assemble_stiffness, dof_partition
+from signorini_fem import assembly, norms, solver
+from signorini_fem.assembly import (
+    TRIANGLE_CHUNK,
+    FeFunction,
+    FeSystem,
+    assemble_stiffness,
+    dof_partition,
+    element_gradients,
+    quadrisect,
+    signed_areas,
+    tri_quadrature,
+    triangle_areas,
+)
 from signorini_fem.biortho import dual_shape_values
-from signorini_fem.mesh import TraceMap, TriMesh, build_initial, elimination_order, trace_map
+from signorini_fem.manufactured import REFLECTION_OFFSET
+from signorini_fem.mesh import TraceMap, TriMesh, build_initial, cells_near, elimination_order, trace_map
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
 
@@ -294,3 +310,216 @@ def _poly_area(poly: list) -> float:
         q = poly[(i + 1) % n]
         a += p[0] * q[1] - q[0] * p[1]
     return 0.5 * a
+
+
+class CutoffOracle:
+    """The quartic cut-off on every point: t clipped to [0, 1], then the
+    polynomial and its derivatives, with no band mask."""
+
+    def __init__(self, s0: float, s1: float):
+        self.s0 = s0
+        self.s1 = s1
+
+    def _t(self, s):
+        s = np.asarray(s, dtype=float)
+        return np.clip((s - self.s0) / (self.s1 - self.s0), 0.0, 1.0)
+
+    def __call__(self, s):
+        t = self._t(s)
+        return 1.0 + t**3 * (3.0 * t - 4.0)
+
+    def d1(self, s):
+        t = self._t(s)
+        inside = (t > 0.0) & (t < 1.0)
+        h = self.s1 - self.s0
+        return np.where(inside, 12.0 * t**2 * (t - 1.0) / h, 0.0)
+
+    def d2(self, s):
+        t = self._t(s)
+        inside = (t > 0.0) & (t < 1.0)
+        h = self.s1 - self.s0
+        return np.where(inside, (36.0 * t**2 - 24.0 * t) / h**2, 0.0)
+
+
+class ExactOracle:
+    """u, grad_u and rhs of an ``ExactSolution`` with both singular terms
+    and both cut-offs evaluated on every point, by the product formulas."""
+
+    def __init__(self, sol):
+        self.x_left = sol.x_left
+        self.x_right = sol.x_right
+        self.weight = sol.weight
+        self.cutoff = CutoffOracle(sol.cutoff.s0, sol.cutoff.s1)
+
+    def _polar(self, xi, y):
+        r = np.hypot(xi, y)
+        theta = np.arctan2(y, xi)
+        return r, theta
+
+    def u(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        s1 = _singular_term(*self._polar(x - self.x_left, y))
+        s2 = _singular_term(*self._polar(self.x_right - x, y))
+        c1 = self.cutoff(x)
+        c2 = self.cutoff(REFLECTION_OFFSET - x)
+        return (s1 * c1 + self.weight * s2 * c2) * (1.0 - y**2)
+
+    def grad_u(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
+        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
+        c1 = self.cutoff(x)
+        c2 = self.cutoff(REFLECTION_OFFSET - x)
+        c1p = self.cutoff.d1(x)
+        c2p = self.cutoff.d1(REFLECTION_OFFSET - x)  # derivative in the spline argument
+        yfac = 1.0 - y**2
+        a = self.weight
+        ux = (s1x * c1 + s1 * c1p + a * (-s2xi) * c2 + a * s2 * (-c2p)) * yfac
+        uy = (s1y * c1 + a * s2y * c2) * yfac + (s1 * c1 + a * s2 * c2) * (-2.0 * y)
+        return ux, uy
+
+    def rhs(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        s1, s1x, s1y = _singular_with_gradient(*self._polar(x - self.x_left, y))
+        s2, s2xi, s2y = _singular_with_gradient(*self._polar(self.x_right - x, y))
+        c1 = self.cutoff(x)
+        c2 = self.cutoff(REFLECTION_OFFSET - x)
+        c1p = self.cutoff.d1(x)
+        c2p = self.cutoff.d1(REFLECTION_OFFSET - x)
+        c1pp = self.cutoff.d2(x)
+        c2pp = self.cutoff.d2(REFLECTION_OFFSET - x)
+        yfac = 1.0 - y**2
+        # d/dx of cut(1.4 - x) is -c2p, d2/dx2 is +c2pp
+        lap1 = 2.0 * s1x * c1p * yfac + s1 * c1pp * yfac - 4.0 * y * s1y * c1 - 2.0 * s1 * c1
+        lap2 = (
+            2.0 * (-s2xi) * (-c2p) * yfac
+            + s2 * c2pp * yfac
+            - 4.0 * y * s2y * c2
+            - 2.0 * s2 * c2
+        )
+        return -(lap1 + self.weight * lap2)
+
+
+def _singular_term(r, theta):
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    return r**1.5 * np.sin(1.5 * theta)
+
+
+def _singular_with_gradient(r, theta):
+    sq = 1.5 * np.sqrt(r)
+    return _singular_term(r, theta), sq * np.sin(0.5 * theta), sq * np.cos(0.5 * theta)
+
+
+def assemble_load_einsum(mesh: TriMesh, f, degree: int = 4, refine_near=None, split_x=()) -> np.ndarray:
+    """``assembly.assemble_load`` with its points mapped and its products
+    summed by ``einsum``."""
+    bary, w = tri_quadrature(degree)
+    coords = mesh.vertices[mesh.triangles]
+    area = signed_areas(coords)
+    load = np.zeros(mesh.num_vertices)
+
+    if refine_near is None:
+        near = np.zeros(mesh.num_triangles, dtype=bool)
+    else:
+        near = cells_near(coords, *refine_near)
+    crossing = np.zeros(mesh.num_triangles, dtype=bool)
+    xs = coords[..., 0]
+    for c in split_x:
+        crossing |= (xs.min(axis=1) < c) & (c < xs.max(axis=1))
+    special = near | crossing
+
+    regular = np.flatnonzero(~special)
+    for start in range(0, regular.shape[0], TRIANGLE_CHUNK):
+        sel = regular[start : start + TRIANGLE_CHUNK]
+        pts = np.einsum("qk,tkd->tqd", bary, coords[sel])
+        vals = f(pts[..., 0], pts[..., 1])
+        contrib = np.einsum("tq,q,qk->tk", vals, w, bary) * area[sel, None]
+        np.add.at(load, mesh.triangles[sel].ravel(), contrib.ravel())
+
+    special_idx = np.flatnonzero(special)
+    if not special_idx.size:
+        return load
+    crossed = np.flatnonzero(crossing)
+    cut, owner = assembly._split_by_lines(coords[crossed], split_x)
+    whole = np.flatnonzero(special & ~crossing)
+    parent = np.concatenate([whole, crossed[owner]])
+    order = np.argsort(parent, kind="stable")
+    pieces = np.concatenate([coords[whole], cut])[order]
+    parent = parent[order]
+    refined = near[parent]
+    if np.any(refined):
+        children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
+        pieces = np.concatenate([pieces[~refined], children])
+        parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
+    for start in range(0, pieces.shape[0], TRIANGLE_CHUNK):
+        sub = pieces[start : start + TRIANGLE_CHUNK]
+        owner = parent[start : start + TRIANGLE_CHUNK]
+        pts = np.einsum("qk,pkd->pqd", bary, sub)
+        vals = f(pts[..., 0], pts[..., 1])
+        hats = np.einsum("pqd,pdk->pqk", pts - coords[owner, None, 0], element_gradients(coords[owner])[0])
+        hats[..., 0] += 1.0
+        contrib = np.einsum("pq,q,pqk->pk", vals, w, hats) * triangle_areas(sub)[:, None]
+        np.add.at(load, mesh.triangles[owner].ravel(), contrib.ravel())
+    return load
+
+
+def volume_errors_einsum(mesh: TriMesh, u_values: np.ndarray, sol, max_depth: int = 6, graded: bool = True):
+    """``norms.volume_errors`` with its points mapped by ``einsum`` and the
+    exact solution evaluated by separate ``u`` and ``grad_u`` calls."""
+    bary, w = tri_quadrature(norms.VOLUME_DEGREE)
+    c0, g = norms._affine_data(mesh, u_values)
+    tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
+
+    def leaf_sums(tri, owner, leaves):
+        l2 = h1 = 0.0
+        for start in range(0, leaves.shape[0], TRIANGLE_CHUNK):
+            sel = leaves[start : start + TRIANGLE_CHUNK]
+            cells = tri[sel]
+            t = owner[sel, None]
+            pts = np.einsum("qk,tkd->tqd", bary, cells)
+            x = pts[..., 0]
+            y = pts[..., 1]
+            ue = sol.u(x, y)
+            uex, uey = sol.grad_u(x, y)
+            uh = c0[t] + g[t, 0] * x + g[t, 1] * y
+            area = triangle_areas(cells)
+            l2 += float(np.einsum("tq,q,t->", (ue - uh) ** 2, w, area))
+            h1 += float(np.einsum("tq,q,t->", (uex - g[t, 0]) ** 2 + (uey - g[t, 1]) ** 2, w, area))
+        return l2, h1
+
+    tri = mesh.vertices[mesh.triangles]
+    owner = np.arange(mesh.num_triangles)
+    split = cells_near(tri, tps, 2.0 * mesh.max_edge_length())
+    total_l2 = total_h1 = 0.0
+    for depth in range(max_depth + 1):
+        if depth == max_depth:
+            split[:] = False
+        elif graded:
+            near = tri[split]
+            edges = near - np.roll(near, -1, axis=1)
+            diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
+            split[split] = cells_near(near, tps, 2.0 * diam)
+        l2, h1 = leaf_sums(tri, owner, np.flatnonzero(~split))
+        total_l2 += l2
+        total_h1 += h1
+        if not split.any():
+            break
+        tri = quadrisect(tri[split]).reshape(-1, 3, 2)
+        owner = np.repeat(owner[split], 4)
+        split = np.ones(tri.shape[0], dtype=bool)
+
+    return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))
+
+
+def dual_norm_spsolve(err_values: np.ndarray, mass, h1gram) -> float:
+    """``norms.dual_norm`` by one sparse solve with the interior block of
+    the H1 Gram matrix, rebuilt and solved on every call."""
+    r = mass @ err_values
+    inner = slice(1, -1)
+    h_inner = h1gram[inner, inner].tocsc()
+    y = spla.spsolve(h_inner, r[inner])
+    return float(np.sqrt(max(float(r[inner] @ y), 0.0)))

@@ -6,7 +6,7 @@ import pytest
 from signorini_fem import ExactSolution, assembly, mesh as msh
 from signorini_fem.mesh import WIDTH
 
-from oracles import boundary_edges, split_by_lines, unit_right_triangle
+from oracles import ExactOracle, assemble_load_einsum, boundary_edges, split_by_lines, unit_right_triangle
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,16 @@ def test_batched_load_matches_per_triangle_oracle(sol, level):
     load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
     oracle = _load_oracle(m, sol.rhs, 4, refine_near, sol.load_split_x)
     assert np.abs(load - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_load_equals_the_einsum_load_of_the_unmasked_formulas_bitwise(sol, level):
+    # support masks, blocks and the per-coordinate point mapping move no bit
+    m = msh.mesh_at_level(level)
+    refine_near = (np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]]), 2.0 * m.max_edge_length())
+    load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    oracle = assemble_load_einsum(m, ExactOracle(sol).rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    assert np.array_equal(load, oracle)
 
 
 def _split_one_cell_at_a_time(coords, lines):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from signorini_fem import mesh
-from signorini_fem.manufactured import CutoffSpline, ExactSolution, singular_term
+from signorini_fem.manufactured import REFLECTION_OFFSET, CutoffSpline, ExactSolution, singular_term
+
+from oracles import CutoffOracle, ExactOracle
+
+SOLUTIONS = [ExactSolution(), ExactSolution(weight=1.3, cutoff=CutoffSpline(0.3, 0.8))]
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +194,91 @@ def test_invalid_parameters():
 def test_kink_lines(sol):
     assert np.allclose(sol.load_split_x, (0.4, 0.5, 0.9, 1.0), rtol=0, atol=1e-15)
     assert sol.x_left in sol.kink_x and sol.x_right in sol.kink_x
+
+
+def _special_x(sol):
+    """The anchors, the domain ends and every knot of both cut-offs, each
+    with one step of rounding on either side."""
+    s0, s1 = sol.cutoff.s0, sol.cutoff.s1
+    knots = np.array([sol.x_left, sol.x_right, 0.0, mesh.WIDTH, s0, s1, REFLECTION_OFFSET - s0, REFLECTION_OFFSET - s1])
+    return np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+
+
+def _assert_same(new, old):
+    """Bit-equal values (NaN equal to NaN), in the same structure."""
+    if isinstance(old, tuple):
+        assert isinstance(new, tuple) and len(new) == len(old)
+        for a, b in zip(new, old):
+            _assert_same(a, b)
+        return
+    assert np.shape(new) == np.shape(old)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
+def _assert_evaluators_match(sol, x, y):
+    oracle = ExactOracle(sol)
+    _assert_same(sol.u(x, y), oracle.u(x, y))
+    _assert_same(sol.grad_u(x, y), oracle.grad_u(x, y))
+    _assert_same(sol.rhs(x, y), oracle.rhs(x, y))
+    _assert_same(sol.u_and_grad(x, y), (oracle.u(x, y), *oracle.grad_u(x, y)))
+
+
+@pytest.mark.parametrize("sol", SOLUTIONS, ids=["default", "w1.3-knots0.3,0.8"])
+def test_evaluators_equal_the_unmasked_formulas(sol):
+    # skipping each term off its cut-off's support changes no bit
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(0.0, mesh.WIDTH, 200_000)
+    y = rng.uniform(0.0, mesh.HEIGHT, 200_000)
+    _assert_evaluators_match(sol, x, y)
+    sx = _special_x(sol)
+    xs, ys = np.meshgrid(sx, [0.0, 1e-9, 0.3, mesh.HEIGHT])
+    _assert_evaluators_match(sol, xs, ys)
+    _assert_evaluators_match(sol, np.empty(0), np.empty(0))
+    _assert_evaluators_match(sol, sx, 0.0)  # broadcast y
+    _assert_evaluators_match(sol, 0.7, np.linspace(0.0, 1.0, 5))  # broadcast x
+    for xk in sx:
+        _assert_evaluators_match(sol, xk, 0.25)  # scalars
+    # (t, 6) blocks as the quadrature passes them, and strided views
+    tx = rng.uniform(0.0, mesh.WIDTH, (10_000, 12))
+    ty = rng.uniform(0.0, mesh.HEIGHT, (10_000, 12))
+    _assert_evaluators_match(sol, tx[:, :6], ty[:, :6])
+    _assert_evaluators_match(sol, tx[:, ::2], ty[:, 1::2])
+    _assert_evaluators_match(sol, np.ascontiguousarray(tx[:, :6]), np.ascontiguousarray(ty[:, :6]))
+    zeros = np.zeros_like(sx)
+    _assert_same(sol.u_trace(sx), ExactOracle(sol).u(sx, zeros))
+    _assert_same(sol.u_trace_d1(sx), ExactOracle(sol).grad_u(sx, zeros)[0])
+
+
+@pytest.mark.parametrize("knots", [(0.5, 1.0), (0.3, 0.8)])
+def test_cutoff_equals_the_clipped_quartic(knots):
+    cut, oracle = CutoffSpline(*knots), CutoffOracle(*knots)
+    rng = np.random.default_rng(7)
+    s0, s1 = knots
+    edges = np.array([s0, s1, 0.0, -1.0, 2.0])
+    s = np.concatenate(
+        [rng.uniform(-1.5, 2.5, 200_000), edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+    s = np.concatenate([s, [np.inf, -np.inf, np.nan]])
+    for name in ("__call__", "d1", "d2"):
+        _assert_same(getattr(cut, name)(s), getattr(oracle, name)(s))
+        _assert_same(getattr(cut, name)(s.reshape(-1, 1)[::3]), getattr(oracle, name)(s.reshape(-1, 1)[::3]))
+        for v in (s0, s1, 0.7, -3.0, 4.0):
+            new, old = getattr(cut, name)(v), getattr(oracle, name)(v)
+            assert np.shape(new) == np.shape(old) == () and new == old
+
+
+@pytest.mark.parametrize("sol", SOLUTIONS, ids=["default", "w1.3-knots0.3,0.8"])
+def test_non_finite_points_stay_loud(sol):
+    # a NaN coordinate must reach the formulas, not fall off a support mask
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x, y in ((np.nan, 0.1), (0.3, np.nan), (1.8, np.nan), (np.nan, 0.0)):
+            assert np.isnan(sol.u(x, y))
+            assert np.isnan(sol.rhs(x, y))
+            assert all(np.isnan(sol.grad_u(x, y)))
+            assert all(np.isnan(sol.u_and_grad(x, y)))
+            xs = np.array([0.2, x, 1.9])
+            assert np.isnan(sol.u(xs, y)).tolist() == [np.isnan(y), True, np.isnan(y)]
+        # infinite and huge points give what the unmasked formulas give
+        x = np.array([np.inf, -np.inf, 1.5, 2.0, 1e300, 0.5])
+        y = np.array([0.2, 0.2, np.inf, 1e200, 0.1, -np.inf])
+        _assert_evaluators_match(sol, x, y)

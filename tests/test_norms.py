@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from signorini_fem import ExactSolution, mesh_at_level, trace_map
-from signorini_fem.mesh import WIDTH
+from signorini_fem import ExactSolution, mesh_at_level, norms, trace_map
+from signorini_fem.mesh import WIDTH, trace_grid
 from signorini_fem.assembly import element_gradients, line_grams, quad, tri_quadrature
 from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import (
     dual_norm,
     geometric_mean,
+    h1_interior_solver,
     h_minus1_error,
     multiplier_l2_error,
     prolong_trace_values,
@@ -17,6 +18,8 @@ from signorini_fem.norms import (
 )
 from signorini_fem.study import averaged_rate
 from signorini_fem.solver import solve_vi
+
+from oracles import ExactOracle, dual_norm_spsolve, volume_errors_einsum
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +42,10 @@ class AffineData:
     def grad_u(x, y):
         x = np.asarray(x, dtype=float)
         return 0.5 * np.ones_like(x), -0.25 * np.ones_like(x)
+
+    @staticmethod
+    def u_and_grad(x, y):
+        return (AffineData.u(x, y), *AffineData.grad_u(x, y))
 
     @staticmethod
     def u_trace(x):
@@ -106,8 +113,7 @@ def test_geometric_mean_values():
 def test_dual_norm_zero():
     x = np.linspace(0.0, 1.0, 9)
     mass, stiff = line_grams(x)
-    h1 = (mass + stiff).tocsr()
-    assert dual_norm(np.zeros(9), mass, h1) == 0.0
+    assert dual_norm(np.zeros(9), mass, h1_interior_solver(mass, stiff)) == 0.0
 
 
 def test_dual_norm_single_hat_against_dense_oracle():
@@ -117,7 +123,7 @@ def test_dual_norm_single_hat_against_dense_oracle():
     for j in (1, 4, 7):
         e = np.zeros(9)
         e[j] = 1.0
-        val = dual_norm(e, mass, h1)
+        val = dual_norm(e, mass, h1_interior_solver(mass, stiff))
         m_dense = mass.toarray()
         h_dense = h1.toarray()[1:-1, 1:-1]
         r = (m_dense @ e)[1:-1]
@@ -130,11 +136,11 @@ def test_dual_norm_bounded_by_l2():
     rng = np.random.default_rng(23)
     x = np.linspace(0.0, 1.5, 33)
     mass, stiff = line_grams(x)
-    h1 = (mass + stiff).tocsr()
+    solve = h1_interior_solver(mass, stiff)
     for _ in range(10):
         e = rng.standard_normal(33)
         e[0] = e[-1] = 0.0
-        dn = dual_norm(e, mass, h1)
+        dn = dual_norm(e, mass, solve)
         l2 = float(np.sqrt(e @ (mass @ e)))
         assert dn <= l2 * (1.0 + 1e-12)
 
@@ -171,6 +177,27 @@ def test_h_minus1_error_of_interpolated_flux_is_small(sol):
     err = h_minus1_error(nodal, level, sol.flux, ref_level=level + 3)
     zero = h_minus1_error(np.zeros_like(nodal), level, sol.flux, ref_level=level + 3)
     assert err < 0.02 * zero
+
+
+@pytest.mark.parametrize("level, ref_level", [(4, 9), (8, 12)])
+def test_h_minus1_factor_is_made_once_per_reference_level(sol, monkeypatch, level, ref_level):
+    made = []
+    factorized = norms.spla.factorized
+    monkeypatch.setattr(norms.spla, "factorized", lambda a: made.append(a.shape) or factorized(a))
+    norms._reference_space.cache_clear()
+    hat = 0.9 * sol.flux(trace_map(mesh_at_level(level)).x)
+    first = h_minus1_error(hat, level, sol.flux, ref_level)
+    h_minus1_error(0.5 * hat, level, sol.flux, ref_level)
+    assert h_minus1_error(hat, level, sol.flux, ref_level) == first
+    assert len(made) == 1
+    # the cached factor gives the value of a fresh sparse solve
+    x_ref = trace_grid(ref_level)
+    mass, stiff = line_grams(x_ref)
+    err = prolong_trace_values(hat, ref_level - level) - sol.flux(x_ref)
+    assert first == dual_norm_spsolve(err, mass, (mass + stiff).tocsr())
+    h_minus1_error(np.zeros(2 * hat.size - 1), level + 1, sol.flux, ref_level + 1)
+    assert len(made) == 2
+    norms._reference_space.cache_clear()
 
 
 def test_multiplier_l2_error_against_dense_sampling(sol):
@@ -318,6 +345,15 @@ def test_volume_errors_match_recursive_oracle(sol, solved_levels, level):
     batched = volume_errors(m, u, sol)
     oracle = _volume_errors_oracle(m, u, sol)
     assert np.allclose(batched, oracle, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+def test_volume_errors_equal_the_einsum_route_bitwise(sol, level):
+    # the fused, masked evaluator and the point mapping move no bit
+    m = mesh_at_level(level)
+    x, y = m.vertices.T
+    nodal = sol.u(x, y) + 1e-3 * np.sin(7.0 * x) * y
+    assert volume_errors(m, nodal, sol) == volume_errors_einsum(m, nodal, ExactOracle(sol))
 
 
 @pytest.mark.parametrize("level, depth", [(2, 3), (3, 2), (3, 0)])
