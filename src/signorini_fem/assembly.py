@@ -22,8 +22,10 @@ stiffness checked against the stencil, once per system; every solve on the
 contact path and the study's consistency flux go through it.
 
 The module also holds the rules the error norms share: quadrisection and
-areas of batches of triangles, and ``quad``, a vectorized adaptive
-Gauss-Kronrod (G10/K21) integrator over many intervals at once.
+areas of batches of triangles, ``quad``, a vectorized adaptive
+Gauss-Kronrod (G10/K21) integrator over many intervals at once, and the
+DST-I with the second difference's eigenvalues, which diagonalize the
+line grid's P1 mass and stiffness.
 """
 
 from __future__ import annotations
@@ -434,23 +436,6 @@ def boundary_lumped_mass(tmap: TraceMap) -> np.ndarray:
     return 0.5 * (h[:-1] + h[1:])
 
 
-def line_grams(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """1D P1 mass and stiffness matrices on the node set x (increasing)."""
-    h = np.diff(x)
-    n = x.shape[0]
-    main_m = np.zeros(n)
-    main_m[:-1] += h / 3.0
-    main_m[1:] += h / 3.0
-    off_m = h / 6.0
-    mass = sp.diags([off_m, main_m, off_m], offsets=[-1, 0, 1], format="csr")
-    main_k = np.zeros(n)
-    main_k[:-1] += 1.0 / h
-    main_k[1:] += 1.0 / h
-    off_k = -1.0 / h
-    stiff = sp.diags([off_k, main_k, off_k], offsets=[-1, 0, 1], format="csr")
-    return mass, stiff
-
-
 def dof_partition(mesh: TriMesh, tmap: TraceMap):
     """Dirichlet / free / interior split of the vertices.
 
@@ -522,11 +507,10 @@ class GridPoisson:
         self.trace_dofs = trace_dofs
         self.interior = cells[n:]
         self._b = b
-        # a lam_k + b mu_l, with 4 sin^2(pi k / 2N) the eigenvalues of the
-        # second difference on N intervals
-        lam = 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
+        # a lam_k + b mu_l, the second difference's eigenvalues in x and y
+        lam = second_difference_eigenvalues(n)
         l = np.arange(1, ny)[:, None]
-        self._eig = a * lam + b * 4.0 * np.sin(0.5 * np.pi * l / ny) ** 2
+        self._eig = a * lam + b * second_difference_eigenvalues(ny - 1)[:, None]
         # eigenvalues of S: A_TT = (a/2) T_x + b I, and A_TI couples each
         # trace DOF by -b to the vertex above it
         self._s = 0.5 * a * lam + b - b * b * (2.0 / ny * np.sin(np.pi * l / ny) ** 2 / self._eig).sum(axis=0)
@@ -584,6 +568,13 @@ class GridPoisson:
     def flux(self, w: np.ndarray, load: np.ndarray) -> np.ndarray:
         """The boundary residual (load - A w)_T of w filled on I by ``fill``."""
         return (load - self.stiffness @ self.fill(w, load))[self.trace_dofs]
+
+
+def second_difference_eigenvalues(n: int) -> np.ndarray:
+    """Eigenvalues 4 sin^2(pi k / 2(n + 1)), k = 1..n, of the second
+    difference tridiag(-1, 2, -1) on n interior nodes; the orthonormal
+    DST-I (``_dst1``) holds its eigenvectors."""
+    return 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
 
 
 def _dst1(x: np.ndarray, axis: int) -> np.ndarray:

@@ -109,9 +109,10 @@ class CutoffSpline:
     def _values(self, s, order: int) -> list:
         """The cut-off and its first ``order`` (at most 2) derivatives at s.
 
-        The quartic is evaluated on the band s0 < s < s1 only, NaN included;
-        there t lies in (0, 1].  Below the band the values are exactly 1 and
-        0, above it all 0, as the quartic gives at t = 0 and t = 1.
+        The quartic is evaluated on the band s0 < s < s1 only, NaN included,
+        so a NaN s gives NaN values; there t lies in (0, 1].  Below the band
+        the values are exactly 1 and 0, above it all 0, as the quartic gives
+        at t = 0 and t = 1.
         """
         s = np.asarray(s, dtype=float)
         below = s <= self.s0
@@ -121,10 +122,11 @@ class CutoffSpline:
         t = (s[band] - self.s0) / h
         out[0][band] = 1.0 + t**3 * (3.0 * t - 4.0)
         if order >= 1:
-            inside = (t > 0.0) & (t < 1.0)
-            out[1][band] = np.where(inside, 12.0 * t**2 * (t - 1.0) / h, 0.0)
+            # the derivatives are 0 at the band's ends; a NaN t is no end
+            ends = (t <= 0.0) | (t >= 1.0)
+            out[1][band] = np.where(ends, 0.0, 12.0 * t**2 * (t - 1.0) / h)
         if order >= 2:
-            out[2][band] = np.where(inside, (36.0 * t**2 - 24.0 * t) / h**2, 0.0)
+            out[2][band] = np.where(ends, 0.0, (36.0 * t**2 - 24.0 * t) / h**2)
         return out
 
     def __call__(self, s):
@@ -272,15 +274,16 @@ class ExactSolution:
         Exactly zero outside [x_left, x_right] (branchwise, so that the
         complementarity lambda * u = 0 holds in exact floating point),
         non-negative, with square-root growth at the transmission points.
+        NaN at a NaN x, which falls in neither zero branch.
         """
         x = np.asarray(x, dtype=float)
         xi1 = x - self.x_left
         xi2 = self.x_right - x
-        left = np.where(xi1 > 0.0, 1.5 * np.sqrt(np.maximum(xi1, 0.0)) * self.cutoff(x), 0.0)
+        left = np.where(xi1 <= 0.0, 0.0, 1.5 * np.sqrt(np.maximum(xi1, 0.0)) * self.cutoff(x))
         right = np.where(
-            xi2 > 0.0,
-            1.5 * self.weight * np.sqrt(np.maximum(xi2, 0.0)) * self.cutoff(REFLECTION_OFFSET - x),
+            xi2 <= 0.0,
             0.0,
+            1.5 * self.weight * np.sqrt(np.maximum(xi2, 0.0)) * self.cutoff(REFLECTION_OFFSET - x),
         )
         return left + right
 

@@ -11,27 +11,26 @@ cut-off's support.  Trace norms are adaptive G10/K21 integrals
 locations.  The negative-order boundary norm is a discrete dual norm on a
 fine reference trace grid (``mesh.trace_grid``): the nodal multiplier
 is prolongated exactly, the exact flux is interpolated, and the dual norm
-against the H1 Gram matrix of the reference space is evaluated with a
-sparse factorization made once per reference level.
+against the H1 inner product of the reference space is a sum over the
+DST-I spectrum of its interior mass and stiffness.
 Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
 sqrt(H-1 * L2).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     TRIANGLE_CHUNK,
+    _dst1,
     element_gradients,
-    line_grams,
     map_points,
     quad,
     quadrisect,
+    second_difference_eigenvalues,
     tri_quadrature,
     triangle_areas,
 )
@@ -180,37 +179,23 @@ def prolong_trace_values(values: np.ndarray, times: int) -> np.ndarray:
     return v
 
 
-def h1_interior_solver(mass, stiff):
-    """Solver with the interior block (endpoints removed) of the H1 Gram
-    matrix mass + stiff of a line grid, factorized once."""
-    return spla.factorized((mass + stiff).tocsr()[1:-1, 1:-1].tocsc())
+def dual_norm(e: np.ndarray, h: float) -> float:
+    """Discrete dual norm of a nodal error e on a uniform line grid of step h.
 
-
-def dual_norm(err_values: np.ndarray, mass, solve_inner) -> float:
-    """Discrete dual norm of a nodal error against the H1 Gram matrix.
-
-    Computes sup over the reference space functions vanishing at the
-    endpoints of <e, w> / ||w||_H1: with r = M e, the value is sqrt(r^T y)
-    where H y = r on the interior nodes, and ``solve_inner`` solves with
-    that interior block (``h1_interior_solver``).
+    The sup over the P1 functions w vanishing at the endpoints of
+    <e, w> / ||w||_H1 is sqrt(r^T H^-1 r), with r = M e on the interior
+    nodes and H = M + K the interior block of the H1 Gram matrix.  The
+    orthonormal DST-I diagonalizes both blocks: M = (h/6) tridiag(1, 4, 1)
+    to m_k = h (1 - lam_k / 6) and K = tridiag(-1, 2, -1) / h to
+    k_k = lam_k / h, so the value is sqrt(sum r_k^2 / (m_k + k_k)) over the
+    transformed r.
     """
-    r = mass @ err_values
-    inner = slice(1, -1)
-    y = solve_inner(r[inner])
-    val = float(r[inner] @ y)
-    if not np.isfinite(val) or val < -1e-14:
-        raise ValueError("dual norm solve failed")
-    return float(np.sqrt(max(val, 0.0)))
-
-
-@functools.lru_cache(maxsize=4)
-def _reference_space(ref_level: int):
-    """The reference trace grid of ref_level, its mass matrix and its H1
-    interior solver.  A study uses one reference level for every level and
-    multiplier, so the factorization is made once."""
-    x_ref = trace_grid(ref_level)
-    mass, stiff = line_grams(x_ref)
-    return x_ref, mass, h1_interior_solver(mass, stiff)
+    r = h / 6.0 * (e[:-2] + 4.0 * e[1:-1] + e[2:])
+    lam = second_difference_eigenvalues(r.shape[0])
+    val = float(np.sum(_dst1(r, 0) ** 2 / (h * (1.0 - lam / 6.0) + lam / h)))
+    if not np.isfinite(val):
+        raise ValueError("dual norm is not finite")
+    return float(np.sqrt(val))
 
 
 def h_minus1_error(hat_values: np.ndarray, level: int, flux_fn, ref_level: int) -> float:
@@ -223,11 +208,11 @@ def h_minus1_error(hat_values: np.ndarray, level: int, flux_fn, ref_level: int) 
     if ref_level < level:
         raise ValueError("reference level must not be coarser than the data")
     fine = prolong_trace_values(hat_values, ref_level - level)
-    x_ref, mass, solve_inner = _reference_space(ref_level)
+    x_ref = trace_grid(ref_level)
     if fine.shape[0] != x_ref.shape[0]:
         raise ValueError("trace value count does not match its level")
     err = fine - flux_fn(x_ref)
-    return dual_norm(err, mass, solve_inner)
+    return dual_norm(err, (x_ref[-1] - x_ref[0]) / (x_ref.shape[0] - 1))
 
 
 def error_report(

@@ -7,12 +7,14 @@ trace coupling, the full-space PDAS from the empty active set for the
 contact solve, edge lists for the boundary that the package reads
 from vertex coordinates, both singular terms of the exact solution on
 every point, ``einsum`` for the load's and the volume norms' point maps
-and sums, and a fresh sparse solve per H^-1 dual norm.  The cone helper is
+and sums, and a fresh sparse solve or a long-double tridiagonal one, on
+the 1D Gram matrices, per H^-1 dual norm.  The cone helper is
 a view that only the tests need, and ``count_grid_builds`` counts the grid
 solvers a call builds.
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from signorini_fem import assembly, norms, solver
@@ -314,7 +316,8 @@ def _poly_area(poly: list) -> float:
 
 class CutoffOracle:
     """The quartic cut-off on every point: t clipped to [0, 1], then the
-    polynomial and its derivatives, with no band mask."""
+    polynomial and its derivatives, zero at the clipped ends (a NaN t is
+    no end), with no band mask."""
 
     def __init__(self, s0: float, s1: float):
         self.s0 = s0
@@ -330,15 +333,15 @@ class CutoffOracle:
 
     def d1(self, s):
         t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
+        ends = (t == 0.0) | (t == 1.0)
         h = self.s1 - self.s0
-        return np.where(inside, 12.0 * t**2 * (t - 1.0) / h, 0.0)
+        return np.where(ends, 0.0, 12.0 * t**2 * (t - 1.0) / h)
 
     def d2(self, s):
         t = self._t(s)
-        inside = (t > 0.0) & (t < 1.0)
+        ends = (t == 0.0) | (t == 1.0)
         h = self.s1 - self.s0
-        return np.where(inside, (36.0 * t**2 - 24.0 * t) / h**2, 0.0)
+        return np.where(ends, 0.0, (36.0 * t**2 - 24.0 * t) / h**2)
 
 
 class ExactOracle:
@@ -401,6 +404,19 @@ class ExactOracle:
             - 2.0 * s2 * c2
         )
         return -(lap1 + self.weight * lap2)
+
+    def flux(self, x):
+        """``ExactSolution.flux`` by the formula that gave 0.0 at a NaN x."""
+        x = np.asarray(x, dtype=float)
+        xi1 = x - self.x_left
+        xi2 = self.x_right - x
+        left = np.where(xi1 > 0.0, 1.5 * np.sqrt(np.maximum(xi1, 0.0)) * self.cutoff(x), 0.0)
+        right = np.where(
+            xi2 > 0.0,
+            1.5 * self.weight * np.sqrt(np.maximum(xi2, 0.0)) * self.cutoff(REFLECTION_OFFSET - x),
+            0.0,
+        )
+        return left + right
 
 
 def _singular_term(r, theta):
@@ -523,3 +539,43 @@ def dual_norm_spsolve(err_values: np.ndarray, mass, h1gram) -> float:
     h_inner = h1gram[inner, inner].tocsc()
     y = spla.spsolve(h_inner, r[inner])
     return float(np.sqrt(max(float(r[inner] @ y), 0.0)))
+
+
+def line_grams(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """1D P1 mass and stiffness matrices on the node set x (increasing)."""
+    h = np.diff(x)
+    n = x.shape[0]
+    main_m = np.zeros(n)
+    main_m[:-1] += h / 3.0
+    main_m[1:] += h / 3.0
+    off_m = h / 6.0
+    mass = sp.diags([off_m, main_m, off_m], offsets=[-1, 0, 1], format="csr")
+    main_k = np.zeros(n)
+    main_k[:-1] += 1.0 / h
+    main_k[1:] += 1.0 / h
+    off_k = -1.0 / h
+    stiff = sp.diags([off_k, main_k, off_k], offsets=[-1, 0, 1], format="csr")
+    return mass, stiff
+
+
+def dual_norm_thomas(err_values: np.ndarray, x: np.ndarray) -> float:
+    """``norms.dual_norm`` of a nodal error on the node set x, in long
+    double: r = M e on the interior nodes from the element lengths, then
+    r^T H^-1 r by the Thomas algorithm on the tridiagonal interior block of
+    the H1 Gram matrix, one Python step per node."""
+    e = np.asarray(err_values, dtype=np.longdouble)
+    h = np.diff(np.asarray(x, dtype=np.longdouble))
+    r = (h[:-1] * (e[:-2] + 2 * e[1:-1]) + h[1:] * (2 * e[1:-1] + e[2:])) / 6
+    diag = (h[:-1] + h[1:]) / 3 + 1 / h[:-1] + 1 / h[1:]
+    off = h[1:-1] / 6 - 1 / h[1:-1]  # between interior nodes i and i + 1
+    n = r.shape[0]
+    c = np.zeros(n, dtype=np.longdouble)  # c[n - 1] stays 0
+    y = np.zeros(n, dtype=np.longdouble)
+    for i in range(n):
+        denom = diag[i] - (off[i - 1] * c[i - 1] if i else 0)
+        if i < n - 1:
+            c[i] = off[i] / denom
+        y[i] = (r[i] - (off[i - 1] * y[i - 1] if i else 0)) / denom
+    for i in range(n - 2, -1, -1):
+        y[i] -= c[i] * y[i + 1]
+    return float(np.sqrt(r @ y))

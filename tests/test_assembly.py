@@ -6,7 +6,7 @@ import pytest
 from signorini_fem import ExactSolution, assembly, mesh as msh
 from signorini_fem.mesh import WIDTH
 
-from oracles import ExactOracle, assemble_load_einsum, boundary_edges, split_by_lines, unit_right_triangle
+from oracles import ExactOracle, assemble_load_einsum, boundary_edges, line_grams, split_by_lines, unit_right_triangle
 
 
 @pytest.fixture(scope="module")
@@ -202,9 +202,18 @@ def test_boundary_lumped_mass_total():
     assert np.isclose(d.sum() + corners, WIDTH, rtol=1e-13)
 
 
+def test_dst1_diagonalizes_the_second_difference():
+    for n in (1, 2, 7, 64):
+        t = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        spectrum = assembly._dst1(assembly._dst1(t, 0), 1)
+        lam = assembly.second_difference_eigenvalues(n)
+        assert np.allclose(spectrum, np.diag(lam), rtol=0, atol=1e-13)
+        assert np.all(np.diff(lam) > 0) and 0.0 < lam[0] and lam[-1] < 4.0
+
+
 def test_line_grams_single_element():
     h = 0.35
-    mass, stiff = assembly.line_grams(np.array([0.0, h]))
+    mass, stiff = line_grams(np.array([0.0, h]))
     assert np.allclose(mass.toarray(), h / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]), rtol=1e-14)
     assert np.allclose(stiff.toarray(), np.array([[1.0, -1.0], [-1.0, 1.0]]) / h, rtol=1e-14)
 
@@ -212,7 +221,7 @@ def test_line_grams_single_element():
 def test_trace_grams_constant_and_spd():
     m = msh.mesh_at_level(2)
     tm = msh.trace_map(m)
-    mass, stiff = assembly.line_grams(tm.x)
+    mass, stiff = line_grams(tm.x)
     h1 = (mass + stiff).tocsr()
     ones = np.ones(tm.x.shape[0])
     assert np.allclose(h1 @ ones, mass @ ones, rtol=1e-13)

@@ -4,7 +4,7 @@ import pytest
 from signorini_fem import biortho, mesh as msh
 from signorini_fem.assembly import boundary_lumped_mass
 
-from oracles import assemble_coupling, in_cone
+from oracles import assemble_coupling, in_cone, line_grams
 
 
 def gauss01(n=8):
@@ -77,8 +77,6 @@ def test_postprocess_preserves_mean():
     coeffs = rng.uniform(0.0, 1.0, tm.num_multipliers)
     d = boundary_lumped_mass(tm)
     nodal = biortho.postprocess_multiplier(coeffs)
-    from signorini_fem.assembly import line_grams
-
     mass, _ = line_grams(tm.x)
     hat_integral = float(np.ones_like(nodal) @ (mass @ nodal))
     dual_integral = float(np.sum(coeffs * d))

@@ -247,6 +247,10 @@ def test_evaluators_equal_the_unmasked_formulas(sol):
     zeros = np.zeros_like(sx)
     _assert_same(sol.u_trace(sx), ExactOracle(sol).u(sx, zeros))
     _assert_same(sol.u_trace_d1(sx), ExactOracle(sol).grad_u(sx, zeros)[0])
+    # the flux, signed zeros included
+    for points in (x, sx):
+        new, old = sol.flux(points), ExactOracle(sol).flux(points)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("knots", [(0.5, 1.0), (0.3, 0.8)])
@@ -278,6 +282,12 @@ def test_non_finite_points_stay_loud(sol):
             assert all(np.isnan(sol.u_and_grad(x, y)))
             xs = np.array([0.2, x, 1.9])
             assert np.isnan(sol.u(xs, y)).tolist() == [np.isnan(y), True, np.isnan(y)]
+        # the flux and the cut-off's derivatives are NaN at NaN, not 0
+        s0, s1 = sol.cutoff.s0, sol.cutoff.s1
+        for fn, finite in ((sol.flux, sol.x_left), (sol.cutoff.d1, s0), (sol.cutoff.d2, s1)):
+            assert np.isnan(fn(np.nan))
+            assert np.isnan(fn(np.array([finite, np.nan, 0.5 * (s0 + s1)]))).tolist() == [False, True, False]
+        assert np.isnan(sol.u_trace(np.nan)) and np.isnan(sol.u_trace_d1(np.nan))
         # infinite and huge points give what the unmasked formulas give
         x = np.array([np.inf, -np.inf, 1.5, 2.0, 1e300, 0.5])
         y = np.array([0.2, 0.2, np.inf, 1e200, 0.1, -np.inf])
