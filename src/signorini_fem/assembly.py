@@ -21,8 +21,8 @@ complement onto the trace has a closed form.  The grid is built, and the
 stiffness checked against the stencil, once per system; every solve on the
 contact path and the study's consistency flux go through it.
 
-The module also holds the rules the error norms share: quadrisection and
-areas of batches of triangles, ``quad``, a vectorized adaptive
+The module also holds the rules the error norms share: quadrisection of
+batches of triangles, ``quad``, a vectorized adaptive
 Gauss-Kronrod (G10/K21) integrator over many intervals at once, and the
 DST-I with the second difference's eigenvalues, which diagonalize the
 line grid's P1 mass and stiffness.
@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, cells_near, corner_range, signed_areas, trace_map
+from .mesh import TriMesh, TraceMap, cells_near, corner_range, signed_areas
 
 #: Degree of the triangle rule of the load.
 LOAD_DEGREE = 4
@@ -251,11 +251,6 @@ def _weighted_sums(vals: np.ndarray, w: np.ndarray, basis: np.ndarray) -> np.nda
     return out
 
 
-def triangle_areas(tri: np.ndarray) -> np.ndarray:
-    """Unsigned areas of triangles given as coordinates (t, 3, 2)."""
-    return np.abs(signed_areas(tri))
-
-
 def element_gradients(tri: np.ndarray):
     """Gradients of the three barycentric shape functions of triangles given
     as coordinates (t, 3, 2).
@@ -420,7 +415,7 @@ def assemble_load(
         grads = element_gradients(coords[owner])[0][:, None]  # (p, 1, 2, 3)
         hats = (x - v0[:, 0, None])[..., None] * grads[..., 0, :] + (y - v0[:, 1, None])[..., None] * grads[..., 1, :]
         hats[..., 0] += 1.0
-        contrib = _weighted_sums(vals, w, hats) * triangle_areas(sub)[:, None]
+        contrib = _weighted_sums(vals, w, hats) * signed_areas(sub)[:, None]
         np.add.at(load, mesh.triangles[owner].ravel(), contrib.ravel())
     return load
 
@@ -632,12 +627,10 @@ class FeSystem:
         return w
 
 
-def build_system(mesh: TriMesh, tmap: TraceMap | None, sol) -> FeSystem:
+def build_system(mesh: TriMesh, tmap: TraceMap, sol) -> FeSystem:
     """Assemble stiffness, load, lumped mass and Dirichlet data for sol,
     and build the stiffness's grid solver; a stiffness off the five-point
     stencil raises SolverError here."""
-    if tmap is None:
-        tmap = trace_map(mesh)
     stiffness = assemble_stiffness(mesh)
     pts = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
     load = assemble_load(

@@ -13,7 +13,9 @@ contact boundary y = 0 this gives u = 0 exactly on [x_left, x_right] and
 u < 0 outside, so the contact interval is [x_left, x_right] for the zero
 obstacle.  The boundary flux (the multiplier) vanishes outside the contact
 interval and behaves like the square root of the distance to either endpoint
-inside it.
+inside it.  The transmission points x_left = 0.2 + 0.3/pi and
+x_right = 1.2 - 0.3/pi are constants of ``ExactSolution``; its parameters
+are the weight and the cut-off knots, which must be finite.
 
 All evaluators are closed-form, vectorized over numpy arrays, and pure; the
 volume load is obtained from the product rule using that the singular terms
@@ -32,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,9 +42,6 @@ import numpy as np
 #: literal (not WIDTH - x), which makes the construction asymmetric on
 #: purpose for weight != 1.
 REFLECTION_OFFSET = 1.4
-
-X_LEFT_DEFAULT = 0.2 + 0.3 / math.pi
-X_RIGHT_DEFAULT = 1.2 - 0.3 / math.pi
 
 #: A call with a coordinate of larger magnitude is evaluated unmasked: there
 #: r**1.5 can overflow, and inf * 0 is NaN, not the zero a skipped term
@@ -103,8 +103,8 @@ class CutoffSpline:
     s1: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.s0 < self.s1:
-            raise ValueError(f"cut-off knots must satisfy 0 < s0 < s1, got ({self.s0}, {self.s1})")
+        if not 0.0 < self.s0 < self.s1 < math.inf:
+            raise ValueError(f"cut-off knots must satisfy 0 < s0 < s1 < inf, got ({self.s0}, {self.s1})")
 
     def _values(self, s, order: int) -> list:
         """The cut-off and its first ``order`` (at most 2) derivatives at s.
@@ -143,20 +143,21 @@ class CutoffSpline:
 class ExactSolution:
     """Parameters and evaluators of the benchmark solution.
 
-    The obstacle is g = 0, the contact interval is [x_left, x_right], and the
-    Dirichlet datum on the other three sides is the trace of u itself.
-    Exact complementarity of the pair (u, flux) requires the cut-off to
-    vanish on the far inactive side, i.e. s1 <= x_right; this is validated.
+    The obstacle is g = 0, the contact interval is the fixed [x_left,
+    x_right], and the Dirichlet datum on the other three sides is the trace
+    of u itself.  The reflection weight must be positive and finite.  Exact
+    complementarity of the pair (u, flux) requires the cut-off to vanish on
+    the far inactive side, i.e. s1 <= x_right; this is validated.
     """
 
-    x_left: float = X_LEFT_DEFAULT
-    x_right: float = X_RIGHT_DEFAULT
+    #: the transmission points, the ends of the contact interval
+    x_left: ClassVar[float] = 0.2 + 0.3 / math.pi
+    x_right: ClassVar[float] = 1.2 - 0.3 / math.pi
+
     weight: float = 0.7
     cutoff: CutoffSpline = field(default_factory=CutoffSpline)
 
     def __post_init__(self):
-        if not self.x_left < self.x_right:
-            raise ValueError("x_left must be smaller than x_right")
         if not self.x_left < self.cutoff.s1 <= self.x_right:
             raise ValueError(
                 "cut-off knot s1 must lie in (x_left, x_right] so that each "
@@ -164,8 +165,8 @@ class ExactSolution:
                 f"s1={self.cutoff.s1} with contact interval "
                 f"[{self.x_left}, {self.x_right}]"
             )
-        if self.weight <= 0.0:
-            raise ValueError("reflection weight must be positive")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError(f"reflection weight must be positive and finite, got {self.weight}")
 
     @property
     def load_split_x(self) -> tuple[float, ...]:

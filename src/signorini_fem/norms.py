@@ -15,11 +15,13 @@ against the H1 inner product of the reference space is a sum over the
 DST-I spectrum of its interior mass and stiffness.
 Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
 sqrt(H-1 * L2).
+
+``error_report`` returns one level's columns as a dict keyed by
+``RATE_KEYS``, the only list of the column names; ``TOLERANCES`` holds the
+quadrature settings the study records with them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +34,9 @@ from .assembly import (
     quadrisect,
     second_difference_eigenvalues,
     tri_quadrature,
-    triangle_areas,
 )
 from .biortho import postprocess_multiplier
-from .mesh import TriMesh, TraceMap, cells_near, trace_grid
+from .mesh import TriMesh, TraceMap, cells_near, signed_areas, trace_grid
 
 #: Degree of the fixed triangle rule of the volume norms.
 VOLUME_DEGREE = 4
@@ -46,23 +47,28 @@ TRACE_EPSABS = 1e-14
 TRACE_EPSREL = 1e-10
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """All error norms of one level, plus the quadrature settings used."""
+#: The quadrature settings every record carries.
+TOLERANCES = {
+    "volume_degree": VOLUME_DEGREE,
+    "volume_depth": VOLUME_DEPTH,
+    "trace_epsabs": TRACE_EPSABS,
+    "trace_epsrel": TRACE_EPSREL,
+}
 
-    level: int
-    e_L2_omega: float
-    e_H1_omega: float  # seminorm
-    e_L2_gammaS: float
-    e_H1_gammaS: float
-    e_Hhalf_gammaS: float
-    e_L2_lambda: float
-    e_Hminus1_lambda: float
-    e_Hminushalf_lambda: float
-    e_L2_lambda_tilde: float | None = None
-    e_Hminus1_lambda_tilde: float | None = None
-    e_Hminushalf_lambda_tilde: float | None = None
-    tolerances: dict = field(default_factory=dict)
+#: The error columns of one level, in the order ``error_report`` returns
+#: them; the last three, of the consistency flux, only when it is given.
+RATE_KEYS = (
+    "e_L2_omega",
+    "e_H1_omega",
+    "e_L2_gammaS",
+    "e_Hhalf_gammaS",
+    "e_L2_lambda",
+    "e_Hminus1_lambda",
+    "e_Hminushalf_lambda",
+    "e_L2_lambda_tilde",
+    "e_Hminus1_lambda_tilde",
+    "e_Hminushalf_lambda_tilde",
+)
 
 
 def geometric_mean(a: float, b: float) -> float:
@@ -85,15 +91,15 @@ def volume_errors(
     u_values: np.ndarray,
     sol,
     max_depth: int = VOLUME_DEPTH,
-    graded: bool = True,
 ):
     """L2 and H1-seminorm errors of a nodal function against sol.
 
     Triangles whose closure is within 2h of a transmission point are
     integrated by repeated quadrisection up to max_depth, graded by the
-    local diameter (a piece splits while a transmission point lies within
-    twice its diameter) or uniformly when graded=False; everywhere else a
-    single fixed rule of degree ``VOLUME_DEGREE`` is used.
+    local diameter: a piece splits while a transmission point lies within
+    twice its diameter.  Everywhere else a single fixed rule of degree
+    ``VOLUME_DEGREE`` is used.  Every leaf is counterclockwise, so its
+    signed area is its area.
     """
     bary, w = tri_quadrature(VOLUME_DEGREE)
     c0, g = _affine_data(mesh, u_values)
@@ -108,7 +114,7 @@ def volume_errors(
             x, y = map_points(bary, cells)
             ue, uex, uey = sol.u_and_grad(x, y)
             uh = c0[t] + g[t, 0] * x + g[t, 1] * y
-            area = triangle_areas(cells)
+            area = signed_areas(cells)
             l2 += float(np.einsum("tq,q,t->", (ue - uh) ** 2, w, area))
             h1 += float(np.einsum("tq,q,t->", (uex - g[t, 0]) ** 2 + (uey - g[t, 1]) ** 2, w, area))
         return l2, h1
@@ -120,7 +126,7 @@ def volume_errors(
     for depth in range(max_depth + 1):
         if depth == max_depth:
             split[:] = False
-        elif graded:
+        else:
             near = tri[split]
             edges = near - np.roll(near, -1, axis=1)
             diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
@@ -222,37 +228,19 @@ def error_report(
     sol,
     ref_level: int,
     lam_tilde=None,
-) -> ErrorReport:
-    """Collect every norm of one converged level into an ErrorReport."""
+) -> dict:
+    """The error columns of one converged level, keyed by ``RATE_KEYS``;
+    without lam_tilde the consistency flux's three columns are left out."""
     e_l2, e_h1 = volume_errors(mesh, solution.u.values, sol)
-    t_l2, t_h1, t_half = trace_errors(tmap, solution.u.values, sol)
+    t_l2, _, t_half = trace_errors(tmap, solution.u.values, sol)
 
-    def multiplier_errors(coeffs, suffix: str) -> dict:
+    def multiplier_errors(coeffs) -> list:
         hat = postprocess_multiplier(coeffs)
         l2 = multiplier_l2_error(tmap, hat, sol.flux, sol.kink_x)
         hm1 = h_minus1_error(hat, mesh.level, sol.flux, ref_level)
-        return {
-            f"e_L2_lambda{suffix}": l2,
-            f"e_Hminus1_lambda{suffix}": hm1,
-            f"e_Hminushalf_lambda{suffix}": geometric_mean(hm1, l2),
-        }
+        return [l2, hm1, geometric_mean(hm1, l2)]
 
-    fields = multiplier_errors(solution.multiplier.values, "")
+    values = [e_l2, e_h1, t_l2, t_half, *multiplier_errors(solution.multiplier.values)]
     if lam_tilde is not None:
-        fields.update(multiplier_errors(lam_tilde, "_tilde"))
-    return ErrorReport(
-        level=mesh.level,
-        e_L2_omega=e_l2,
-        e_H1_omega=e_h1,
-        e_L2_gammaS=t_l2,
-        e_H1_gammaS=t_h1,
-        e_Hhalf_gammaS=t_half,
-        tolerances=dict(
-            volume_degree=VOLUME_DEGREE,
-            volume_depth=VOLUME_DEPTH,
-            trace_epsabs=TRACE_EPSABS,
-            trace_epsrel=TRACE_EPSREL,
-            ref_level=ref_level,
-        ),
-        **fields,
-    )
+        values += multiplier_errors(lam_tilde)
+    return dict(zip(RATE_KEYS, values))

@@ -26,24 +26,11 @@ import numpy as np
 from .assembly import build_system
 from .manufactured import CutoffSpline, ExactSolution
 from .mesh import mesh_at_level, refine, trace_map
-from .norms import error_report
+from .norms import RATE_KEYS, TOLERANCES, error_report  # noqa: F401  (RATE_KEYS is re-exported)
 from .solver import SolverError, discrete_transmission_points, solve_vi
 from .steklov import exact_trace_values
 
 log = logging.getLogger(__name__)
-
-RATE_KEYS = (
-    "e_L2_omega",
-    "e_H1_omega",
-    "e_L2_gammaS",
-    "e_Hhalf_gammaS",
-    "e_L2_lambda",
-    "e_Hminus1_lambda",
-    "e_Hminushalf_lambda",
-    "e_L2_lambda_tilde",
-    "e_Hminus1_lambda_tilde",
-    "e_Hminushalf_lambda_tilde",
-)
 
 # Level 10 ran in 48 s at a peak RSS of 2193 to 2246 MiB over two runs on
 # a 7.8 GiB host (BENCH_level10.json; the refusal below quotes 2283 MiB,
@@ -208,9 +195,7 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
         lam_tilde = system.grid.flux(w, system.load) / system.lumped_mass
 
-    report = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
-    errors = {k: getattr(report, k) for k in RATE_KEYS if getattr(report, k) is not None}
-
+    errors = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     h = mesh.max_edge_length()
     xl_h, xr_h = discrete_transmission_points(solution, tmap)
     return ConvergenceRecord(
@@ -222,7 +207,7 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         xr_dist=abs(sol.x_right - xr_h),
         xr_ratio=abs(sol.x_right - xr_h) / h,
         iterations=solution.iterations,
-        tolerances=report.tolerances,
+        tolerances={**TOLERANCES, "ref_level": ref_level},
     )
 
 

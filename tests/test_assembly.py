@@ -260,7 +260,8 @@ def test_build_system_partitions(sol):
 
 
 def test_lift_is_the_dirichlet_values_and_zero_elsewhere(sol):
-    system = assembly.build_system(msh.mesh_at_level(3), None, sol)
+    m = msh.mesh_at_level(3)
+    system = assembly.build_system(m, msh.trace_map(m), sol)
     lift = system.lift()
     assert np.array_equal(lift[system.dirichlet_idx], system.dirichlet_values)
     assert not lift[system.free_mask].any()

@@ -191,6 +191,21 @@ def test_invalid_parameters():
         ExactSolution(weight=-1.0)
 
 
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        (lambda v: ExactSolution(weight=v), math.nan),
+        (lambda v: ExactSolution(weight=v), math.inf),
+        (lambda v: ExactSolution(weight=v), -math.inf),
+        (lambda v: CutoffSpline(0.5, v), math.inf),
+    ],
+    ids=["weight-nan", "weight-inf", "weight-minus-inf", "s1-inf"],
+)
+def test_non_finite_parameters_are_refused_by_name(make, value):
+    with pytest.raises(ValueError, match=f"got .*{value}"):
+        make(value)
+
+
 def test_kink_lines(sol):
     assert np.allclose(sol.load_split_x, (0.4, 0.5, 0.9, 1.0), rtol=0, atol=1e-15)
     assert sol.x_left in sol.kink_x and sol.x_right in sol.kink_x

@@ -7,7 +7,9 @@ from signorini_fem.mesh import WIDTH, trace_grid
 from signorini_fem.assembly import element_gradients, quad, tri_quadrature
 from signorini_fem.biortho import postprocess_multiplier
 from signorini_fem.norms import (
+    RATE_KEYS,
     dual_norm,
+    error_report,
     geometric_mean,
     h_minus1_error,
     multiplier_l2_error,
@@ -87,10 +89,19 @@ def test_interpolant_convergence_rate(sol):
 def test_adaptive_vs_uniform_depth(sol):
     m = mesh_at_level(4)
     nodal = sol.u(m.vertices[:, 0], m.vertices[:, 1])
-    graded_l2, graded_h1 = volume_errors(m, nodal, sol, graded=True)
-    full_l2, full_h1 = volume_errors(m, nodal, sol, graded=False)
+    graded_l2, graded_h1 = volume_errors(m, nodal, sol)
+    full_l2, full_h1 = volume_errors_einsum(m, nodal, sol, graded=False)
     assert abs(graded_l2 - full_l2) <= 1e-4 * full_l2
     assert abs(graded_h1 - full_h1) <= 1e-4 * full_h1
+
+
+def test_error_report_returns_the_columns_in_order(sol):
+    m = mesh_at_level(2)
+    tm = trace_map(m)
+    vi = solve_vi(m, tm, sol)
+    errors = error_report(m, tm, vi, sol, ref_level=4, lam_tilde=vi.multiplier.values)
+    assert list(errors) == list(RATE_KEYS)
+    assert list(error_report(m, tm, vi, sol, ref_level=4)) == list(RATE_KEYS[:7])
 
 
 def test_trace_fractional_norm_definition(sol):
@@ -260,7 +271,7 @@ def _multiplier_l2_oracle(tm, hat, flux, kinks):
     return np.sqrt(_trace_integral_oracle(lambda s, e: (flux(s) - np.interp(s, tm.x, hat)) ** 2, tm.x, kinks))
 
 
-def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, graded=True, degree=4):
+def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, degree=4):
     """Per-triangle depth-first quadrisection with scalar geometry."""
     bary, w = tri_quadrature(degree)
     grads, _ = element_gradients(mesh.vertices[mesh.triangles])
@@ -298,7 +309,7 @@ def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, graded=True, degree=
 
     def recurse(tri, t, depth):
         diam = max(np.hypot(*(tri[i] - tri[j])) for i, j in edges)
-        if depth < max_depth and (not graded or dist(tri) <= 2.0 * diam):
+        if depth < max_depth and dist(tri) <= 2.0 * diam:
             a, b, c = tri
             mab, mbc, mca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
             children = ([a, mab, mca], [b, mbc, mab], [c, mca, mbc], [mab, mbc, mca])
@@ -361,9 +372,10 @@ def test_volume_errors_equal_the_einsum_route_bitwise(sol, level):
 
 @pytest.mark.parametrize("level, depth", [(2, 3), (3, 2), (3, 0)])
 def test_uniform_volume_errors_match_recursive_oracle(sol, solved_levels, level, depth):
+    # graded, at depths short of VOLUME_DEPTH
     m, _, u, _ = solved_levels[level]
-    batched = volume_errors(m, u, sol, max_depth=depth, graded=False)
-    oracle = _volume_errors_oracle(m, u, sol, max_depth=depth, graded=False)
+    batched = volume_errors(m, u, sol, max_depth=depth)
+    oracle = _volume_errors_oracle(m, u, sol, max_depth=depth)
     assert np.allclose(batched, oracle, rtol=1e-13, atol=0.0)
 
 

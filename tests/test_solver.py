@@ -14,7 +14,7 @@ from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discre
 from signorini_fem.steklov import SteklovMap
 from signorini_fem.assembly import FeFunction
 
-from oracles import count_grid_builds, full_space_vi
+from oracles import count_grid_builds, counting_spla, full_space_vi, out_of_memory_splu
 
 
 @pytest.fixture(scope="module")
@@ -102,10 +102,6 @@ def test_linear_subsolve_always_refines_once(monkeypatch):
     x = linear_subsolve(A, b, rtol=1e-4)
     assert len(solves) == 2
     assert np.linalg.norm(b - A @ x) <= 1e-10 * np.linalg.norm(b)
-
-
-def out_of_memory_splu(matrix, **options):
-    raise MemoryError("malloc fails for local dworkptr[]")
 
 
 def test_linear_subsolve_reports_an_out_of_memory_factorization(monkeypatch):
@@ -200,16 +196,6 @@ def test_warm_start_is_refused(sol):
     mesh, tmap, system = make_problem(2, sol)
     with pytest.raises(ValueError, match="no longer reads"):
         solve_vi(mesh, tmap, sol, system=system, warm_start=True)
-
-
-def counting_spla(calls):
-    """An ``spla`` overlay whose ``splu`` records the size of every matrix."""
-
-    def splu(matrix, **options):
-        calls.append(matrix.shape[0])
-        return spla.splu(matrix, **options)
-
-    return types.SimpleNamespace(splu=splu)
 
 
 def test_cold_solve_and_condensation_make_no_sparse_factorization(sol, monkeypatch):

@@ -21,7 +21,7 @@ from signorini_fem.assembly import GridPoisson, assemble_stiffness, dof_partitio
 from signorini_fem.solver import condense_system
 from signorini_fem.steklov import SteklovMap, exact_trace_values, solve_schur_vi, trace_moments
 
-from oracles import schur_complement_dense, schur_consistency, square_patch
+from oracles import counting_spla, out_of_memory_splu, schur_complement_dense, schur_consistency, square_patch
 
 
 @pytest.fixture(scope="module")
@@ -212,16 +212,6 @@ def test_grid_solve_is_the_interior_inverse(level):
     assert np.abs(grid.solve(r) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def counting_splu(calls):
-    """An ``spla`` stand-in whose splu records the size of every matrix."""
-
-    def splu(matrix, **options):
-        calls.append(matrix.shape[0])
-        return spla.splu(matrix, **options)
-
-    return types.SimpleNamespace(splu=splu)
-
-
 def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
     # the closed form factorizes nothing; the map's only factorization is
     # its interior cross-check factor, built with the map
@@ -230,7 +220,7 @@ def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
     system = build_system(m, tm, sol)
     smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
     calls = []
-    monkeypatch.setattr(steklov, "spla", counting_splu(calls))
+    monkeypatch.setattr(steklov, "spla", counting_spla(calls))
     first = smap.dense_matrix()
     first_vi = solve_schur_vi(smap, system.load, system.dirichlet_values)
     assert smap.dense_matrix() is first
@@ -257,10 +247,6 @@ def test_closed_form_sigma_matches_the_dense_schur_complement(level, sol):
 def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
     m = mesh_at_level(3)
     smap = SteklovMap(m, trace_map(m))
-
-    def out_of_memory_splu(matrix, **options):
-        raise MemoryError("malloc fails for local dworkptr[]")
-
     monkeypatch.setattr(steklov, "spla", types.SimpleNamespace(splu=out_of_memory_splu))
     n = smap.interior_idx.shape[0]
     with pytest.raises(SolverError, match=f"interior factorization of {n} unknowns failed: MemoryError"):

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signorini_fem import SolverError, StudyConfig, StudyError, run_study, study
-from signorini_fem.manufactured import X_LEFT_DEFAULT, X_RIGHT_DEFAULT
+from signorini_fem import ExactSolution, SolverError, StudyConfig, StudyError, norms, run_study, study
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
 from oracles import count_grid_builds
@@ -84,8 +83,8 @@ def test_config_validation_types_and_ranges(kwargs, message):
 
 
 def test_config_accepts_boundary_values():
-    config = StudyConfig(min_level=1, max_level=1, knots=(1e-3, X_RIGHT_DEFAULT))
-    assert config.min_level == 1 and config.knots == (1e-3, X_RIGHT_DEFAULT)
+    config = StudyConfig(min_level=1, max_level=1, knots=(1e-3, ExactSolution.x_right))
+    assert config.min_level == 1 and config.knots == (1e-3, ExactSolution.x_right)
     assert StudyConfig(min_level=MAX_LEVEL, max_level=MAX_LEVEL).min_level == MAX_LEVEL
 
 
@@ -129,6 +128,10 @@ def test_json_roundtrip(records_small):
         assert blob["rates_averaged"] == rec.rates
         assert blob["xl_dist"] == rec.xl_dist
         assert blob["iterations"] == rec.iterations
+
+
+def test_the_study_columns_are_the_norms_columns():
+    assert study.RATE_KEYS is norms.RATE_KEYS
 
 
 def test_json_record_keys_are_the_record_fields_in_order(records_small):
@@ -234,7 +237,7 @@ def study_configs(draw):
     min_level = draw(st.integers(1, MAX_LEVEL))
     max_level = draw(st.integers(min_level, MAX_LEVEL))
     reals = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
-    s1 = draw(st.floats(X_LEFT_DEFAULT, X_RIGHT_DEFAULT, exclude_min=True, **reals))
+    s1 = draw(st.floats(ExactSolution.x_left, ExactSolution.x_right, exclude_min=True, **reals))
     s0 = draw(st.floats(0.0, s1, exclude_min=True, exclude_max=True, **reals))
     out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True))
     return StudyConfig(min_level, max_level, (s0, s1), draw(st.booleans()), out_dir)
