@@ -14,12 +14,13 @@ are mapped and the rule's products summed coordinate by coordinate, in
 the order ``einsum`` would.  Assembly is serial and deterministic:
 repeated runs produce bit-identical vectors.
 
-``build_system`` returns a ``FeSystem``, which carries with the stiffness
-its ``GridPoisson``: on the uniform grid the stiffness is the five-point
+``build_system`` returns a ``FeSystem``, which holds the stiffness in its
+``GridPoisson``: on the uniform grid the stiffness is the five-point
 stencil, so a 2D DST-I solves with the interior block and the Schur
 complement onto the trace has a closed form.  The grid is built, and the
 stiffness checked against the stencil, once per system; every solve on the
-contact path and the study's consistency flux go through it.
+contact path and the study's consistency flux go through it.  It and
+``dof_partition`` read the vertices' grid positions from ``mesh.grid_index``.
 
 The module also holds the rules the error norms share: quadrisection of
 batches of triangles, ``quad``, a vectorized adaptive
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, cells_near, corner_range, signed_areas
+from .mesh import TriMesh, TraceMap, cells_near, corner_range, grid_index, signed_areas
 
 #: Degree of the triangle rule of the load.
 LOAD_DEGREE = 4
@@ -431,24 +432,17 @@ def boundary_lumped_mass(tmap: TraceMap) -> np.ndarray:
     return 0.5 * (h[:-1] + h[1:])
 
 
-def dof_partition(mesh: TriMesh, tmap: TraceMap):
-    """Dirichlet / free / interior split of the vertices.
+def dof_partition(mesh: TriMesh):
+    """Dirichlet / free / interior split of the vertices, by grid position.
 
-    The boundary vertices are those on a side of the mesh's bounding box,
-    which is the boundary of every domain this package meshes (a rectangle).
-    The Dirichlet vertices are the boundary vertices that are not multiplier
-    DOFs (interior Gamma_S vertices); every other vertex is free, and the
-    free vertices that are not multiplier DOFs are interior.  Returns
+    The Dirichlet vertices are those of the first and last grid columns and
+    of the last row (``mesh.grid_index``); the free vertices of row 0 are
+    the multiplier DOFs and those above it are interior.  Returns
     (dirichlet_idx, free_mask, interior_idx) with sorted index arrays.
     """
-    x, y = mesh.vertices.T
-    boundary = (x == x.min()) | (x == x.max()) | (y == y.min()) | (y == y.max())
-    dirichlet_idx = np.setdiff1d(np.flatnonzero(boundary), tmap.multiplier_vertices)
-    free_mask = np.ones(mesh.num_vertices, dtype=bool)
-    free_mask[dirichlet_idx] = False
-    interior_mask = free_mask.copy()
-    interior_mask[tmap.multiplier_vertices] = False
-    return dirichlet_idx, free_mask, np.flatnonzero(interior_mask)
+    ix, iy, nx, ny = grid_index(mesh)
+    dirichlet = (ix == 0) | (ix == nx) | (iy == ny)
+    return np.flatnonzero(dirichlet), ~dirichlet, np.flatnonzero(~dirichlet & (iy > 0))
 
 
 # assembled entries differ from the stencil's by rounding that grows like
@@ -464,27 +458,21 @@ class GridPoisson:
     -a = -h_y/h_x between horizontal neighbours, -b = -h_x/h_y between
     vertical ones and 0 across diagonals, so the 2D DST-I diagonalizes A_II
     (Buzbee, Golub & Nielson, SINUM 1970) and the 1D one the Schur complement
-    onto the trace row (Bjorstad & Widlund, SINUM 1986).  The trace and
-    interior rows form an n x ny raster; ``interior`` lists I row by row.
+    onto the trace row (Bjorstad & Widlund, SINUM 1986).  Columns 1..nx-1 of
+    rows 0..ny-1 of ``mesh.grid_index`` form an n x ny raster: ``trace_dofs``
+    is its row 0 and ``interior`` lists I, row by row.
     """
 
-    def __init__(self, mesh: TriMesh, stiffness, interior_idx: np.ndarray, trace_dofs: np.ndarray):
+    def __init__(self, mesh: TriMesh, stiffness):
+        ix, iy, nx, ny = grid_index(mesh)
         x, y = mesh.vertices.T
-        n = trace_dofs.shape[0]
-        ny = interior_idx.shape[0] // max(n, 1) + 1
-        hx = (x.max() - x.min()) / (n + 1)
+        n = nx - 1
+        hx = (x.max() - x.min()) / nx
         hy = (y.max() - y.min()) / ny
-        ids = np.concatenate([trace_dofs, interior_idx])
-        ix = np.rint((x[ids] - x.min()) / hx).astype(np.int64)
-        iy = np.rint((y[ids] - y.min()) / hy).astype(np.int64)
-        pos = iy * n + ix - 1
-        # the trace DOFs, by x, are the first row; every vertex has its own cell
-        if not (
-            np.all((1 <= ix) & (ix <= n) & (0 <= iy) & (iy < ny))
-            and np.array_equal(pos[:n], np.arange(n))
-            and np.bincount(pos).max() == 1
-        ):
-            raise SolverError("the trace and interior vertices do not fill a uniform grid")
+        ids = np.flatnonzero((0 < ix) & (ix < nx) & (iy < ny))
+        pos = iy[ids] * n + ix[ids] - 1
+        if not np.all(np.bincount(pos, minlength=n * ny) == 1):
+            raise SolverError("the vertices do not fill a uniform grid: a cell is empty or holds two")
         cells = np.empty_like(ids)
         cells[pos] = ids
         a, b = hy / hx, hx / hy
@@ -499,7 +487,7 @@ class GridPoisson:
         if not abs(stiffness[cells][:, cells] - stencil).max() <= _STENCIL_RTOL * (a + b):
             raise SolverError("the stiffness is not the five-point stencil of its grid")
         self.stiffness = stiffness
-        self.trace_dofs = trace_dofs
+        self.trace_dofs = cells[:n]
         self.interior = cells[n:]
         self._b = b
         # a lam_k + b mu_l, the second difference's eigenvalues in x and y
@@ -600,24 +588,27 @@ class FeFunction:
 class FeSystem:
     """Assembled pieces of one discretized problem, plus index partitions.
 
-    ``grid`` solves with this system's stiffness, and construction refuses
-    a grid built on another one: ``dataclasses.replace`` with a new load or
-    new Dirichlet values keeps the grid, with a new stiffness it raises.
+    The stiffness and the multiplier DOFs are read from ``grid``, so
+    ``dataclasses.replace`` with a new load or new Dirichlet values keeps
+    them with the grid, and one with a new stiffness raises TypeError.
     """
 
     mesh: TriMesh
-    stiffness: sp.csr_matrix
     load: np.ndarray
     lumped_mass: np.ndarray  # D_j per multiplier DOF
     dirichlet_idx: np.ndarray
     dirichlet_values: np.ndarray
-    trace_dofs: np.ndarray  # global vertex ids of multiplier DOFs, by x
     free_mask: np.ndarray  # True for non-Dirichlet vertices
     grid: GridPoisson  # grid.interior: the free vertices that are not multiplier DOFs
 
-    def __post_init__(self):
-        if self.grid.stiffness is not self.stiffness:
-            raise ValueError("the grid solver was built on another stiffness")
+    @property
+    def stiffness(self) -> sp.csr_matrix:
+        return self.grid.stiffness
+
+    @property
+    def trace_dofs(self) -> np.ndarray:
+        """Global vertex ids of the multiplier DOFs, by x."""
+        return self.grid.trace_dofs
 
     def lift(self) -> np.ndarray:
         """A new vertex vector: the Dirichlet values on their vertices, zero
@@ -639,17 +630,14 @@ def build_system(mesh: TriMesh, tmap: TraceMap, sol) -> FeSystem:
         refine_near=(pts, 2.0 * mesh.max_edge_length()),
         split_x=sol.load_split_x,
     )
-    dir_idx, free_mask, interior_idx = dof_partition(mesh, tmap)
+    dir_idx, free_mask, _ = dof_partition(mesh)
     dir_vals = sol.u(mesh.vertices[dir_idx, 0], mesh.vertices[dir_idx, 1])
-    trace_dofs = tmap.multiplier_vertices
     return FeSystem(
         mesh=mesh,
-        stiffness=stiffness,
         load=load,
         lumped_mass=boundary_lumped_mass(tmap),
         dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
-        trace_dofs=trace_dofs,
         free_mask=free_mask,
-        grid=GridPoisson(mesh, stiffness, interior_idx, trace_dofs),
+        grid=GridPoisson(mesh, stiffness),
     )

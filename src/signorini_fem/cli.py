@@ -31,8 +31,8 @@ def main(verbose: bool):
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Flat key = value config file.")
-@click.option("--min-level", type=int, default=None)
-@click.option("--max-level", type=int, default=None)
+@click.option("--min-level", type=str, default=None)
+@click.option("--max-level", type=str, default=None)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--knots", type=str, default=None, help="Cut-off knots, e.g. 0.5,1.0")
 @click.option("--no-lambda-tilde", is_flag=True, help="Skip the consistency-flux track.")
@@ -42,13 +42,13 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
     try:
         if config_path is not None:
             kwargs.update(config_from_file(config_path))
-        flags = dict(min_level=min_level, max_level=max_level, out_dir=out_dir)
-        kwargs.update((key, value) for key, value in flags.items() if value is not None)
-        if knots is not None:
-            try:
-                kwargs["knots"] = _parse_value(StudyConfig.__dataclass_fields__["knots"].type, knots)
-            except ValueError as exc:
-                raise ValueError(f"--knots: {exc}") from None
+        flags = dict(min_level=min_level, max_level=max_level, out_dir=out_dir, knots=knots)
+        for key, value in flags.items():
+            if value is not None:
+                try:
+                    kwargs[key] = _parse_value(StudyConfig.__dataclass_fields__[key].type, value)
+                except ValueError as exc:
+                    raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
         if no_lambda_tilde:
             kwargs["compute_lambda_tilde"] = False
         config = StudyConfig(**kwargs)

@@ -3,9 +3,9 @@
 The domain is Omega = (0, WIDTH) x (0, HEIGHT) with WIDTH = 1.4 + e/2.7 and
 HEIGHT = 0.5.  The contact boundary Gamma_S is the bottom edge y = 0; the
 other three sides form the Dirichlet boundary Gamma_D.  A mesh carries no
-boundary lists: the split is decided from vertex coordinates, by
-``trace_map`` (the vertices on y = 0) and ``assembly.dof_partition`` (the
-vertices on the sides of the bounding box).  All Gamma_S vertices but
+boundary lists: the split follows from the grid positions ``grid_index``
+reads, by ``trace_map`` (row 0) and ``assembly.dof_partition`` (the first
+and last columns and the last row are Dirichlet).  All Gamma_S vertices but
 the two ends are multiplier DOFs; ``trace_grid`` gives a level's Gamma_S x.
 
 Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
@@ -195,10 +195,10 @@ def mesh_at_level(level: int) -> TriMesh:
 
 
 def trace_map(mesh: TriMesh) -> TraceMap:
-    """Collect the Signorini-boundary vertices, ordered by x coordinate."""
-    on_gamma_s = np.flatnonzero(mesh.vertices[:, 1] == 0.0)
-    order = np.argsort(mesh.vertices[on_gamma_s, 0], kind="stable")
-    ids = on_gamma_s[order]
+    """Collect the Signorini-boundary vertices, grid row 0, by column."""
+    ix, iy, _, _ = grid_index(mesh)
+    on_gamma_s = np.flatnonzero(iy == 0)
+    ids = on_gamma_s[np.argsort(ix[on_gamma_s], kind="stable")]
     return TraceMap(vertices=ids, x=mesh.vertices[ids, 0])
 
 
@@ -209,11 +209,16 @@ def trace_grid(level: int) -> np.ndarray:
 
 
 def grid_index(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Grid column and row of every vertex, and the grid's quad counts nx, ny."""
-    scale = 2 ** (mesh.level - 1)
-    nx, ny = _NX0 * scale, _NY0 * scale
-    ix = np.rint(mesh.vertices[:, 0] * (nx / WIDTH)).astype(np.int64)
-    iy = np.rint(mesh.vertices[:, 1] * (ny / HEIGHT)).astype(np.int64)
+    """Grid column and row of every vertex, and the grid's quad counts nx, ny:
+    the grid spans the bounding box, with nx + 1 vertices on its bottom side
+    and ny + 1 on its left side.  The only place where coordinates become
+    grid positions."""
+    x, y = mesh.vertices.T
+    x0, y0 = x.min(), y.min()
+    nx = int(np.count_nonzero(y == y0)) - 1
+    ny = int(np.count_nonzero(x == x0)) - 1
+    ix = np.rint((x - x0) * (nx / (x.max() - x0))).astype(np.int64)
+    iy = np.rint((y - y0) * (ny / (y.max() - y0))).astype(np.int64)
     return ix, iy, nx, ny
 
 

@@ -99,8 +99,12 @@ def volume_errors(
     local diameter: a piece splits while a transmission point lies within
     twice its diameter.  Everywhere else a single fixed rule of degree
     ``VOLUME_DEGREE`` is used.  Every leaf is counterclockwise, so its
-    signed area is its area.
+    signed area is its area.  A NaN or infinite nodal value raises
+    ValueError, as ``quad`` and ``dual_norm`` do.
     """
+    bad = np.count_nonzero(~np.isfinite(u_values))
+    if bad:
+        raise ValueError(f"u_h has {bad} non-finite of {u_values.shape[0]} nodal values")
     bary, w = tri_quadrature(VOLUME_DEGREE)
     c0, g = _affine_data(mesh, u_values)
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])

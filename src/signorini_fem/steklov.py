@@ -54,7 +54,7 @@ class SteklovMap:
         self.stiffness = assemble_stiffness(mesh) if stiffness is None else stiffness
         self.lumped = boundary_lumped_mass(tmap) if lumped is None else lumped
         self.trace_dofs = tmap.multiplier_vertices
-        self.dirichlet_idx, _, interior_idx = dof_partition(mesh, tmap)
+        self.dirichlet_idx, _, interior_idx = dof_partition(mesh)
         order = elimination_order(mesh)
         self.interior_idx = order[np.isin(order, interior_idx)]
         rows = self.stiffness[self.interior_idx]
@@ -139,7 +139,7 @@ class SteklovMap:
         ``GridPoisson.schur``: nothing is solved or factorized.  Every call
         after the first returns the same read-only array."""
         if self._sigma is None:
-            grid = GridPoisson(self.mesh, self.stiffness, self.interior_idx, self.trace_dofs)
+            grid = GridPoisson(self.mesh, self.stiffness)
             sigma = grid.schur / self.lumped[:, None]
             sigma.flags.writeable = False
             self._sigma = sigma

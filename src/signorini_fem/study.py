@@ -264,21 +264,8 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
     Returns the written paths.  The JSON mirror carries the configuration,
     every ``ConvergenceRecord`` field in full precision (``rates`` as
     ``rates_averaged``) and ``failed_levels``, the configured levels without
-    a record.
+    a record.  A NaN or infinite value raises ValueError before any write.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    csv_path = out / "results.csv"
-    with open(csv_path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([cell(rec) for _, cell in _CSV_TABLE])
-    paths["csv"] = csv_path
-
-    json_path = out / "results.json"
     configured = range(config.min_level, config.max_level + 1)
     payload = {
         "config": asdict(config),
@@ -288,10 +275,16 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
         ],
         "failed_levels": sorted(set(configured) - {rec.level for rec in records}),
     }
-    with open(json_path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    paths["json"] = json_path
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {"csv": out / "results.csv", "json": out / "results.json"}
+    with open(paths["csv"], "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            writer.writerow([cell(rec) for _, cell in _CSV_TABLE])
+    paths["json"].write_text(text + "\n", encoding="ascii")
     return paths
 
 
@@ -341,6 +334,8 @@ def _parse_value(kind: str, value: str):
             raise ValueError(f"expected true or false, got {value!r}")
         return value == "true"
     if kind == "int":
+        if not re.fullmatch(r"[+-]?[0-9]+", value):
+            raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if kind == "tuple[float, float]":
         parts = value.split(",")

@@ -175,7 +175,7 @@ def schur_complement_dense(mesh: TriMesh, tmap: TraceMap | None = None, stiffnes
     if tmap is None:
         tmap = trace_map(mesh)
     A = assemble_stiffness(mesh) if stiffness is None else stiffness
-    _, _, ii = dof_partition(mesh, tmap)
+    _, _, ii = dof_partition(mesh)
     trace = tmap.multiplier_vertices
     a_tt = A[trace][:, trace].toarray()
     a_ti = A[trace][:, ii].toarray()

@@ -39,9 +39,8 @@ def test_stiffness_deterministic():
 
 def test_dirichlet_reduced_stiffness_is_spd():
     m = msh.mesh_at_level(2)
-    tm = msh.trace_map(m)
     A = assembly.assemble_stiffness(m)
-    _, free, _ = assembly.dof_partition(m, tm)
+    _, free, _ = assembly.dof_partition(m)
     red = A[np.ix_(free, free)].toarray()
     np.linalg.cholesky(red)  # raises if not SPD
 

@@ -189,6 +189,18 @@ def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):
     assert not built
 
 
+@pytest.mark.parametrize("flag", ["--min-level", "--max-level"])
+@pytest.mark.parametrize("value", ["1_0", "\uff13", "3.0"])
+def test_level_flags_take_ascii_integers_only(monkeypatch, flag, value):
+    # click's int() would read "1_0" as 10 and the fullwidth digit as 3
+    built = []
+    monkeypatch.setattr(study_module, "mesh_at_level", lambda level: built.append(level))
+    result = CliRunner().invoke(main, ["study", flag, value])
+    assert result.exit_code == 1
+    assert f"Error: {flag}: expected an integer, got {value!r}" in result.output
+    assert not built
+
+
 def test_package_import_leaves_scipy_fft_out():
     # importing scipy.fft takes 80-100 ms, about a quarter of the default
     # study's set-up time, so the grid solver's DST-I runs on numpy.fft

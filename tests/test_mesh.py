@@ -104,7 +104,7 @@ def test_coordinate_boundary_is_the_topological_boundary(case):
     assert np.array_equal(np.sort(tm.vertices), trace_vertices)
     assert {frozenset(p) for p in zip(tm.vertices[:-1].tolist(), tm.vertices[1:].tolist())} == trace_pairs
     assert np.array_equal(np.sort(tm.multiplier_vertices), multipliers)
-    got, _, _ = assembly.dof_partition(m, tm)
+    got, _, _ = assembly.dof_partition(m)
     assert got.dtype.kind == "i"
     assert np.array_equal(got, dirichlet_idx)
 
@@ -177,6 +177,33 @@ def test_point_triangle_distances():
     assert inside.min() == 0.0
     far = msh.point_triangle_distances(np.array([-1.0, -1.0]), tri)
     assert far.min() > 1.0
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_grid_index_is_the_level_formula(level):
+    # the raster read from the mesh alone equals the one a level's grid sizes give
+    m = msh.mesh_at_level(level)
+    ix, iy, nx, ny = msh.grid_index(m)
+    assert (nx, ny) == (4 * 2 ** (level - 1), 2 * 2 ** (level - 1))
+    assert type(nx) is int and type(ny) is int
+    assert np.array_equal(ix, np.rint(m.vertices[:, 0] * (nx / msh.WIDTH)).astype(np.int64))
+    assert np.array_equal(iy, np.rint(m.vertices[:, 1] * (ny / msh.HEIGHT)).astype(np.int64))
+    # every grid position holds one vertex
+    assert np.array_equal(np.sort(iy * (nx + 1) + ix), np.arange((nx + 1) * (ny + 1)))
+
+
+def test_grid_index_of_the_hand_built_meshes():
+    m, _, _ = square_patch()
+    ix, iy, nx, ny = msh.grid_index(m)
+    assert (nx, ny) == (2, 2)
+    assert np.array_equal(ix, [0, 1, 2] * 3)
+    assert np.array_equal(iy, np.repeat([0, 1, 2], 3))
+    # one triangle: its legs are one cell, its top vertex the upper-left corner
+    m, _, _ = unit_right_triangle()
+    ix, iy, nx, ny = msh.grid_index(m)
+    assert (nx, ny) == (1, 1)
+    assert np.array_equal(ix, [0, 1, 0])
+    assert np.array_equal(iy, [0, 0, 1])
 
 
 def test_elimination_order_is_a_nested_dissection_permutation():

@@ -159,6 +159,16 @@ def test_dual_norm_of_nan_raises():
         dual_norm(e, 1.0 / 16)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_volume_errors_of_a_non_finite_value_raise(sol, bad):
+    # a bad nodal value used to give (nan, nan)
+    m = mesh_at_level(3)
+    u = sol.u(m.vertices[:, 0], m.vertices[:, 1])
+    u[[7, m.num_vertices // 2]] = bad
+    with pytest.raises(ValueError, match=f"2 non-finite of {m.num_vertices} nodal values"):
+        volume_errors(m, u, sol)
+
+
 def test_spectral_dual_norm_matches_the_tridiagonal_oracles(sol):
     rng = np.random.default_rng(17)
     cases = []

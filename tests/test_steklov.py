@@ -172,13 +172,27 @@ def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
             smap.dense_matrix()
 
 
-def test_grid_refuses_an_interior_set_with_a_vertex_missing():
+def test_grid_refuses_a_mesh_with_an_interior_vertex_missing():
+    # the vertex and its six triangles go; the hole leaves one cell empty
     m = mesh_at_level(3)
-    tm = trace_map(m)
-    _, _, interior = dof_partition(m, tm)
-    for missing in (0, interior.shape[0] // 2):
+    _, _, interior = dof_partition(m)
+    for missing in (interior[0], interior[interior.shape[0] // 2]):
+        tris = m.triangles[~np.any(m.triangles == missing, axis=1)]
+        holed = dataclasses.replace(
+            m, vertices=np.delete(m.vertices, missing, axis=0), triangles=tris - (tris > missing)
+        )
         with pytest.raises(SolverError, match="do not fill a uniform grid"):
-            GridPoisson(m, assemble_stiffness(m), np.delete(interior, missing), tm.multiplier_vertices)
+            GridPoisson(holed, assemble_stiffness(holed))
+
+
+def test_grid_refuses_a_mesh_with_two_vertices_in_one_cell():
+    # a copy of an interior vertex, a hair off it, that no triangle uses
+    m = mesh_at_level(3)
+    _, _, interior = dof_partition(m)
+    for twin in (interior[0], interior[-1]):
+        doubled = dataclasses.replace(m, vertices=np.vstack([m.vertices, m.vertices[twin] + 1e-9]))
+        with pytest.raises(SolverError, match="do not fill a uniform grid"):
+            GridPoisson(doubled, assemble_stiffness(doubled))
 
 
 def test_fill_refines_against_the_assembled_stiffness():
@@ -191,8 +205,8 @@ def test_fill_refines_against_the_assembled_stiffness():
     rng = np.random.default_rng(3)
     noise = sp.coo_matrix((rng.uniform(-2e-11, 2e-11, A.nnz) * np.abs(A.data).max(), (A.row, A.col)), A.shape)
     A = (A + noise + noise.T).tocsr()
-    _, _, interior = dof_partition(m, tm)
-    grid = GridPoisson(m, A, interior, tm.multiplier_vertices)
+    grid = GridPoisson(m, A)
+    assert np.array_equal(grid.trace_dofs, tm.multiplier_vertices)
     load = rng.standard_normal(m.num_vertices)
     for free in (np.zeros(tm.num_multipliers, dtype=bool), rng.random(tm.num_multipliers) < 0.5):
         w = grid.fill(np.zeros(m.num_vertices), load, free=free)
@@ -203,10 +217,10 @@ def test_fill_refines_against_the_assembled_stiffness():
 @pytest.mark.parametrize("level", [3, 5])
 def test_grid_solve_is_the_interior_inverse(level):
     m = mesh_at_level(level)
-    tm = trace_map(m)
     A = assemble_stiffness(m)
-    _, _, interior = dof_partition(m, tm)
-    grid = GridPoisson(m, A, interior, tm.multiplier_vertices)
+    _, _, interior = dof_partition(m)
+    grid = GridPoisson(m, A)
+    assert np.array_equal(np.sort(grid.interior), interior)
     r = np.random.default_rng(level).standard_normal(interior.shape[0])
     ref = spla.spsolve(A[grid.interior][:, grid.interior].tocsc(), r)
     assert np.abs(grid.solve(r) - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -280,14 +280,24 @@ def test_config_file_rejects_malformed_lines(tmp_path):
         ("compute_lambda_tilde = True", "expected true or false"),
         ("max_level = 6.5", "max_level"),
         ("knots = 0.5", "two comma-separated reals"),
+        # int() reads both of these as integers
+        ("max_level = 1_0", "expected an integer, got '1_0'"),
+        ("max_level = \uff13", "expected an integer, got '\uff13'"),
+        ("max_level = 4 5", "expected an integer"),
     ],
 )
 def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
-    path.write_text(f"# study\nmin_level = 2\n{line}\n")
+    path.write_text(f"# study\nmin_level = 2\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message) as err:
         config_from_file(path)
     assert f"{path}:3:" in str(err.value)
+
+
+def test_config_file_reads_signed_ascii_integers(tmp_path):
+    path = tmp_path / "signed.cfg"
+    path.write_text("min_level = +2\nmax_level = 04\n")
+    assert config_from_file(path) == {"min_level": 2, "max_level": 4}
 
 
 def test_config_file_rejects_a_repeated_key_naming_both_lines(tmp_path):
@@ -353,3 +363,12 @@ def test_csv_rows_of_a_synthetic_record(tmp_path):
         "3.000000e-02,1.5000,1.796400e-02,1.7365,,,0.000000e+00,0.0000,"
         "1.234560e-02,0.4567,2,12.346",
     ]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_emit_reports_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
+    zeros = dict(xl_dist=0.0, xl_ratio=0.0, xr_dist=0.0, xr_ratio=0.0)
+    record = study.ConvergenceRecord(level=3, h=0.1, errors=dict(e_L2_omega=bad), **zeros)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        emit_reports([record], StudyConfig(min_level=3, max_level=3), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
