@@ -7,17 +7,32 @@ with n the number of halvings between the first and the k-th level;
 level-to-level rates are reported alongside in the JSON mirror as a
 diagnostic, since they fluctuate more strongly for boundary quantities.
 Two runs with the same configuration produce identical numbers; wall-clock
-seconds are recorded per level and are the only non-reproducible column.
+seconds are recorded per level and per stage and are the only
+non-reproducible values.
+
+The levels are independent work, tied together only by the rates.  A study
+of more than one level forks one worker process at its start, which runs
+the coarser levels one after another while this process runs the finest
+level; each level costs about 4x the one before it, so the finest level is
+the critical path and a second worker could not shorten it.  The parent
+merges the outcomes in level order, so the logs, reports and errors are
+those of running the levels in turn.  The worker is forked, not spawned:
+it needs no import and sees every attribute of this module as the parent
+left it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import multiprocessing
 import re
+import signal
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -37,7 +52,9 @@ log = logging.getLogger(__name__)
 # the highest reading).  No sparse factor is built; the peak is set by
 # assembly with the grid solver's construction (609 MiB at level 9), which
 # grows with the vertex count, about 3.7x per level, so level 11 would need
-# about 8.4 GiB.
+# about 8.4 GiB.  The worker that runs the coarser levels adds its own peak,
+# that of level max_level - 1: 582 MiB beside level 10's 2176 MiB in the
+# 2..10 study (BENCH_study.json).
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -112,6 +129,7 @@ class ConvergenceRecord:
     level: int
     h: float
     errors: dict
+    stage_seconds: dict  # wall seconds of mesh, assemble, contact, flux, norms
     rates: dict = field(default_factory=dict)  # averaged against first level
     rates_stepwise: dict = field(default_factory=dict)  # diagnostic only
     xl_dist: float = math.nan
@@ -140,38 +158,42 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Execute the study and, when configured, write the report files.
 
     The report directory is created first, so a path that cannot be one
-    raises OSError before any level runs.  A level whose solve raises
-    SolverError is skipped and the study goes on; once the reports of the
-    other levels are written, StudyError names every skipped level with its
-    message and carries the records.
+    raises OSError before any level runs.  The levels below max_level run
+    in one forked worker process while this process runs max_level.  A
+    level whose solve raises SolverError is skipped and the study goes on;
+    so is every level a worker that died did not report.  Once the reports
+    of the other levels are written, StudyError names every skipped level
+    with its message and carries the records.  Any other exception, in
+    this process or the worker, propagates; the worker is joined before
+    this function returns or raises.
     """
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     sol = config.solution()
     ref_level = config.max_level + REF_OFFSET
+    outcomes = {}
+    with _in_worker(range(config.min_level, config.max_level), sol, config, ref_level) as coarse_outcomes:
+        _run_levels([config.max_level], sol, config, ref_level, outcomes.__setitem__)
+        outcomes.update(coarse_outcomes())
+
     records: list[ConvergenceRecord] = []
     failures: list[str] = []
-
-    mesh = mesh_at_level(config.min_level)
-    for level in range(config.min_level, config.max_level + 1):
-        start = time.perf_counter()
-        try:
-            record = _run_level(mesh, sol, config, ref_level)
-            record.seconds = time.perf_counter() - start
-            records.append(record)
-            log.info(
-                "level %d: h=%.3e, e_L2(Omega)=%.3e, iterations=%d, %.2fs",
-                level,
-                record.h,
-                record.errors["e_L2_omega"],
-                record.iterations,
-                record.seconds,
-            )
-        except SolverError as exc:
-            failures.append(f"level {level} failed: {exc}")
-            log.error(failures[-1])
-        if level < config.max_level:
-            mesh = refine(mesh)
+    for level in sorted(outcomes):
+        outcome = outcomes[level]
+        if isinstance(outcome, str):
+            failures.append(outcome)
+            log.error(outcome)
+            continue
+        records.append(outcome)
+        log.info(
+            "level %d: h=%.3e, e_L2(Omega)=%.3e, iterations=%d, %.2fs (%s)",
+            level,
+            outcome.h,
+            outcome.errors["e_L2_omega"],
+            outcome.iterations,
+            outcome.seconds,
+            ", ".join(f"{stage} {sec:.2f}s" for stage, sec in outcome.stage_seconds.items()),
+        )
 
     if records:
         _fill_rates(records)
@@ -182,10 +204,100 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
-def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRecord:
+@contextlib.contextmanager
+def _in_worker(levels: range, sol, config: StudyConfig, ref_level: int):
+    """Run levels in one forked worker process while the block runs.
+
+    Yields a function that waits for the worker's outcome of every level.
+    The worker is joined when the block ends, and terminated first when the
+    block raised.  No process is started for an empty range.
+    """
+    if not levels:
+        yield lambda: {}
+        return
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_serve, args=(sender, levels, sol, config, ref_level))
+    worker.start()
+    sender.close()  # so that a dead worker ends receiver.recv() with EOFError
+    try:
+        yield lambda: _collect(receiver, worker, levels)
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        receiver.close()
+
+
+def _serve(sender, levels: range, sol, config: StudyConfig, ref_level: int) -> None:
+    """Worker process: send (level, outcome) per level, or (None, (exception, traceback))."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent terminates the worker
+    try:
+        _run_levels(levels, sol, config, ref_level, lambda level, outcome: sender.send((level, outcome)))
+    except Exception as exc:
+        sender.send((None, (exc, traceback.format_exc())))
+
+
+def _collect(receiver, worker, levels: range) -> dict:
+    """The worker's outcome per level; re-raises an exception that stopped it.
+
+    A level the worker did not report before it exited gets a failure
+    message naming the worker's levels and its exit code.
+    """
+    outcomes = {}
+    while len(outcomes) < len(levels):
+        try:
+            level, outcome = receiver.recv()
+        except EOFError:
+            worker.join()
+            reason = f"the worker process of levels {levels[0]}..{levels[-1]} exited with code {worker.exitcode}"
+            return {**outcomes, **{k: f"level {k} failed: {reason}" for k in levels if k not in outcomes}}
+        if level is None:
+            exc, text = outcome
+            raise exc from RuntimeError(f"in the worker process of levels {levels[0]}..{levels[-1]}:\n{text}")
+        outcomes[level] = outcome
+    return outcomes
+
+
+def _run_levels(levels, sol, config: StudyConfig, ref_level: int, report) -> None:
+    """Run levels in turn and call report(level, outcome) after each.
+
+    The first level's mesh is built by mesh_at_level, each later one by
+    refining the one before.  The outcome is the level's ConvergenceRecord,
+    or the failure message when its solve raised SolverError.
+    """
+    mesh = None
+    for level in levels:
+        clock = _StageClock()
+        mesh = mesh_at_level(level) if mesh is None else refine(mesh)
+        try:
+            outcome = _run_level(mesh, sol, config, ref_level, clock)
+        except SolverError as exc:
+            outcome = f"level {level} failed: {exc}"
+        report(level, outcome)
+
+
+class _StageClock:
+    """Wall seconds of one level's stages, each booked when it ends."""
+
+    def __init__(self):
+        self.start = self.last = time.perf_counter()
+        self.seconds = {}
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self.last
+        self.last = now
+
+
+def _run_level(mesh, sol, config: StudyConfig, ref_level: int, clock: _StageClock) -> ConvergenceRecord:
     tmap = trace_map(mesh)
+    clock.lap("mesh")
     system = build_system(mesh, tmap, sol)
+    clock.lap("assemble")
     solution = solve_vi(mesh, tmap, sol, system=system)
+    clock.lap("contact")
     lam_tilde = None
     if config.compute_lambda_tilde:
         # the multiplier of the exact trace z, read as the boundary residual
@@ -194,10 +306,12 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         w = system.lift()
         w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
         lam_tilde = system.grid.flux(w, system.load) / system.lumped_mass
+    clock.lap("flux")
 
     errors = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
     h = mesh.max_edge_length()
     xl_h, xr_h = discrete_transmission_points(solution, tmap)
+    clock.lap("norms")
     return ConvergenceRecord(
         level=mesh.level,
         h=h,
@@ -207,6 +321,8 @@ def _run_level(mesh, sol, config: StudyConfig, ref_level: int) -> ConvergenceRec
         xr_dist=abs(sol.x_right - xr_h),
         xr_ratio=abs(sol.x_right - xr_h) / h,
         iterations=solution.iterations,
+        seconds=clock.last - clock.start,
+        stage_seconds=clock.seconds,
         tolerances={**TOLERANCES, "ref_level": ref_level},
     )
 
@@ -263,17 +379,24 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
 
     Returns the written paths.  The JSON mirror carries the configuration,
     every ``ConvergenceRecord`` field in full precision (``rates`` as
-    ``rates_averaged``) and ``failed_levels``, the configured levels without
-    a record.  A NaN or infinite value raises ValueError before any write.
+    ``rates_averaged``), ``failed_levels``, the configured levels without a
+    record, and ``stage_seconds`` by level.  The stage seconds stand beside
+    the records so that the records of two runs differ only in ``seconds``.
+    A NaN or infinite value raises ValueError before any write.
     """
     configured = range(config.min_level, config.max_level + 1)
     payload = {
         "config": asdict(config),
         "records": [
-            {("rates_averaged" if key == "rates" else key): value for key, value in asdict(rec).items()}
+            {
+                ("rates_averaged" if key == "rates" else key): value
+                for key, value in asdict(rec).items()
+                if key != "stage_seconds"
+            }
             for rec in records
         ],
         "failed_levels": sorted(set(configured) - {rec.level for rec in records}),
+        "stage_seconds": {str(rec.level): rec.stage_seconds for rec in records},
     }
     text = json.dumps(payload, indent=2, allow_nan=False)
     out = Path(out_dir)
@@ -290,6 +413,10 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
 
 #: a config comment starts with '#' at the start of a line or after whitespace
 _COMMENT = re.compile(r"(?<!\S)#")
+
+#: a real in ASCII decimal or exponent syntax; float() would also take
+#: underscores, non-ASCII digits, inf and nan
+_REAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def config_from_file(path) -> dict:
@@ -338,8 +465,8 @@ def _parse_value(kind: str, value: str):
             raise ValueError(f"expected an integer, got {value!r}")
         return int(value)
     if kind == "tuple[float, float]":
-        parts = value.split(",")
-        if len(parts) != 2:
+        parts = [part.strip() for part in value.split(",")]
+        if len(parts) != 2 or not all(_REAL.fullmatch(part) for part in parts):
             raise ValueError(f"expected two comma-separated reals, got {value!r}")
         return (float(parts[0]), float(parts[1]))
     return value

@@ -201,6 +201,16 @@ def test_level_flags_take_ascii_integers_only(monkeypatch, flag, value):
     assert not built
 
 
+@pytest.mark.parametrize("value", ["0.4_5,1", "\uff10.\uff15,1.0", "0.5,nan"])
+def test_knots_flag_takes_ascii_reals_only(monkeypatch, value):
+    built = []
+    monkeypatch.setattr(study_module, "mesh_at_level", lambda level: built.append(level))
+    result = CliRunner().invoke(main, ["study", "--knots", value])
+    assert result.exit_code == 1
+    assert f"Error: --knots: expected two comma-separated reals, got {value!r}" in result.output
+    assert not built
+
+
 def test_package_import_leaves_scipy_fft_out():
     # importing scipy.fft takes 80-100 ms, about a quarter of the default
     # study's set-up time, so the grid solver's DST-I runs on numpy.fft

@@ -1,14 +1,26 @@
 import dataclasses
 import json
+import logging
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import signorini_fem
 from signorini_fem import ExactSolution, SolverError, StudyConfig, StudyError, norms, run_study, study
+from signorini_fem.mesh import mesh_at_level
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
 from oracles import count_grid_builds
+
+
+STAGES = ["mesh", "assemble", "contact", "flux", "norms"]
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +28,23 @@ def records_small(tmp_path_factory):
     out = tmp_path_factory.mktemp("study")
     config = StudyConfig(min_level=2, max_level=5, out_dir=str(out))
     return run_study(config), config, out
+
+
+@pytest.fixture
+def joined_worker():
+    """Fails a study that hangs, and checks that no worker process outlives it."""
+
+    def hang(signum, frame):
+        raise TimeoutError("the study did not finish within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_averaged_rate_reference_values():
@@ -138,7 +167,9 @@ def test_json_record_keys_are_the_record_fields_in_order(records_small):
     _, _, out = records_small
     payload = json.loads((out / "results.json").read_text())
     expected = [
-        "rates_averaged" if f.name == "rates" else f.name for f in dataclasses.fields(ConvergenceRecord)
+        "rates_averaged" if f.name == "rates" else f.name
+        for f in dataclasses.fields(ConvergenceRecord)
+        if f.name != "stage_seconds"
     ]
     assert expected[:5] == ["level", "h", "errors", "rates_averaged", "rates_stepwise"]
     for blob in payload["records"]:
@@ -161,6 +192,7 @@ def test_determinism_modulo_seconds(tmp_path):
         payload = json.loads(path.read_text())
         for rec in payload["records"]:
             rec.pop("seconds")
+        payload.pop("stage_seconds")
         payload["config"].pop("out_dir")
         return payload
 
@@ -168,13 +200,57 @@ def test_determinism_modulo_seconds(tmp_path):
 
 
 def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
-    # the contact solve and lambda tilde share the system's grid solver
+    # the contact solve and lambda tilde share the system's grid solver;
+    # the loop runs here as it runs in the worker and for the finest level
     built = count_grid_builds(monkeypatch)
-    run_study(StudyConfig(min_level=2, max_level=8))
+    config = StudyConfig(min_level=2, max_level=8)
+    outcomes = {}
+    study._run_levels(range(2, 9), config.solution(), config, 8 + study.REF_OFFSET, outcomes.__setitem__)
     assert built == list(range(2, 9))
+    assert [rec.level for rec in outcomes.values()] == list(range(2, 9))
 
 
-def test_emit_reports_empty_records_error(monkeypatch):
+def test_worker_records_equal_the_levels_run_in_this_process(records_small):
+    records, config, _ = records_small
+    sol = config.solution()
+    ref_level = config.max_level + study.REF_OFFSET
+    assert [rec.level for rec in records] == [2, 3, 4, 5]
+    for rec in records:
+        own = study._run_level(mesh_at_level(rec.level), sol, config, ref_level, study._StageClock())
+        assert rec.errors == own.errors
+        assert rec.iterations == own.iterations
+        assert (rec.h, rec.xl_dist, rec.xl_ratio, rec.xr_dist, rec.xr_ratio) == (
+            own.h,
+            own.xl_dist,
+            own.xl_ratio,
+            own.xr_dist,
+            own.xr_ratio,
+        )
+        assert rec.tolerances == own.tolerances
+
+
+def test_stage_seconds_add_up_to_the_level_seconds(records_small):
+    records, _, out = records_small
+    payload = json.loads((out / "results.json").read_text())
+    assert list(payload["stage_seconds"]) == [str(rec.level) for rec in records]
+    for rec in records:
+        assert list(rec.stage_seconds) == STAGES
+        assert all(sec >= 0.0 for sec in rec.stage_seconds.values())
+        assert sum(rec.stage_seconds.values()) == pytest.approx(rec.seconds, rel=1e-9)
+        assert payload["stage_seconds"][str(rec.level)] == rec.stage_seconds
+    assert "stage" not in (out / "results.csv").read_text()
+
+
+def test_each_level_is_logged_once_in_order_with_its_stages(caplog, joined_worker):
+    with caplog.at_level(logging.INFO, logger="signorini_fem.study"):
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level ")]
+    assert [line.split(":")[0] for line in lines] == ["level 2", "level 3", "level 4"]
+    for line in lines:
+        assert all(f"{stage} " in line for stage in STAGES)
+
+
+def test_emit_reports_empty_records_error(monkeypatch, joined_worker):
     # every level fails in the solver, so no record exists
     def failing_solve(*args, **kwargs):
         raise SolverError("PDAS did not converge")
@@ -184,18 +260,78 @@ def test_emit_reports_empty_records_error(monkeypatch):
         run_study(StudyConfig(min_level=2, max_level=3, out_dir=None))
 
 
-def test_failed_level_raises_with_the_other_records(monkeypatch):
+def _solve_failing_at(monkeypatch, failing_level, fail):
     solve = study.solve_vi
 
-    def solve_all_but_level_3(mesh, *args, **kwargs):
-        if mesh.level == 3:
-            raise SolverError("PDAS did not converge within 100 iterations")
+    def solve_but_one_level(mesh, *args, **kwargs):
+        if mesh.level == failing_level:
+            fail()
         return solve(mesh, *args, **kwargs)
 
-    monkeypatch.setattr(study, "solve_vi", solve_all_but_level_3)
+    monkeypatch.setattr(study, "solve_vi", solve_but_one_level)
+
+
+def _fail_to_converge():
+    raise SolverError("PDAS did not converge within 100 iterations")
+
+
+def test_failed_level_raises_with_the_other_records(monkeypatch, joined_worker):
+    _solve_failing_at(monkeypatch, 3, _fail_to_converge)
     with pytest.raises(StudyError, match="level 3 failed: PDAS did not converge") as err:
         run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
     assert [rec.level for rec in err.value.records] == [2, 4]
+
+
+# in the 2..4 study levels 2 and 3 run in the worker, level 4 in this process
+@pytest.mark.parametrize("failing_level", [2, 4])
+def test_failed_first_or_finest_level_raises_with_the_other_records(monkeypatch, joined_worker, failing_level):
+    _solve_failing_at(monkeypatch, failing_level, _fail_to_converge)
+    with pytest.raises(StudyError) as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert str(err.value) == f"level {failing_level} failed: PDAS did not converge within 100 iterations"
+    assert [rec.level for rec in err.value.records] == [k for k in (2, 3, 4) if k != failing_level]
+
+
+@pytest.mark.parametrize("failing_level", [3, 4])
+def test_another_exception_reaches_the_caller(monkeypatch, joined_worker, failing_level):
+    def fail():
+        raise ValueError(f"no stiffness at level {failing_level}")
+
+    _solve_failing_at(monkeypatch, failing_level, fail)
+    with pytest.raises(ValueError, match=f"no stiffness at level {failing_level}") as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    # the worker's traceback is the cause of what it raised
+    assert ("in the worker process of levels 2..3" in str(err.value.__cause__)) == (failing_level == 3)
+
+
+def test_a_worker_that_dies_fails_its_unreported_levels(monkeypatch, joined_worker, tmp_path):
+    test_process = os.getpid()
+
+    def die():
+        assert os.getpid() != test_process, "level 3 ran in the test process"
+        os._exit(3)
+
+    _solve_failing_at(monkeypatch, 3, die)
+    out = tmp_path / "died"
+    with pytest.raises(StudyError) as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
+    assert str(err.value) == "level 3 failed: the worker process of levels 2..3 exited with code 3"
+    assert [rec.level for rec in err.value.records] == [2, 4]
+    assert json.loads((out / "results.json").read_text())["failed_levels"] == [3]
+
+
+def test_text_printed_before_a_study_is_written_once():
+    # a forked worker holds a copy of this process's stdout buffer, which
+    # multiprocessing flushes before it forks
+    src = Path(signorini_fem.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import signorini_fem as sf; print('before the study'); "
+        "sf.run_study(sf.StudyConfig(min_level=2, max_level=3, compute_lambda_tilde=False))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("before the study") == 1
 
 
 def test_lambda_tilde_optional(tmp_path):
@@ -284,6 +420,11 @@ def test_config_file_rejects_malformed_lines(tmp_path):
         ("max_level = 1_0", "expected an integer, got '1_0'"),
         ("max_level = \uff13", "expected an integer, got '\uff13'"),
         ("max_level = 4 5", "expected an integer"),
+        # float() reads all of these as reals
+        ("knots = 0.4_5,\uff11", "expected two comma-separated reals, got '0.4_5,\uff11'"),
+        ("knots = \uff10.\uff15,1.0", "expected two comma-separated reals"),
+        ("knots = 0.5,inf", "expected two comma-separated reals"),
+        ("knots = nan,1.0", "expected two comma-separated reals"),
     ],
 )
 def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message):
@@ -298,6 +439,14 @@ def test_config_file_reads_signed_ascii_integers(tmp_path):
     path = tmp_path / "signed.cfg"
     path.write_text("min_level = +2\nmax_level = 04\n")
     assert config_from_file(path) == {"min_level": 2, "max_level": 4}
+
+
+def test_config_file_reads_ascii_reals_in_decimal_and_exponent_syntax(tmp_path):
+    path = tmp_path / "reals.cfg"
+    path.write_text("knots = .5, +1.E0\n")
+    assert config_from_file(path) == {"knots": (0.5, 1.0)}
+    path.write_text("knots = 45e-2,1.05\n")
+    assert config_from_file(path) == {"knots": (0.45, 1.05)}
 
 
 def test_config_file_rejects_a_repeated_key_naming_both_lines(tmp_path):
@@ -344,6 +493,7 @@ def test_csv_rows_of_a_synthetic_record(tmp_path):
         level=3,
         h=0.16289,
         errors=errors,
+        stage_seconds={},
         rates=rates,
         xl_dist=0.0,
         xl_ratio=0.0,
@@ -368,7 +518,7 @@ def test_csv_rows_of_a_synthetic_record(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_emit_reports_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
     zeros = dict(xl_dist=0.0, xl_ratio=0.0, xr_dist=0.0, xr_ratio=0.0)
-    record = study.ConvergenceRecord(level=3, h=0.1, errors=dict(e_L2_omega=bad), **zeros)
+    record = study.ConvergenceRecord(level=3, h=0.1, errors=dict(e_L2_omega=bad), stage_seconds={}, **zeros)
     with pytest.raises(ValueError, match="JSON compliant"):
         emit_reports([record], StudyConfig(min_level=3, max_level=3), tmp_path / "out")
     assert not (tmp_path / "out").exists()
