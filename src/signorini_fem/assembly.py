@@ -618,26 +618,34 @@ class FeSystem:
         return w
 
 
-def build_system(mesh: TriMesh, tmap: TraceMap, sol) -> FeSystem:
-    """Assemble stiffness, load, lumped mass and Dirichlet data for sol,
-    and build the stiffness's grid solver; a stiffness off the five-point
-    stencil raises SolverError here."""
-    stiffness = assemble_stiffness(mesh)
+def system_load(mesh: TriMesh, sol) -> np.ndarray:
+    """The load vector of sol's right-hand side, refined near the
+    transmission points and split at the load's kinks, as build_system
+    assembles it."""
     pts = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
-    load = assemble_load(
+    return assemble_load(
         mesh,
         sol.rhs,
         refine_near=(pts, 2.0 * mesh.max_edge_length()),
         split_x=sol.load_split_x,
     )
+
+
+def build_system(mesh: TriMesh, tmap: TraceMap, sol, load=system_load) -> FeSystem:
+    """Assemble stiffness, lumped mass and Dirichlet data for sol, build the
+    stiffness's grid solver, then take the load vector from load(mesh, sol);
+    a stiffness off the five-point stencil raises SolverError before the
+    load is asked for."""
+    stiffness = assemble_stiffness(mesh)
     dir_idx, free_mask, _ = dof_partition(mesh)
     dir_vals = sol.u(mesh.vertices[dir_idx, 0], mesh.vertices[dir_idx, 1])
+    grid = GridPoisson(mesh, stiffness)
     return FeSystem(
         mesh=mesh,
-        load=load,
+        load=load(mesh, sol),
         lumped_mass=boundary_lumped_mass(tmap),
         dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
         free_mask=free_mask,
-        grid=GridPoisson(mesh, stiffness),
+        grid=grid,
     )

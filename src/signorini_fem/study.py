@@ -10,14 +10,19 @@ Two runs with the same configuration produce identical numbers; wall-clock
 seconds are recorded per level and per stage and are the only
 non-reproducible values.
 
-The levels are independent work, tied together only by the rates.  A study
-of more than one level forks one worker process at its start, which runs
-the coarser levels one after another while this process runs the finest
-level; each level costs about 4x the one before it, so the finest level is
-the critical path and a second worker could not shorten it.  The parent
-merges the outcomes in level order, so the logs, reports and errors are
-those of running the levels in turn.  The worker is forked, not spawned:
-it needs no import and sees every attribute of this module as the parent
+The levels are independent work, tied together only by the rates.  Each
+costs about 4x the one before it, so the finest level is the critical path.
+A study of more than one level builds its finest mesh and then forks one
+worker process.  The worker assembles that mesh's load and sends it back,
+then runs the coarser levels one after another.  Meanwhile this process
+builds the finest level's stiffness and grid solver, takes the load from
+the worker and runs the rest of the level.  The load costs about as much
+as the stiffness with its grid solver, and the coarser levels together
+less than the rest of the finest level, so neither is on the critical
+path.  The parent merges the outcomes in level order, so the logs,
+reports and errors are those of running the levels in turn.  The worker is
+forked, not spawned: it needs no import, shares the finest mesh with the
+parent copy-on-write and sees every attribute of this module as the parent
 left it.
 """
 
@@ -30,6 +35,7 @@ import logging
 import math
 import multiprocessing
 import re
+import resource
 import signal
 import time
 import traceback
@@ -38,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import build_system
+from .assembly import build_system, system_load
 from .manufactured import CutoffSpline, ExactSolution
 from .mesh import mesh_at_level, refine, trace_map
 from .norms import RATE_KEYS, TOLERANCES, error_report  # noqa: F401  (RATE_KEYS is re-exported)
@@ -48,13 +54,14 @@ from .steklov import exact_trace_values
 log = logging.getLogger(__name__)
 
 # Level 10 ran in 48 s at a peak RSS of 2193 to 2246 MiB over two runs on
-# a 7.8 GiB host (BENCH_level10.json; the refusal below quotes 2283 MiB,
-# the highest reading).  No sparse factor is built; the peak is set by
-# assembly with the grid solver's construction (609 MiB at level 9), which
-# grows with the vertex count, about 3.7x per level, so level 11 would need
-# about 8.4 GiB.  The worker that runs the coarser levels adds its own peak,
-# that of level max_level - 1: 582 MiB beside level 10's 2176 MiB in the
-# 2..10 study (BENCH_study.json).
+# a 7.8 GiB host (BENCH_level10.json).  No sparse factor is built; the
+# calling process's peak is set by assembly with the grid solver's
+# construction (609 MiB at level 9), which grows with the vertex count,
+# about 3.7x per level.  The worker adds its own peak, set by the finest
+# level's load on top of the mesh it shares from the fork: the 2..10 study
+# peaked at 2177 MiB in the calling process and 710 to 713 MiB in the
+# worker (BENCH_load_handoff.json), so a 2..11 study would need about
+# 10.4 GiB.
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -107,8 +114,9 @@ class StudyConfig:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"max_level {self.max_level} is above {MAX_LEVEL}: level 10 peaked at 2283 MiB RSS, "
-                "set by assembly, which grows about 3.7x per level"
+                f"max_level {self.max_level} is above {MAX_LEVEL}: the 2..10 study peaked at 2177 MiB RSS "
+                "in the calling process and 713 MiB in the worker, both set by level 10's assembly, "
+                "which grows about 3.7x per level"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):
@@ -158,23 +166,26 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Execute the study and, when configured, write the report files.
 
     The report directory is created first, so a path that cannot be one
-    raises OSError before any level runs.  The levels below max_level run
-    in one forked worker process while this process runs max_level.  A
-    level whose solve raises SolverError is skipped and the study goes on;
-    so is every level a worker that died did not report.  Once the reports
-    of the other levels are written, StudyError names every skipped level
-    with its message and carries the records.  Any other exception, in
-    this process or the worker, propagates; the worker is joined before
-    this function returns or raises.
+    raises OSError before any level runs.  Once the finest mesh is built,
+    one forked worker process assembles its load and then runs the levels
+    below max_level, while this process runs max_level.  A level whose
+    solve raises SolverError is skipped and the study goes on; so is every
+    level a worker that died did not report, and the finest level when the
+    worker died before it sent the load.  Once the reports of the other
+    levels are written, StudyError names every skipped level with its
+    message and carries the records.  Any other exception, in this process
+    or the worker, propagates; the worker is joined before this function
+    returns or raises.
     """
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     sol = config.solution()
     ref_level = config.max_level + REF_OFFSET
-    outcomes = {}
-    with _in_worker(range(config.min_level, config.max_level), sol, config, ref_level) as coarse_outcomes:
-        _run_levels([config.max_level], sol, config, ref_level, outcomes.__setitem__)
-        outcomes.update(coarse_outcomes())
+    clock = _StageClock()  # the finest level's mesh stage includes building it
+    finest = mesh_at_level(config.max_level)
+    with _in_worker(finest, range(config.min_level, config.max_level), sol, config, ref_level) as worker:
+        outcomes = {config.max_level: _outcome(finest, sol, config, ref_level, clock, worker.load)}
+        outcomes.update(worker.collect())
 
     records: list[ConvergenceRecord] = []
     failures: list[str] = []
@@ -198,30 +209,46 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     if records:
         _fill_rates(records)
     if config.out_dir is not None:
-        emit_reports(records, config, config.out_dir)
+        emit_reports(records, config, config.out_dir, worker.peak_rss_mib)
     if failures:
         raise StudyError("; ".join(failures), records)
     return records
 
 
-@contextlib.contextmanager
-def _in_worker(levels: range, sol, config: StudyConfig, ref_level: int):
-    """Run levels in one forked worker process while the block runs.
+class _NoWorker:
+    """Stands in for the worker of a one-level study: the load is assembled
+    in this process and there are no coarser levels."""
 
-    Yields a function that waits for the worker's outcome of every level.
-    The worker is joined when the block ends, and terminated first when the
-    block raised.  No process is started for an empty range.
+    peak_rss_mib = None
+
+    def load(self, mesh, sol) -> np.ndarray:
+        return system_load(mesh, sol)
+
+    def collect(self) -> dict:
+        return {}
+
+
+@contextlib.contextmanager
+def _in_worker(finest, levels: range, sol, config: StudyConfig, ref_level: int):
+    """Fork one worker process that assembles the finest mesh's load and
+    then runs levels, while the block runs.
+
+    Yields the worker's _Pipe, whose load is build_system's load for the
+    finest level and whose collect waits for the worker's outcome of every
+    level.  The worker is joined when the block ends, and terminated first
+    when the block raised.  For an empty range no process is started and
+    a _NoWorker is yielded.
     """
     if not levels:
-        yield lambda: {}
+        yield _NoWorker()
         return
     fork = multiprocessing.get_context("fork")
     receiver, sender = fork.Pipe(duplex=False)
-    worker = fork.Process(target=_serve, args=(sender, levels, sol, config, ref_level))
+    worker = fork.Process(target=_serve, args=(sender, finest, levels, sol, config, ref_level))
     worker.start()
     sender.close()  # so that a dead worker ends receiver.recv() with EOFError
     try:
-        yield lambda: _collect(receiver, worker, levels)
+        yield _Pipe(receiver, worker, levels)
     except BaseException:
         worker.terminate()
         raise
@@ -230,52 +257,98 @@ def _in_worker(levels: range, sol, config: StudyConfig, ref_level: int):
         receiver.close()
 
 
-def _serve(sender, levels: range, sol, config: StudyConfig, ref_level: int) -> None:
-    """Worker process: send (level, outcome) per level, or (None, (exception, traceback))."""
+def _serve(sender, finest, levels: range, sol, config: StudyConfig, ref_level: int) -> None:
+    """Worker process: send the finest mesh's load, each level's outcome
+    and the worker's peak RSS, in this order.
+
+    Every message is (kind, value); an exception ends the worker with
+    ("error", (exception, traceback)).  The finest mesh is not released
+    here: the caller's frames, copied by the fork, still hold it, and its
+    pages stay shared with the caller copy-on-write.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent terminates the worker
     try:
-        _run_levels(levels, sol, config, ref_level, lambda level, outcome: sender.send((level, outcome)))
+        sender.send(("load", system_load(finest, sol)))
+        _run_levels(levels, sol, config, ref_level, lambda level, outcome: sender.send(("level", (level, outcome))))
     except Exception as exc:
-        sender.send((None, (exc, traceback.format_exc())))
+        sender.send(("error", (exc, traceback.format_exc())))
+        return
+    sender.send(("peak_rss_mib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
 
 
-def _collect(receiver, worker, levels: range) -> dict:
-    """The worker's outcome per level; re-raises an exception that stopped it.
+class _Pipe:
+    """This process's end of the worker's pipe, read in the order _serve sends."""
 
-    A level the worker did not report before it exited gets a failure
-    message naming the worker's levels and its exit code.
-    """
-    outcomes = {}
-    while len(outcomes) < len(levels):
+    def __init__(self, receiver, worker, levels: range):
+        self.receiver = receiver
+        self.worker = worker
+        self.levels = levels
+        self.load_read = False
+        self.peak_rss_mib = None
+
+    def _receive(self):
+        """The value of the worker's next message.
+
+        Re-raises an exception that stopped the worker, with its traceback
+        as the cause; raises EOFError naming the exit code once the worker
+        has exited.
+        """
+        name = f"the worker process of levels {self.levels[0]}..{self.levels[-1]}"
         try:
-            level, outcome = receiver.recv()
+            kind, value = self.receiver.recv()
         except EOFError:
-            worker.join()
-            reason = f"the worker process of levels {levels[0]}..{levels[-1]} exited with code {worker.exitcode}"
-            return {**outcomes, **{k: f"level {k} failed: {reason}" for k in levels if k not in outcomes}}
-        if level is None:
-            exc, text = outcome
-            raise exc from RuntimeError(f"in the worker process of levels {levels[0]}..{levels[-1]}:\n{text}")
-        outcomes[level] = outcome
-    return outcomes
+            self.worker.join()
+            raise EOFError(f"{name} exited with code {self.worker.exitcode}") from None
+        if kind == "error":
+            exc, text = value
+            raise exc from RuntimeError(f"in {name}:\n{text}")
+        return value
+
+    def load(self, mesh, sol) -> np.ndarray:
+        """build_system's load for the finest mesh: the worker's vector."""
+        self.load_read = True
+        return self._receive()
+
+    def collect(self) -> dict:
+        """The worker's outcome per level, then its peak RSS.
+
+        A load the finest level did not read, because it failed first, is
+        skipped.  A level the worker did not report before it exited gets a
+        failure message naming the worker's levels and its exit code.
+        """
+        outcomes = {}
+        try:
+            if not self.load_read:
+                self._receive()
+            while len(outcomes) < len(self.levels):
+                level, outcome = self._receive()
+                outcomes[level] = outcome
+            self.peak_rss_mib = self._receive()
+        except EOFError as exc:
+            outcomes.update({k: f"level {k} failed: {exc}" for k in self.levels if k not in outcomes})
+        return outcomes
 
 
 def _run_levels(levels, sol, config: StudyConfig, ref_level: int, report) -> None:
     """Run levels in turn and call report(level, outcome) after each.
 
     The first level's mesh is built by mesh_at_level, each later one by
-    refining the one before.  The outcome is the level's ConvergenceRecord,
-    or the failure message when its solve raised SolverError.
+    refining the one before.
     """
     mesh = None
     for level in levels:
         clock = _StageClock()
         mesh = mesh_at_level(level) if mesh is None else refine(mesh)
-        try:
-            outcome = _run_level(mesh, sol, config, ref_level, clock)
-        except SolverError as exc:
-            outcome = f"level {level} failed: {exc}"
-        report(level, outcome)
+        report(level, _outcome(mesh, sol, config, ref_level, clock, system_load))
+
+
+def _outcome(mesh, sol, config: StudyConfig, ref_level: int, clock, load):
+    """The level's ConvergenceRecord, or the failure message when its solve
+    raised SolverError or its load was lost with the worker (EOFError)."""
+    try:
+        return _run_level(mesh, sol, config, ref_level, clock, load)
+    except (SolverError, EOFError) as exc:
+        return f"level {mesh.level} failed: {exc}"
 
 
 class _StageClock:
@@ -291,10 +364,10 @@ class _StageClock:
         self.last = now
 
 
-def _run_level(mesh, sol, config: StudyConfig, ref_level: int, clock: _StageClock) -> ConvergenceRecord:
+def _run_level(mesh, sol, config: StudyConfig, ref_level: int, clock: _StageClock, load) -> ConvergenceRecord:
     tmap = trace_map(mesh)
     clock.lap("mesh")
-    system = build_system(mesh, tmap, sol)
+    system = build_system(mesh, tmap, sol, load=load)
     clock.lap("assemble")
     solution = solve_vi(mesh, tmap, sol, system=system)
     clock.lap("contact")
@@ -374,15 +447,17 @@ _CSV_TABLE = (
 CSV_COLUMNS = tuple(column for column, _ in _CSV_TABLE)
 
 
-def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir) -> dict:
+def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir, worker_peak_rss_mib=None) -> dict:
     """Write results.csv and results.json.
 
     Returns the written paths.  The JSON mirror carries the configuration,
     every ``ConvergenceRecord`` field in full precision (``rates`` as
     ``rates_averaged``), ``failed_levels``, the configured levels without a
-    record, and ``stage_seconds`` by level.  The stage seconds stand beside
-    the records so that the records of two runs differ only in ``seconds``.
-    A NaN or infinite value raises ValueError before any write.
+    record, ``stage_seconds`` by level, and ``worker_peak_rss_mib``, the
+    worker process's peak RSS (None when no worker ran).  The timings and
+    the peak stand beside the records so that the records of two runs
+    differ only in ``seconds``.  A NaN or infinite value raises ValueError
+    before any write.
     """
     configured = range(config.min_level, config.max_level + 1)
     payload = {
@@ -397,6 +472,7 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir)
         ],
         "failed_levels": sorted(set(configured) - {rec.level for rec in records}),
         "stage_seconds": {str(rec.level): rec.stage_seconds for rec in records},
+        "worker_peak_rss_mib": worker_peak_rss_mib,
     }
     text = json.dumps(payload, indent=2, allow_nan=False)
     out = Path(out_dir)

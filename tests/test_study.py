@@ -6,8 +6,10 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,9 +81,10 @@ def test_config_validation():
 
 def test_level_cap_names_the_measured_reason():
     assert MAX_LEVEL == 10
-    with pytest.raises(ValueError, match="level 10 peaked at 2283 MiB RSS") as err:
+    with pytest.raises(ValueError, match="the 2..10 study peaked at 2177 MiB RSS in the calling process") as err:
         StudyConfig(max_level=11)
-    assert "assembly, which grows about 3.7x per level" in str(err.value)
+    assert "and 713 MiB in the worker, both set by level 10's assembly" in str(err.value)
+    assert "which grows about 3.7x per level" in str(err.value)
     assert StudyConfig(max_level=10).max_level == 10
 
 
@@ -193,6 +196,7 @@ def test_determinism_modulo_seconds(tmp_path):
         for rec in payload["records"]:
             rec.pop("seconds")
         payload.pop("stage_seconds")
+        payload.pop("worker_peak_rss_mib")
         payload["config"].pop("out_dir")
         return payload
 
@@ -211,22 +215,61 @@ def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
 
 
 def test_worker_records_equal_the_levels_run_in_this_process(records_small):
+    # level 5's load comes from the worker, levels 2..4 run in it
     records, config, _ = records_small
     sol = config.solution()
     ref_level = config.max_level + study.REF_OFFSET
     assert [rec.level for rec in records] == [2, 3, 4, 5]
+
+    def results(rec):
+        timings_and_rates = ("seconds", "stage_seconds", "rates", "rates_stepwise")
+        return {k: v for k, v in dataclasses.asdict(rec).items() if k not in timings_and_rates}
+
     for rec in records:
-        own = study._run_level(mesh_at_level(rec.level), sol, config, ref_level, study._StageClock())
-        assert rec.errors == own.errors
-        assert rec.iterations == own.iterations
-        assert (rec.h, rec.xl_dist, rec.xl_ratio, rec.xr_dist, rec.xr_ratio) == (
-            own.h,
-            own.xl_dist,
-            own.xl_ratio,
-            own.xr_dist,
-            own.xr_ratio,
-        )
-        assert rec.tolerances == own.tolerances
+        own = study._run_level(mesh_at_level(rec.level), sol, config, ref_level, study._StageClock(), study.system_load)
+        assert results(rec) == results(own)
+
+
+def test_the_worker_load_equals_the_load_assembled_here(monkeypatch, joined_worker):
+    received = {}
+    build = study.build_system
+
+    def keep_load(mesh, tmap, sol, load):
+        def kept(mesh, sol):
+            received[mesh.level] = load(mesh, sol)
+            return received[mesh.level]
+
+        return build(mesh, tmap, sol, load=kept)
+
+    monkeypatch.setattr(study, "build_system", keep_load)
+    config = StudyConfig(min_level=2, max_level=5, compute_lambda_tilde=False)
+    run_study(config)
+    # levels 2..4 build their systems in the worker, out of this dict's sight
+    assert list(received) == [5]
+    assert np.array_equal(received[5], study.system_load(mesh_at_level(5), config.solution()))
+
+
+def test_results_json_carries_the_worker_peak(records_small, tmp_path):
+    _, _, out = records_small
+    assert json.loads((out / "results.json").read_text())["worker_peak_rss_mib"] > 0.0
+    # a one-level study starts no worker
+    run_study(StudyConfig(min_level=3, max_level=3, compute_lambda_tilde=False, out_dir=str(tmp_path)))
+    assert json.loads((tmp_path / "results.json").read_text())["worker_peak_rss_mib"] is None
+
+
+def test_the_finest_mesh_stage_includes_building_the_mesh(monkeypatch, joined_worker):
+    build = study.mesh_at_level
+
+    def slow_finest(level):
+        if level == 4:
+            time.sleep(0.5)
+        return build(level)
+
+    monkeypatch.setattr(study, "mesh_at_level", slow_finest)
+    records = run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert records[-1].stage_seconds["mesh"] >= 0.5
+    assert records[-1].seconds >= 0.5
+    assert all(rec.stage_seconds["mesh"] < 0.5 for rec in records[:-1])
 
 
 def test_stage_seconds_add_up_to_the_level_seconds(records_small):
@@ -318,6 +361,56 @@ def test_a_worker_that_dies_fails_its_unreported_levels(monkeypatch, joined_work
     assert str(err.value) == "level 3 failed: the worker process of levels 2..3 exited with code 3"
     assert [rec.level for rec in err.value.records] == [2, 4]
     assert json.loads((out / "results.json").read_text())["failed_levels"] == [3]
+
+
+def _load_failing_in_the_worker(monkeypatch, fail):
+    test_process = os.getpid()
+    load = study.system_load
+
+    def load_but_not_in_the_worker(mesh, sol):
+        if os.getpid() != test_process:
+            fail()
+        return load(mesh, sol)
+
+    monkeypatch.setattr(study, "system_load", load_but_not_in_the_worker)
+
+
+def test_a_worker_that_dies_in_the_load_fails_every_level(monkeypatch, joined_worker, tmp_path):
+    _load_failing_in_the_worker(monkeypatch, lambda: os._exit(3))
+    out = tmp_path / "died"
+    with pytest.raises(StudyError) as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
+    reason = "the worker process of levels 2..3 exited with code 3"
+    assert str(err.value) == "; ".join(f"level {k} failed: {reason}" for k in (2, 3, 4))
+    assert err.value.records == []
+    payload = json.loads((out / "results.json").read_text())
+    assert payload["failed_levels"] == [2, 3, 4]
+    assert payload["worker_peak_rss_mib"] is None
+
+
+def test_an_exception_in_the_worker_load_reaches_the_caller(monkeypatch, joined_worker):
+    def fail():
+        raise ValueError("no load for the finest level")
+
+    _load_failing_in_the_worker(monkeypatch, fail)
+    with pytest.raises(ValueError, match="no load for the finest level") as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert "in the worker process of levels 2..3" in str(err.value.__cause__)
+
+
+def test_a_finest_level_that_fails_before_it_reads_the_load_keeps_the_coarse_records(monkeypatch, joined_worker):
+    build = study.build_system
+
+    def off_the_stencil_at_the_finest_level(mesh, tmap, sol, load):
+        if mesh.level == 4:
+            raise SolverError("the stiffness is not the five-point stencil")
+        return build(mesh, tmap, sol, load=load)
+
+    monkeypatch.setattr(study, "build_system", off_the_stencil_at_the_finest_level)
+    with pytest.raises(StudyError) as err:
+        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert str(err.value) == "level 4 failed: the stiffness is not the five-point stencil"
+    assert [rec.level for rec in err.value.records] == [2, 3]
 
 
 def test_text_printed_before_a_study_is_written_once():
