@@ -21,6 +21,12 @@ complement onto the trace has a closed form.  The grid is built, and the
 stiffness checked against the stencil, once per system; every solve on the
 contact path and the study's consistency flux go through it.  It and
 ``dof_partition`` read the vertices' grid positions from ``mesh.grid_index``.
+One ``fill`` runs all its transforms in one work set, in place and in
+blocks of grid lines, and reuses its refinement vectors: a process that
+fixes glibc's mmap threshold, as the benchmark does, also pins its trim
+threshold at 128 KiB, so every larger temporary freed at the top of the
+heap would be faulted in again.  The FFT writes into its work array
+(``rfft``'s ``out``), so numpy 2.0 is the floor.
 
 The module also holds the rules the error norms share: quadrisection of
 batches of triangles, ``quad``, a vectorized adaptive
@@ -507,43 +513,72 @@ class GridPoisson:
         v = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
         return (v * self._s) @ v
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
+    def work_set(self):
+        """Work arrays for ``solve``: one ``_dst1_work`` per raster axis and
+        the solution.  ``fill`` makes one per call and runs every transform
+        in it, so a fill allocates no temporaries per solve."""
+        rows, n = self._eig.shape
+        return _dst1_work(rows, n), _dst1_work(n, rows), np.empty(self._eig.shape)
+
+    def solve(self, r: np.ndarray, work=None) -> np.ndarray:
         """A_II^-1 r for r listed as ``interior``, unrefined: a 2D DST-I, a
-        division by the eigenvalues, and the DST-I back."""
-        return _dst2(_dst2(r.reshape(self._eig.shape)) / self._eig).ravel()
+        division by the eigenvalues, and the DST-I back.  Everything runs in
+        work (a ``work_set``, a new one by default), and the result is a view
+        of it, which the next solve through work overwrites."""
+        along_x, along_y, x = self.work_set() if work is None else work
+        _dst1(r.reshape(x.shape), 1, along_x, out=x)
+        _dst1(x, 0, along_y, out=x)
+        x /= self._eig
+        _dst1(x, 1, along_x, out=x)
+        _dst1(x, 0, along_y, out=x)
+        return x.ravel()
 
     def fill(self, w: np.ndarray, load: np.ndarray, free=None) -> np.ndarray:
         """w with the values on I and on the free trace DOFs (a mask, none
         by default) that solve A w = load on those rows, by dense ``schur``
         and ``solve`` steps refined against the assembled stiffness while
         the residual falls.  The contract: a final residual norm above 1e-11
-        times the starting one raises SolverError."""
+        times the starting one raises SolverError.  The steps share one
+        ``work_set`` and the loop's vectors are allocated once."""
         n, m = self.trace_dofs.shape[0], self.interior.shape[0]
         free = np.zeros(n, dtype=bool) if free is None else free
         rows = np.concatenate([self.interior, self.trace_dofs[free]])
         chol = scipy.linalg.cho_factor(self.schur[np.ix_(free, free)]) if free.any() else None
+        work = self.work_set()
+        r_int = np.empty(m)
 
-        def step(r):
-            d = self.solve(r[:m])
+        def step(r, x):
+            """Adds to x, listed as rows, the correction of one step for the
+            residual r."""
+            d = self.solve(r[:m], work)
             if chol is None:
-                return d
+                x += d
+                return
             # block elimination; A_TI is -b between a trace DOF and the cell above
             d_free = scipy.linalg.cho_solve(chol, r[m:] + self._b * d[:n][free])
-            r_int = r[:m].copy()
+            r_int[:] = r[:m]
             r_int[:n][free] += self._b * d_free
-            return np.concatenate([self.solve(r_int), d_free])
+            x[:m] += self.solve(r_int, work)
+            x[m:] += d_free
+
+        # take's default mode="raise" buffers out; rows are in range
+        def residual(v, out):
+            full = self.stiffness @ v
+            return np.take(np.subtract(load, full, out=full), rows, out=out, mode="clip")
 
         w = w.copy()
         w[rows] = 0.0
-        r = (load - self.stiffness @ w)[rows]
+        r = residual(w, np.empty(rows.shape[0]))
         start = res = np.linalg.norm(r)
+        # w and trial differ only on rows, also after they swap
+        trial, r_trial, on_rows = w.copy(), np.empty_like(r), np.empty_like(r)
         for _ in range(_MAX_REFINE):
-            trial = w.copy()
-            trial[rows] += step(r)
-            r_trial = (load - self.stiffness @ trial)[rows]
-            if not np.linalg.norm(r_trial) < res:
+            step(r, np.take(w, rows, out=on_rows, mode="clip"))
+            trial[rows] = on_rows
+            res_trial = np.linalg.norm(residual(trial, r_trial))
+            if not res_trial < res:
                 break
-            w, r, res = trial, r_trial, np.linalg.norm(r_trial)
+            w, trial, r, r_trial, res = trial, w, r_trial, r, res_trial
         if not res <= 1e-11 * start:
             raise SolverError(f"grid solve residual {res:.3e} exceeds contract")
         return w
@@ -560,21 +595,40 @@ def second_difference_eigenvalues(n: int) -> np.ndarray:
     return 4.0 * np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1)) ** 2
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Orthonormal DST-I along axis (its own inverse): minus the imaginary
-    part of the real FFT of the odd extension [0, x, 0, -x reversed].
-    numpy's FFT keeps scipy.fft (0.1 s to import) out of the package."""
+def _dst1(x: np.ndarray, axis: int, work=None, out=None) -> np.ndarray:
+    """Orthonormal DST-I along axis (its own inverse) of a 1D or 2D x:
+    minus the imaginary part of the real FFT of the odd extension
+    [0, x, 0, -x reversed].  numpy's FFT keeps scipy.fft (0.1 s to import)
+    out of the package.  The transform runs in blocks of lines along axis
+    through work, the caller's ``_dst1_work`` for this axis (new arrays by
+    default), and writes into out (a new array by default), which may be x
+    itself: each block is read before it is written."""
     x = np.moveaxis(x, axis, -1)
     n = x.shape[-1]
-    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
-    z[..., 1 : n + 1] = x
-    z[..., n + 2 :] = -x[..., ::-1]
-    y = np.fft.rfft(z)[..., 1 : n + 1].imag * -np.sqrt(0.5 / (n + 1))
+    y = np.empty(x.shape) if out is None else np.moveaxis(out, axis, -1)
+    lines, results = np.atleast_2d(x, y)
+    ext, spectrum = _dst1_work(lines.shape[0], n) if work is None else work
+    for start in range(0, lines.shape[0], ext.shape[0]):
+        block = lines[start : start + ext.shape[0]]
+        e, f = ext[: block.shape[0]], spectrum[: block.shape[0]]
+        e[:, 1 : n + 1] = block
+        np.negative(block[:, ::-1], out=e[:, n + 2 :])
+        np.fft.rfft(e, out=f)
+        np.multiply(f[:, 1 : n + 1].imag, -np.sqrt(0.5 / (n + 1)), out=results[start : start + block.shape[0]])
     return np.moveaxis(y, -1, axis)
 
 
-def _dst2(x: np.ndarray) -> np.ndarray:
-    return _dst1(_dst1(x, 1), 0)
+#: Lines per block of a DST-I work set: small enough that a work set stays
+#: far below glibc's dynamic trim threshold on fine grids.
+_DST_BLOCK = 64
+
+
+def _dst1_work(lines: int, n: int):
+    """Work arrays of ``_dst1`` over lines of length n, in blocks of at
+    most ``_DST_BLOCK``: the odd extension, whose entries 0 and n + 1 are
+    zero and no transform writes, and its real FFT."""
+    block = min(lines, _DST_BLOCK)
+    return np.zeros((block, 2 * n + 2)), np.empty((block, n + 2), dtype=complex)
 
 
 @dataclass(frozen=True)

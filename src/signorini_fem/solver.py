@@ -196,8 +196,8 @@ def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, 
         inact = ~active
         t[active] = g[active]
         if np.any(inact):
-            rhs = nu[inact] - sigma[inact][:, active] @ t[active]
-            t[inact] = np.linalg.solve(sigma[inact][:, inact], rhs)
+            rhs = nu[inact] - sigma[np.ix_(inact, active)] @ t[active]
+            t[inact] = np.linalg.solve(sigma[np.ix_(inact, inact)], rhs)
         lam = np.zeros(n)
         lam[active] = nu[active] - sigma[active] @ t
         return t, lam

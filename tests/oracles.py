@@ -3,20 +3,21 @@
 Each reference computes a quantity the package also computes, by the plain
 route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
-trace coupling, the full-space PDAS from the empty active set for the
-contact solve, edge lists for the boundary that the package reads
-from vertex coordinates, both singular terms of the exact solution on
-every point, ``einsum`` for the load's and the volume norms' point maps
-and sums, and a fresh sparse solve or a long-double tridiagonal one, on
-the 1D Gram matrices, per H^-1 dual norm.  The cone helper is
-a view that only the tests need, ``count_grid_builds`` counts the grid
-solvers a call builds, and ``counting_spla`` and ``out_of_memory_splu``
-stand in for SuperLU.
+trace coupling, new arrays for every DST-I and every grid-fill step, the
+full-space PDAS from the empty active set for the contact solve, edge lists
+for the boundary that the package reads from vertex coordinates, both
+singular terms of the exact solution on every point, ``einsum`` for the
+load's and the volume norms' point maps and sums, and a fresh sparse solve
+or a long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual
+norm.  The cone helper is a view that only the tests need,
+``count_grid_builds`` counts the grid solvers a call builds, and
+``counting_spla`` and ``out_of_memory_splu`` stand in for SuperLU.
 """
 
 import types
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -276,6 +277,58 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
         iterations=iterations,
         residual=float(np.max(np.abs(r[system.free_mask]))),
     )
+
+
+def dst1_allocating(x: np.ndarray, axis: int) -> np.ndarray:
+    """``assembly._dst1`` with new arrays for the odd extension, its FFT
+    and the result on every call."""
+    x = np.moveaxis(x, axis, -1)
+    n = x.shape[-1]
+    z = np.zeros(x.shape[:-1] + (2 * n + 2,))
+    z[..., 1 : n + 1] = x
+    z[..., n + 2 :] = -x[..., ::-1]
+    y = np.fft.rfft(z)[..., 1 : n + 1].imag * -np.sqrt(0.5 / (n + 1))
+    return np.moveaxis(y, -1, axis)
+
+
+def _dst2(x: np.ndarray) -> np.ndarray:
+    return dst1_allocating(dst1_allocating(x, 1), 0)
+
+
+def grid_solve_allocating(grid, r: np.ndarray) -> np.ndarray:
+    """``GridPoisson.solve`` by allocating transforms."""
+    return _dst2(_dst2(r.reshape(grid._eig.shape)) / grid._eig).ravel()
+
+
+def grid_fill_allocating(grid, w: np.ndarray, load: np.ndarray, free=None) -> np.ndarray:
+    """``GridPoisson.fill`` with ``grid_solve_allocating`` steps and a new
+    trial vector and residual on every refinement step."""
+    n, m = grid.trace_dofs.shape[0], grid.interior.shape[0]
+    free = np.zeros(n, dtype=bool) if free is None else free
+    rows = np.concatenate([grid.interior, grid.trace_dofs[free]])
+    chol = scipy.linalg.cho_factor(grid.schur[np.ix_(free, free)]) if free.any() else None
+
+    def step(r):
+        d = grid_solve_allocating(grid, r[:m])
+        if chol is None:
+            return d
+        d_free = scipy.linalg.cho_solve(chol, r[m:] + grid._b * d[:n][free])
+        r_int = r[:m].copy()
+        r_int[:n][free] += grid._b * d_free
+        return np.concatenate([grid_solve_allocating(grid, r_int), d_free])
+
+    w = w.copy()
+    w[rows] = 0.0
+    r = (load - grid.stiffness @ w)[rows]
+    res = np.linalg.norm(r)
+    for _ in range(assembly._MAX_REFINE):
+        trial = w.copy()
+        trial[rows] += step(r)
+        r_trial = (load - grid.stiffness @ trial)[rows]
+        if not np.linalg.norm(r_trial) < res:
+            break
+        w, r, res = trial, r_trial, np.linalg.norm(r_trial)
+    return w
 
 
 def split_by_lines(tri_coords: np.ndarray, lines) -> list:

@@ -6,7 +6,17 @@ import pytest
 from signorini_fem import ExactSolution, assembly, mesh as msh
 from signorini_fem.mesh import WIDTH
 
-from oracles import ExactOracle, assemble_load_einsum, boundary_edges, line_grams, split_by_lines, unit_right_triangle
+from oracles import (
+    ExactOracle,
+    assemble_load_einsum,
+    boundary_edges,
+    dst1_allocating,
+    grid_fill_allocating,
+    grid_solve_allocating,
+    line_grams,
+    split_by_lines,
+    unit_right_triangle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,6 +218,55 @@ def test_dst1_diagonalizes_the_second_difference():
         lam = assembly.second_difference_eigenvalues(n)
         assert np.allclose(spectrum, np.diag(lam), rtol=0, atol=1e-13)
         assert np.all(np.diff(lam) > 0) and 0.0 < lam[0] and lam[-1] < 4.0
+
+
+@pytest.fixture(scope="module", params=range(2, 9))
+def grid(request):
+    m = msh.mesh_at_level(request.param)
+    return assembly.GridPoisson(m, assembly.assemble_stiffness(m))
+
+
+def test_grid_solves_equal_the_allocating_solve_bitwise(grid):
+    rng = np.random.default_rng(grid.interior.shape[0])
+    r1, r2 = rng.standard_normal((2, grid.interior.shape[0]))
+    assert np.array_equal(grid.solve(r1), grid_solve_allocating(grid, r1))
+    # two solves in a row through one work set: a transform that wrote an
+    # odd extension's zero entries would leave the second one off
+    work = grid.work_set()
+    first = grid.solve(r1, work).copy()
+    second = grid.solve(r2, work)
+    assert np.array_equal(first, grid_solve_allocating(grid, r1))
+    assert np.array_equal(second, grid_solve_allocating(grid, r2))
+    for ext, _ in work[:2]:
+        n = (ext.shape[-1] - 2) // 2
+        assert not ext[:, 0].any() and not ext[:, n + 1].any()
+
+
+def test_fill_and_flux_equal_the_allocating_fill_bitwise(grid):
+    rng = np.random.default_rng(grid.interior.shape[0])
+    w, load = rng.standard_normal((2, grid.stiffness.shape[0]))
+    n = grid.trace_dofs.shape[0]
+    for free in (None, rng.random(n) < 0.5, np.ones(n, dtype=bool)):
+        assert np.array_equal(grid.fill(w, load, free=free), grid_fill_allocating(grid, w, load, free=free))
+    filled = grid_fill_allocating(grid, w, load)
+    assert np.array_equal(grid.flux(w, load), (load - grid.stiffness @ filled)[grid.trace_dofs])
+
+
+def test_dst1_in_work_arrays_equals_the_allocating_dst1_bitwise(grid):
+    # from level 6 on, a transform spans more than one block of lines, the
+    # last one partial
+    x = np.random.default_rng(7).standard_normal(grid._eig.shape)
+    for axis in (0, 1):
+        expected = dst1_allocating(x, axis)
+        work = assembly._dst1_work(x.shape[1 - axis], x.shape[axis])
+        assert np.array_equal(assembly._dst1(x, axis), expected)
+        assert np.array_equal(assembly._dst1(x, axis, work), expected)
+        in_place = x.copy()
+        assembly._dst1(in_place, axis, work, out=in_place)
+        assert np.array_equal(in_place, expected)
+        assert np.array_equal(assembly._dst1(2.0 * x, axis, work), dst1_allocating(2.0 * x, axis))
+    line = x[0]
+    assert np.array_equal(assembly._dst1(line, 0), dst1_allocating(line, 0))
 
 
 def test_line_grams_single_element():

@@ -1,12 +1,18 @@
 import dataclasses
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import signorini_fem
 from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem import solver, steklov
 from signorini_fem.mesh import elimination_order
@@ -401,3 +407,36 @@ def test_nonconvergence_carries_iterate(sol):
     assert excinfo.value.solution is not None
     # one step of each stage: the trace stage hands on its unconverged set
     assert excinfo.value.solution.iterations == 2
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's heap",
+)
+def test_a_level_8_contact_solve_reuses_its_pages_under_a_fixed_mmap_threshold():
+    # MALLOC_MMAP_THRESHOLD_ is the tunable of the mallopt that bench/run.py
+    # makes; it also leaves glibc's trim threshold at 128 KiB, so a freed
+    # temporary at the top of the heap is faulted in again on its next use.
+    # One warm level-8 solve_vi took 63.9k minor faults when every DST-I
+    # allocated its arrays, and 7.7-8.2k with one work set per fill (2-CPU
+    # Linux host, one BLAS thread).
+    src = Path(signorini_fem.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        "MALLOC_MMAP_THRESHOLD_": str(4 * 1024 * 1024),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    code = (
+        "import resource\n"
+        "from signorini_fem import ExactSolution, build_system, mesh_at_level, solve_vi, trace_map\n"
+        "mesh = mesh_at_level(8)\n"
+        "system = build_system(mesh, trace_map(mesh), ExactSolution())\n"
+        "solve_vi(None, None, None, system=system)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "solve_vi(None, None, None, system=system)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) <= 30_000
