@@ -12,23 +12,22 @@ non-reproducible values.
 
 The levels are independent work, tied together only by the rates.  Each
 costs about 4x the one before it, so the finest level is the critical path.
-A study of more than one level builds its finest mesh and then forks one
-worker process.  The worker assembles that mesh's load and sends it back,
-then runs the coarser levels one after another.  Meanwhile this process
-builds the finest level's stiffness and grid solver, takes the load from
-the worker and runs the rest of the level.  The load costs about as much
-as the stiffness with its grid solver, and the coarser levels together
-less than the rest of the finest level, so neither is on the critical
-path.  The parent merges the outcomes in level order, so the logs,
-reports and errors are those of running the levels in turn.  The worker is
-forked, not spawned: it needs no import, shares the finest mesh with the
-parent copy-on-write and sees every attribute of this module as the parent
-left it.
+A study builds its finest mesh and then forks one worker process.  The
+worker assembles that mesh's load and sends it back, then runs the coarser
+levels one after another; in a one-level study it runs none.  Meanwhile
+this process builds the finest level's stiffness and grid solver, takes
+the load from the worker and runs the rest of the level.  The load costs
+about as much as the stiffness with its grid solver, and the coarser
+levels together less than the rest of the finest level, so neither is on
+the critical path.  The parent merges the outcomes in level order, so the
+logs, reports and errors are those of running the levels in turn.  The
+worker is forked, not spawned: it needs no import, shares the finest mesh
+with the parent copy-on-write and sees every attribute of this module as
+the parent left it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import logging
@@ -168,23 +167,21 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     The report directory is created first, so a path that cannot be one
     raises OSError before any level runs.  Once the finest mesh is built,
     one forked worker process assembles its load and then runs the levels
-    below max_level, while this process runs max_level.  A level whose
-    solve raises SolverError is skipped and the study goes on; so is every
-    level a worker that died did not report, and the finest level when the
-    worker died before it sent the load.  Once the reports of the other
-    levels are written, StudyError names every skipped level with its
+    below max_level, if any, while this process runs max_level.  A level
+    whose solve raises SolverError is skipped and the study goes on; so is
+    every level a worker that died did not report, and the finest level
+    when the worker died before it sent the load.  Once the reports of the
+    other levels are written, StudyError names every skipped level with its
     message and carries the records.  Any other exception, in this process
     or the worker, propagates; the worker is joined before this function
     returns or raises.
     """
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    sol = config.solution()
-    ref_level = config.max_level + REF_OFFSET
     clock = _StageClock()  # the finest level's mesh stage includes building it
     finest = mesh_at_level(config.max_level)
-    with _in_worker(finest, range(config.min_level, config.max_level), sol, config, ref_level) as worker:
-        outcomes = {config.max_level: _outcome(finest, sol, config, ref_level, clock, worker.load)}
+    with _Worker(finest, config) as worker:
+        outcomes = {config.max_level: _outcome(finest, config, clock, worker.load)}
         outcomes.update(worker.collect())
 
     records: list[ConvergenceRecord] = []
@@ -215,51 +212,83 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
-class _NoWorker:
-    """Stands in for the worker of a one-level study: the load is assembled
-    in this process and there are no coarser levels."""
+class _Worker:
+    """The study's forked worker process, running while the block runs.
 
-    peak_rss_mib = None
+    It assembles the finest mesh's load, then runs the levels below
+    max_level, if any.  It is joined when the block ends, and terminated
+    first when the block raised.
+    """
+
+    #: one name for every study: each failure message names its level
+    name = "the study's worker process"
+
+    def __init__(self, finest, config: StudyConfig):
+        self.finest = finest
+        self.config = config
+        self.peak_rss_mib = None
+
+    def __enter__(self):
+        fork = multiprocessing.get_context("fork")
+        self.receiver, sender = fork.Pipe(duplex=False)
+        self.process = fork.Process(target=_serve, args=(sender, self.finest, self.config))
+        self.process.start()
+        sender.close()  # so that a dead worker ends receiver.recv() with EOFError
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.process.terminate()
+        self.process.join()
+        self.process.close()
+        self.receiver.close()
+
+    def _receive(self):
+        """The worker's next message, (kind, value).
+
+        Re-raises an exception that stopped the worker, with its traceback
+        as the cause; raises EOFError naming the exit code once the worker
+        has exited.
+        """
+        try:
+            kind, value = self.receiver.recv()
+        except EOFError:
+            self.process.join()
+            raise EOFError(f"{self.name} exited with code {self.process.exitcode}") from None
+        if kind == "error":
+            exc, text = value
+            raise exc from RuntimeError(f"in {self.name}:\n{text}")
+        return kind, value
 
     def load(self, mesh, sol) -> np.ndarray:
-        return system_load(mesh, sol)
+        """build_system's load for the finest mesh: the worker's first message."""
+        return self._receive()[1]
 
     def collect(self) -> dict:
-        return {}
+        """The worker's outcome per level, read until its peak RSS arrives.
+
+        A load the finest level did not read, because it failed first, is
+        skipped.  A level the worker did not report before it exited gets a
+        failure message naming the exit code.
+        """
+        outcomes = {}
+        try:
+            while self.peak_rss_mib is None:
+                kind, value = self._receive()
+                if kind == "level":
+                    level, outcome = value
+                    outcomes[level] = outcome
+                elif kind == "peak_rss_mib":
+                    self.peak_rss_mib = value
+        except EOFError as exc:
+            levels = range(self.config.min_level, self.config.max_level)
+            outcomes.update({k: f"level {k} failed: {exc}" for k in levels if k not in outcomes})
+        return outcomes
 
 
-@contextlib.contextmanager
-def _in_worker(finest, levels: range, sol, config: StudyConfig, ref_level: int):
-    """Fork one worker process that assembles the finest mesh's load and
-    then runs levels, while the block runs.
-
-    Yields the worker's _Pipe, whose load is build_system's load for the
-    finest level and whose collect waits for the worker's outcome of every
-    level.  The worker is joined when the block ends, and terminated first
-    when the block raised.  For an empty range no process is started and
-    a _NoWorker is yielded.
-    """
-    if not levels:
-        yield _NoWorker()
-        return
-    fork = multiprocessing.get_context("fork")
-    receiver, sender = fork.Pipe(duplex=False)
-    worker = fork.Process(target=_serve, args=(sender, finest, levels, sol, config, ref_level))
-    worker.start()
-    sender.close()  # so that a dead worker ends receiver.recv() with EOFError
-    try:
-        yield _Pipe(receiver, worker, levels)
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        receiver.close()
-
-
-def _serve(sender, finest, levels: range, sol, config: StudyConfig, ref_level: int) -> None:
-    """Worker process: send the finest mesh's load, each level's outcome
-    and the worker's peak RSS, in this order.
+def _serve(sender, finest, config: StudyConfig) -> None:
+    """Worker process: send the finest mesh's load, the outcome of each
+    level below it and the worker's peak RSS, in this order.
 
     Every message is (kind, value); an exception ends the worker with
     ("error", (exception, traceback)).  The finest mesh is not released
@@ -268,85 +297,33 @@ def _serve(sender, finest, levels: range, sol, config: StudyConfig, ref_level: i
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent terminates the worker
     try:
-        sender.send(("load", system_load(finest, sol)))
-        _run_levels(levels, sol, config, ref_level, lambda level, outcome: sender.send(("level", (level, outcome))))
+        sender.send(("load", system_load(finest, config.solution())))
+        _run_levels(config, lambda level, outcome: sender.send(("level", (level, outcome))))
     except Exception as exc:
         sender.send(("error", (exc, traceback.format_exc())))
         return
     sender.send(("peak_rss_mib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
 
 
-class _Pipe:
-    """This process's end of the worker's pipe, read in the order _serve sends."""
-
-    def __init__(self, receiver, worker, levels: range):
-        self.receiver = receiver
-        self.worker = worker
-        self.levels = levels
-        self.load_read = False
-        self.peak_rss_mib = None
-
-    def _receive(self):
-        """The value of the worker's next message.
-
-        Re-raises an exception that stopped the worker, with its traceback
-        as the cause; raises EOFError naming the exit code once the worker
-        has exited.
-        """
-        name = f"the worker process of levels {self.levels[0]}..{self.levels[-1]}"
-        try:
-            kind, value = self.receiver.recv()
-        except EOFError:
-            self.worker.join()
-            raise EOFError(f"{name} exited with code {self.worker.exitcode}") from None
-        if kind == "error":
-            exc, text = value
-            raise exc from RuntimeError(f"in {name}:\n{text}")
-        return value
-
-    def load(self, mesh, sol) -> np.ndarray:
-        """build_system's load for the finest mesh: the worker's vector."""
-        self.load_read = True
-        return self._receive()
-
-    def collect(self) -> dict:
-        """The worker's outcome per level, then its peak RSS.
-
-        A load the finest level did not read, because it failed first, is
-        skipped.  A level the worker did not report before it exited gets a
-        failure message naming the worker's levels and its exit code.
-        """
-        outcomes = {}
-        try:
-            if not self.load_read:
-                self._receive()
-            while len(outcomes) < len(self.levels):
-                level, outcome = self._receive()
-                outcomes[level] = outcome
-            self.peak_rss_mib = self._receive()
-        except EOFError as exc:
-            outcomes.update({k: f"level {k} failed: {exc}" for k in self.levels if k not in outcomes})
-        return outcomes
-
-
-def _run_levels(levels, sol, config: StudyConfig, ref_level: int, report) -> None:
-    """Run levels in turn and call report(level, outcome) after each.
+def _run_levels(config: StudyConfig, report) -> None:
+    """Run the levels below max_level in turn and call report(level,
+    outcome) after each.
 
     The first level's mesh is built by mesh_at_level, each later one by
     refining the one before.
     """
     mesh = None
-    for level in levels:
+    for level in range(config.min_level, config.max_level):
         clock = _StageClock()
         mesh = mesh_at_level(level) if mesh is None else refine(mesh)
-        report(level, _outcome(mesh, sol, config, ref_level, clock, system_load))
+        report(level, _outcome(mesh, config, clock, system_load))
 
 
-def _outcome(mesh, sol, config: StudyConfig, ref_level: int, clock, load):
+def _outcome(mesh, config: StudyConfig, clock, load):
     """The level's ConvergenceRecord, or the failure message when its solve
     raised SolverError or its load was lost with the worker (EOFError)."""
     try:
-        return _run_level(mesh, sol, config, ref_level, clock, load)
+        return _run_level(mesh, config, clock, load)
     except (SolverError, EOFError) as exc:
         return f"level {mesh.level} failed: {exc}"
 
@@ -364,7 +341,9 @@ class _StageClock:
         self.last = now
 
 
-def _run_level(mesh, sol, config: StudyConfig, ref_level: int, clock: _StageClock, load) -> ConvergenceRecord:
+def _run_level(mesh, config: StudyConfig, clock: _StageClock, load) -> ConvergenceRecord:
+    sol = config.solution()
+    ref_level = config.max_level + REF_OFFSET
     tmap = trace_map(mesh)
     clock.lap("mesh")
     system = build_system(mesh, tmap, sol, load=load)
@@ -454,9 +433,9 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir,
     every ``ConvergenceRecord`` field in full precision (``rates`` as
     ``rates_averaged``), ``failed_levels``, the configured levels without a
     record, ``stage_seconds`` by level, and ``worker_peak_rss_mib``, the
-    worker process's peak RSS (None when no worker ran).  The timings and
-    the peak stand beside the records so that the records of two runs
-    differ only in ``seconds``.  A NaN or infinite value raises ValueError
+    worker process's peak RSS (None when the worker died before it sent
+    it).  The timings and the peak stand beside the records so that the
+    records of two runs differ only in ``seconds``.  A NaN or infinite value raises ValueError
     before any write.
     """
     configured = range(config.min_level, config.max_level + 1)

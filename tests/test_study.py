@@ -205,34 +205,37 @@ def test_determinism_modulo_seconds(tmp_path):
 
 def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
     # the contact solve and lambda tilde share the system's grid solver;
-    # the loop runs here as it runs in the worker and for the finest level
+    # the worker's loop runs here, over the levels below max_level
     built = count_grid_builds(monkeypatch)
-    config = StudyConfig(min_level=2, max_level=8)
     outcomes = {}
-    study._run_levels(range(2, 9), config.solution(), config, 8 + study.REF_OFFSET, outcomes.__setitem__)
+    study._run_levels(StudyConfig(min_level=2, max_level=9), outcomes.__setitem__)
     assert built == list(range(2, 9))
     assert [rec.level for rec in outcomes.values()] == list(range(2, 9))
+
+
+def _results(rec):
+    timings_and_rates = ("seconds", "stage_seconds", "rates", "rates_stepwise")
+    return {k: v for k, v in dataclasses.asdict(rec).items() if k not in timings_and_rates}
 
 
 def test_worker_records_equal_the_levels_run_in_this_process(records_small):
     # level 5's load comes from the worker, levels 2..4 run in it
     records, config, _ = records_small
-    sol = config.solution()
-    ref_level = config.max_level + study.REF_OFFSET
     assert [rec.level for rec in records] == [2, 3, 4, 5]
-
-    def results(rec):
-        timings_and_rates = ("seconds", "stage_seconds", "rates", "rates_stepwise")
-        return {k: v for k, v in dataclasses.asdict(rec).items() if k not in timings_and_rates}
-
     for rec in records:
-        own = study._run_level(mesh_at_level(rec.level), sol, config, ref_level, study._StageClock(), study.system_load)
-        assert results(rec) == results(own)
+        own = study._run_level(mesh_at_level(rec.level), config, study._StageClock(), study.system_load)
+        assert _results(rec) == _results(own)
 
 
-def test_the_worker_load_equals_the_load_assembled_here(monkeypatch, joined_worker):
+def _check_the_worker_load(monkeypatch, min_level):
+    test_process = os.getpid()
+    load = study.system_load
     received = {}
     build = study.build_system
+
+    def load_in_the_worker(mesh, sol):
+        assert os.getpid() != test_process, f"the level {mesh.level} load was assembled in the test process"
+        return load(mesh, sol)
 
     def keep_load(mesh, tmap, sol, load):
         def kept(mesh, sol):
@@ -241,20 +244,32 @@ def test_the_worker_load_equals_the_load_assembled_here(monkeypatch, joined_work
 
         return build(mesh, tmap, sol, load=kept)
 
+    monkeypatch.setattr(study, "system_load", load_in_the_worker)
     monkeypatch.setattr(study, "build_system", keep_load)
-    config = StudyConfig(min_level=2, max_level=5, compute_lambda_tilde=False)
-    run_study(config)
-    # levels 2..4 build their systems in the worker, out of this dict's sight
+    config = StudyConfig(min_level=min_level, max_level=5, compute_lambda_tilde=False)
+    records = run_study(config)
+    # the coarser levels build their systems in the worker, out of this dict's sight
     assert list(received) == [5]
-    assert np.array_equal(received[5], study.system_load(mesh_at_level(5), config.solution()))
+    assert np.array_equal(received[5], load(mesh_at_level(5), config.solution()))
+    monkeypatch.undo()
+    own = study._run_level(mesh_at_level(5), config, study._StageClock(), study.system_load)
+    assert _results(records[-1]) == _results(own)
+
+
+def test_the_worker_load_equals_the_load_assembled_here(monkeypatch, joined_worker):
+    _check_the_worker_load(monkeypatch, min_level=2)
+
+
+def test_a_one_level_study_takes_its_load_from_the_worker(monkeypatch, joined_worker):
+    _check_the_worker_load(monkeypatch, min_level=5)
 
 
 def test_results_json_carries_the_worker_peak(records_small, tmp_path):
     _, _, out = records_small
     assert json.loads((out / "results.json").read_text())["worker_peak_rss_mib"] > 0.0
-    # a one-level study starts no worker
+    # a one-level study's worker sends the load and its peak
     run_study(StudyConfig(min_level=3, max_level=3, compute_lambda_tilde=False, out_dir=str(tmp_path)))
-    assert json.loads((tmp_path / "results.json").read_text())["worker_peak_rss_mib"] is None
+    assert json.loads((tmp_path / "results.json").read_text())["worker_peak_rss_mib"] > 0.0
 
 
 def test_the_finest_mesh_stage_includes_building_the_mesh(monkeypatch, joined_worker):
@@ -344,7 +359,7 @@ def test_another_exception_reaches_the_caller(monkeypatch, joined_worker, failin
     with pytest.raises(ValueError, match=f"no stiffness at level {failing_level}") as err:
         run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
     # the worker's traceback is the cause of what it raised
-    assert ("in the worker process of levels 2..3" in str(err.value.__cause__)) == (failing_level == 3)
+    assert ("in the study's worker process" in str(err.value.__cause__)) == (failing_level == 3)
 
 
 def test_a_worker_that_dies_fails_its_unreported_levels(monkeypatch, joined_worker, tmp_path):
@@ -358,7 +373,7 @@ def test_a_worker_that_dies_fails_its_unreported_levels(monkeypatch, joined_work
     out = tmp_path / "died"
     with pytest.raises(StudyError) as err:
         run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
-    assert str(err.value) == "level 3 failed: the worker process of levels 2..3 exited with code 3"
+    assert str(err.value) == "level 3 failed: the study's worker process exited with code 3"
     assert [rec.level for rec in err.value.records] == [2, 4]
     assert json.loads((out / "results.json").read_text())["failed_levels"] == [3]
 
@@ -375,17 +390,25 @@ def _load_failing_in_the_worker(monkeypatch, fail):
     monkeypatch.setattr(study, "system_load", load_but_not_in_the_worker)
 
 
-def test_a_worker_that_dies_in_the_load_fails_every_level(monkeypatch, joined_worker, tmp_path):
+def _check_a_worker_that_dies_in_the_load(monkeypatch, tmp_path, min_level):
     _load_failing_in_the_worker(monkeypatch, lambda: os._exit(3))
     out = tmp_path / "died"
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
-    reason = "the worker process of levels 2..3 exited with code 3"
-    assert str(err.value) == "; ".join(f"level {k} failed: {reason}" for k in (2, 3, 4))
+        run_study(StudyConfig(min_level=min_level, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
+    reason = "the study's worker process exited with code 3"
+    assert str(err.value) == "; ".join(f"level {k} failed: {reason}" for k in range(min_level, 5))
     assert err.value.records == []
     payload = json.loads((out / "results.json").read_text())
-    assert payload["failed_levels"] == [2, 3, 4]
+    assert payload["failed_levels"] == list(range(min_level, 5))
     assert payload["worker_peak_rss_mib"] is None
+
+
+def test_a_worker_that_dies_in_the_load_fails_every_level(monkeypatch, joined_worker, tmp_path):
+    _check_a_worker_that_dies_in_the_load(monkeypatch, tmp_path, min_level=2)
+
+
+def test_a_worker_that_dies_in_the_load_fails_a_one_level_study(monkeypatch, joined_worker, tmp_path):
+    _check_a_worker_that_dies_in_the_load(monkeypatch, tmp_path, min_level=4)
 
 
 def test_an_exception_in_the_worker_load_reaches_the_caller(monkeypatch, joined_worker):
@@ -395,10 +418,10 @@ def test_an_exception_in_the_worker_load_reaches_the_caller(monkeypatch, joined_
     _load_failing_in_the_worker(monkeypatch, fail)
     with pytest.raises(ValueError, match="no load for the finest level") as err:
         run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
-    assert "in the worker process of levels 2..3" in str(err.value.__cause__)
+    assert "in the study's worker process" in str(err.value.__cause__)
 
 
-def test_a_finest_level_that_fails_before_it_reads_the_load_keeps_the_coarse_records(monkeypatch, joined_worker):
+def _check_a_finest_level_that_fails_before_it_reads_the_load(monkeypatch, min_level):
     build = study.build_system
 
     def off_the_stencil_at_the_finest_level(mesh, tmap, sol, load):
@@ -408,9 +431,17 @@ def test_a_finest_level_that_fails_before_it_reads_the_load_keeps_the_coarse_rec
 
     monkeypatch.setattr(study, "build_system", off_the_stencil_at_the_finest_level)
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=min_level, max_level=4, compute_lambda_tilde=False))
     assert str(err.value) == "level 4 failed: the stiffness is not the five-point stencil"
-    assert [rec.level for rec in err.value.records] == [2, 3]
+    assert [rec.level for rec in err.value.records] == list(range(min_level, 4))
+
+
+def test_a_finest_level_that_fails_before_it_reads_the_load_keeps_the_coarse_records(monkeypatch, joined_worker):
+    _check_a_finest_level_that_fails_before_it_reads_the_load(monkeypatch, min_level=2)
+
+
+def test_a_one_level_study_that_fails_before_it_reads_the_load_has_no_records(monkeypatch, joined_worker):
+    _check_a_finest_level_that_fails_before_it_reads_the_load(monkeypatch, min_level=4)
 
 
 def test_text_printed_before_a_study_is_written_once():
