@@ -20,7 +20,7 @@ stencil, so a 2D DST-I solves with the interior block and the Schur
 complement onto the trace has a closed form.  The grid is built, and the
 stiffness checked against the stencil, once per system; every solve on the
 contact path and the study's consistency flux go through it.  It and
-``dof_partition`` read the vertices' grid positions from ``mesh.grid_index``.
+``dof_partition`` take their index sets as slices of ``mesh.vertex_raster``.
 One ``fill`` runs all its transforms in one work set, in place and in
 blocks of grid lines, and reuses its refinement vectors: a process that
 fixes glibc's mmap threshold, as the benchmark does, also pins its trim
@@ -44,7 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, cells_near, corner_range, grid_index, signed_areas
+from .mesh import TriMesh, TraceMap, cells_near, corner_range, signed_areas, vertex_raster
 
 #: Degree of the triangle rule of the load.
 LOAD_DEGREE = 4
@@ -441,14 +441,16 @@ def boundary_lumped_mass(tmap: TraceMap) -> np.ndarray:
 def dof_partition(mesh: TriMesh):
     """Dirichlet / free / interior split of the vertices, by grid position.
 
-    The Dirichlet vertices are those of the first and last grid columns and
-    of the last row (``mesh.grid_index``); the free vertices of row 0 are
-    the multiplier DOFs and those above it are interior.  Returns
-    (dirichlet_idx, free_mask, interior_idx) with sorted index arrays.
+    The free vertices are columns 1..nx-1 of rows 0..ny-1 of
+    ``mesh.vertex_raster``, the multiplier DOFs in row 0 and the interior
+    above it; the rest are Dirichlet.  Returns (dirichlet_idx, free_mask,
+    interior_idx) with sorted index arrays.
     """
-    ix, iy, nx, ny = grid_index(mesh)
-    dirichlet = (ix == 0) | (ix == nx) | (iy == ny)
-    return np.flatnonzero(dirichlet), ~dirichlet, np.flatnonzero(~dirichlet & (iy > 0))
+    raster = vertex_raster(mesh)
+    free, interior = raster[:-1, 1:-1], np.sort(raster[1:-1, 1:-1], axis=None)
+    free_mask = np.zeros(mesh.num_vertices, dtype=bool)
+    free_mask[free[free >= 0]] = True
+    return np.flatnonzero(~free_mask), free_mask, interior[interior >= 0]
 
 
 # assembled entries differ from the stencil's by rounding that grows like
@@ -464,23 +466,18 @@ class GridPoisson:
     -a = -h_y/h_x between horizontal neighbours, -b = -h_x/h_y between
     vertical ones and 0 across diagonals, so the 2D DST-I diagonalizes A_II
     (Buzbee, Golub & Nielson, SINUM 1970) and the 1D one the Schur complement
-    onto the trace row (Bjorstad & Widlund, SINUM 1986).  Columns 1..nx-1 of
-    rows 0..ny-1 of ``mesh.grid_index`` form an n x ny raster: ``trace_dofs``
-    is its row 0 and ``interior`` lists I, row by row.
+    onto the trace row (Bjorstad & Widlund, SINUM 1986).  Its n x ny raster
+    is the free part of ``mesh.vertex_raster``: ``trace_dofs`` is its row 0
+    and ``interior`` lists I, row by row.
     """
 
     def __init__(self, mesh: TriMesh, stiffness):
-        ix, iy, nx, ny = grid_index(mesh)
-        x, y = mesh.vertices.T
-        n = nx - 1
-        hx = (x.max() - x.min()) / nx
-        hy = (y.max() - y.min()) / ny
-        ids = np.flatnonzero((0 < ix) & (ix < nx) & (iy < ny))
-        pos = iy[ids] * n + ix[ids] - 1
-        if not np.all(np.bincount(pos, minlength=n * ny) == 1):
+        raster = vertex_raster(mesh)
+        if raster.size != mesh.num_vertices or raster.min() < 0:
             raise SolverError("the vertices do not fill a uniform grid: a cell is empty or holds two")
-        cells = np.empty_like(ids)
-        cells[pos] = ids
+        ny, n = raster.shape[0] - 1, raster.shape[1] - 2
+        hx, hy = np.ptp(mesh.vertices, axis=0) / (n + 1, ny)
+        cells = raster[:-1, 1:-1].ravel()
         a, b = hy / hx, hx / hy
         # the stencil on the raster, where A_TT = (a/2) T_x + b I
         main = np.full(n * ny, 2.0 * (a + b))

@@ -3,10 +3,10 @@
 The domain is Omega = (0, WIDTH) x (0, HEIGHT) with WIDTH = 1.4 + e/2.7 and
 HEIGHT = 0.5.  The contact boundary Gamma_S is the bottom edge y = 0; the
 other three sides form the Dirichlet boundary Gamma_D.  A mesh carries no
-boundary lists: the split follows from the grid positions ``grid_index``
-reads, by ``trace_map`` (row 0) and ``assembly.dof_partition`` (the first
-and last columns and the last row are Dirichlet).  All Gamma_S vertices but
-the two ends are multiplier DOFs; ``trace_grid`` gives a level's Gamma_S x.
+boundary lists: ``trace_map`` (row 0) and ``assembly.dof_partition`` (the
+first and last columns and the last row are Dirichlet) slice the split from
+``vertex_raster``.  All Gamma_S vertices but the two ends are multiplier
+DOFs; ``trace_grid`` gives a level's Gamma_S x.
 
 Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
 triangles along the diagonal from the lower-left to the upper-right corner
@@ -15,9 +15,9 @@ quadrisected through its edge midpoints, so level k holds a
 (4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.
 
 Meshes are immutable after construction and safe to share between threads;
-the two values a mesh computes lazily, its size and its elimination order,
-depend on nothing else, so two threads that race to compute one store equal
-values.
+the three values a mesh computes lazily, its size, its vertex raster and its
+elimination order, depend on nothing else, so two threads that race to
+compute one store equal values.
 """
 
 from __future__ import annotations
@@ -79,8 +79,14 @@ class TriMesh:
         return h
 
     @functools.cached_property
+    def _raster(self) -> np.ndarray:
+        raster = _build_raster(self.vertices)
+        raster.flags.writeable = False
+        return raster
+
+    @functools.cached_property
     def _elimination_order(self) -> np.ndarray:
-        order = _nested_dissection(self)
+        order = _nested_dissection(self._raster)
         order.flags.writeable = False
         return order
 
@@ -123,27 +129,14 @@ def signed_areas(tri: np.ndarray) -> np.ndarray:
 def build_initial() -> TriMesh:
     """Build the level-1 mesh: 4 x 2 quads split into 16 triangles."""
     nx, ny = _NX0, _NY0
-    hx = WIDTH / nx
-    hy = HEIGHT / ny
-    xs = np.arange(nx + 1) * hx
-    ys = np.arange(ny + 1) * hy
-    xg, yg = np.meshgrid(xs, ys)
+    xg, yg = np.meshgrid(np.arange(nx + 1) * (WIDTH / nx), np.arange(ny + 1) * (HEIGHT / ny))
     vertices = np.column_stack([xg.ravel(), yg.ravel()])
-
-    def vid(ix, iy):
-        return iy * (nx + 1) + ix
-
-    triangles = []
-    for iy in range(ny):
-        for ix in range(nx):
-            ll = vid(ix, iy)
-            lr = vid(ix + 1, iy)
-            ur = vid(ix + 1, iy + 1)
-            ul = vid(ix, iy + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
-
-    return TriMesh(level=1, vertices=vertices, triangles=np.asarray(triangles, dtype=np.int64))
+    # vertex ids by grid position, the raster ``vertex_raster`` reads back;
+    # each quad, row by row, splits into its lower-right and upper-left triangle
+    ids = np.arange(vertices.shape[0]).reshape(ny + 1, nx + 1)
+    ll, lr, ul, ur = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
+    return TriMesh(level=1, vertices=vertices, triangles=triangles)
 
 
 def refine(mesh: TriMesh) -> TriMesh:
@@ -195,10 +188,9 @@ def mesh_at_level(level: int) -> TriMesh:
 
 
 def trace_map(mesh: TriMesh) -> TraceMap:
-    """Collect the Signorini-boundary vertices, grid row 0, by column."""
-    ix, iy, _, _ = grid_index(mesh)
-    on_gamma_s = np.flatnonzero(iy == 0)
-    ids = on_gamma_s[np.argsort(ix[on_gamma_s], kind="stable")]
+    """Collect the Signorini-boundary vertices: raster row 0, by column."""
+    row = vertex_raster(mesh)[0]
+    ids = row[row >= 0]
     return TraceMap(vertices=ids, x=mesh.vertices[ids, 0])
 
 
@@ -208,18 +200,26 @@ def trace_grid(level: int) -> np.ndarray:
     return np.linspace(0.0, WIDTH, _NX0 * 2 ** (level - 1) + 1)
 
 
-def grid_index(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Grid column and row of every vertex, and the grid's quad counts nx, ny:
-    the grid spans the bounding box, with nx + 1 vertices on its bottom side
-    and ny + 1 on its left side.  The only place where coordinates become
-    grid positions."""
-    x, y = mesh.vertices.T
-    x0, y0 = x.min(), y.min()
-    nx = int(np.count_nonzero(y == y0)) - 1
-    ny = int(np.count_nonzero(x == x0)) - 1
-    ix = np.rint((x - x0) * (nx / (x.max() - x0))).astype(np.int64)
-    iy = np.rint((y - y0) * (ny / (y.max() - y0))).astype(np.int64)
-    return ix, iy, nx, ny
+def vertex_raster(mesh: TriMesh) -> np.ndarray:
+    """Vertex ids by grid position, [row, column], -1 where no vertex is;
+    computed once per mesh and returned read-only.  The grid spans the
+    bounding box, with nx + 1 vertices on its bottom side, row 0 or Gamma_S,
+    and ny + 1 on its left side, so the raster has shape (ny + 1, nx + 1)."""
+    return mesh._raster
+
+
+def _build_raster(vertices: np.ndarray) -> np.ndarray:
+    """The raster of ``vertex_raster``: the only place where coordinates
+    become grid positions.  Of two vertices on one position the later stays."""
+    # x and y as contiguous rows: reducing the (n, 2) array along n is ~5x slower
+    v = np.ascontiguousarray(vertices.T)
+    lo = v.min(axis=1, keepdims=True)
+    # ny + 1 vertices have the least x, nx + 1 the least y
+    ny, nx = (np.count_nonzero(v == lo, axis=1) - 1).tolist()
+    ix, iy = np.rint((v - lo) * ([[nx], [ny]] / (v.max(axis=1, keepdims=True) - lo))).astype(np.int64)
+    raster = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
+    raster[iy, ix] = np.arange(vertices.shape[0])
+    return raster
 
 
 def elimination_order(mesh: TriMesh) -> np.ndarray:
@@ -230,50 +230,32 @@ def elimination_order(mesh: TriMesh) -> np.ndarray:
     then the separator line.  Boxes of at most _ND_LEAF vertices are not
     split.  The diagonals run from lower left to upper right, so every edge
     joins vertices at most one grid line apart and one line separates.  From
-    level 2 on, the first separator is the middle grid column, ``nx // 2``
-    of ``grid_index``.  Listing the unknowns of a sparse SPD block (any subset
-    of the vertices) in this order keeps the fill of its factorization low
-    (George, SINUM 1973).
+    level 2 on, the first separator is the middle grid column,
+    ``vertex_raster(mesh)[:, nx // 2]``.  Listing the unknowns of a sparse
+    SPD block (any subset of the vertices) in this order keeps the fill of
+    its factorization low (George, SINUM 1973).
 
     The order is computed once per mesh and returned read-only.
     """
     return mesh._elimination_order
 
 
-def _nested_dissection(mesh: TriMesh) -> np.ndarray:
-    """The order of ``elimination_order``, computed.
+def _nested_dissection(raster: np.ndarray) -> np.ndarray:
+    """The order of ``elimination_order``, computed: each box is a slice of
+    the raster, and each leaf and each separator lists its vertices by id."""
 
-    All boxes of one dissection depth are split in one vectorized pass:
-    each vertex gathers one base-3 digit per depth (0 lower half, 1 upper
-    half, 2 separator, 0 once settled), so a stable sort by these keys
-    lists every box in post order and the vertices of one leaf by index.
-    """
-    ix, iy, nx, ny = grid_index(mesh)
-    n = mesh.num_vertices
-    # the box each vertex is in: inclusive grid index ranges
-    x0 = np.zeros(n, dtype=np.int64)
-    x1 = np.full(n, nx, dtype=np.int64)
-    y0 = np.zeros(n, dtype=np.int64)
-    y1 = np.full(n, ny, dtype=np.int64)
-    key = np.zeros(n, dtype=np.int64)
-    unsettled = np.ones(n, dtype=bool)
-    while unsettled.any():
-        wx = x1 - x0 + 1
-        wy = y1 - y0 + 1
-        unsettled &= wx * wy > _ND_LEAF
-        across_x = wx >= wy
-        mid = np.where(across_x, (x0 + x1) // 2, (y0 + y1) // 2)
-        at = np.where(across_x, ix, iy)
-        digit = np.where(unsettled, (at > mid) + 2 * (at == mid), 0)
-        key = 3 * key + digit
-        lower = unsettled & (digit == 0)
-        upper = unsettled & (digit == 1)
-        x1 = np.where(lower & across_x, mid - 1, x1)
-        x0 = np.where(upper & across_x, mid + 1, x0)
-        y1 = np.where(lower & ~across_x, mid - 1, y1)
-        y0 = np.where(upper & ~across_x, mid + 1, y0)
-        unsettled &= digit != 2
-    return np.argsort(key, kind="stable")
+    def dissect(box):
+        wy, wx = box.shape
+        if wx * wy <= _ND_LEAF:
+            return np.sort(box, axis=None)
+        if wx >= wy:
+            mid = (wx - 1) // 2
+            return np.concatenate([dissect(box[:, :mid]), dissect(box[:, mid + 1 :]), np.sort(box[:, mid])])
+        mid = (wy - 1) // 2
+        return np.concatenate([dissect(box[:mid]), dissect(box[mid + 1 :]), np.sort(box[mid])])
+
+    order = dissect(raster)
+    return order[order >= 0]
 
 
 def point_triangle_distances(point: np.ndarray, tri: np.ndarray) -> np.ndarray:

@@ -481,15 +481,21 @@ def config_from_file(path) -> dict:
     whitespace starts a comment; elsewhere it is part of the value, so
     "out_dir = a#b" names the directory a#b.  Each value is read as the
     type of its StudyConfig field: knots are two comma-separated reals,
-    switches are exactly "true" or "false".  Unknown keys, keys set twice
-    and values that do not parse raise ValueError naming the line (both
-    lines for a repeated key); an unknown key's message lists the accepted
-    ones.
+    switches are exactly "true" or "false".  Bytes that are not UTF-8,
+    unknown keys, keys set twice and values that do not parse raise
+    ValueError naming the line (both lines for a repeated key); an unknown
+    key's message lists the accepted ones.
     """
     fields = StudyConfig.__dataclass_fields__
     kwargs = {}
     lines = {}
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a character after the bytes that decode falls on the bad byte's line
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:

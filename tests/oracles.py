@@ -5,11 +5,13 @@ route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, new arrays for every DST-I and every grid-fill step, the
 full-space PDAS from the empty active set for the contact solve, edge lists
-for the boundary that the package reads from vertex coordinates, both
-singular terms of the exact solution on every point, ``einsum`` for the
-load's and the volume norms' point maps and sums, and a fresh sparse solve
-or a long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual
-norm.  The cone helper is a view that only the tests need,
+for the boundary that the package reads from vertex coordinates, one
+stable sort on base-3 keys for the nested dissection that the package
+splits into raster slices, both singular terms of the exact solution on
+every point, ``einsum`` for the load's and the volume norms' point maps and
+sums, and a fresh sparse solve or a long-double tridiagonal one, on the 1D
+Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
+the vertex raster inverted, are views that only the tests need,
 ``count_grid_builds`` counts the grid solvers a call builds, and
 ``counting_spla`` and ``out_of_memory_splu`` stand in for SuperLU.
 """
@@ -35,7 +37,7 @@ from signorini_fem.assembly import (
 )
 from signorini_fem.biortho import dual_shape_values
 from signorini_fem.manufactured import REFLECTION_OFFSET
-from signorini_fem.mesh import TraceMap, TriMesh, build_initial, cells_near, elimination_order, trace_map
+from signorini_fem.mesh import _ND_LEAF, TraceMap, TriMesh, build_initial, cells_near, elimination_order, trace_map
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
 
@@ -132,6 +134,52 @@ def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
     multipliers = trace_vertices[count == 2]
     dirichlet_idx = np.setdiff1d(np.concatenate([gamma_s, gamma_d]), multipliers)
     return trace_vertices, {frozenset(e) for e in gamma_s.tolist()}, multipliers, dirichlet_idx
+
+
+def grid_positions(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``mesh.vertex_raster`` inverted: the grid column and row of every
+    vertex of the raster, by vertex id, and the grid's quad counts nx, ny."""
+    iy, ix = np.nonzero(raster >= 0)
+    ids = raster[iy, ix]
+    col, row = np.empty_like(ids), np.empty_like(ids)
+    col[ids], row[ids] = ix, iy
+    return col, row, raster.shape[1] - 1, raster.shape[0] - 1
+
+
+def nested_dissection_keys(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """``mesh.elimination_order`` from the vertices' grid positions, by a
+    stable sort on keys instead of the recursion over raster slices.
+
+    All boxes of one dissection depth are split in one vectorized pass:
+    each vertex gathers one base-3 digit per depth (0 lower half, 1 upper
+    half, 2 separator, 0 once settled), so a stable sort by these keys
+    lists every box in post order and the vertices of one leaf by index.
+    """
+    n = ix.shape[0]
+    # the box each vertex is in: inclusive grid index ranges
+    x0 = np.zeros(n, dtype=np.int64)
+    x1 = np.full(n, nx, dtype=np.int64)
+    y0 = np.zeros(n, dtype=np.int64)
+    y1 = np.full(n, ny, dtype=np.int64)
+    key = np.zeros(n, dtype=np.int64)
+    unsettled = np.ones(n, dtype=bool)
+    while unsettled.any():
+        wx = x1 - x0 + 1
+        wy = y1 - y0 + 1
+        unsettled &= wx * wy > _ND_LEAF
+        across_x = wx >= wy
+        mid = np.where(across_x, (x0 + x1) // 2, (y0 + y1) // 2)
+        at = np.where(across_x, ix, iy)
+        digit = np.where(unsettled, (at > mid) + 2 * (at == mid), 0)
+        key = 3 * key + digit
+        lower = unsettled & (digit == 0)
+        upper = unsettled & (digit == 1)
+        x1 = np.where(lower & across_x, mid - 1, x1)
+        x0 = np.where(upper & across_x, mid + 1, x0)
+        y1 = np.where(lower & ~across_x, mid - 1, y1)
+        y0 = np.where(upper & ~across_x, mid + 1, y0)
+        unsettled &= digit != 2
+    return np.argsort(key, kind="stable")
 
 
 def in_cone(coeffs: np.ndarray, tol: float = 0.0) -> bool:

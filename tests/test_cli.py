@@ -157,6 +157,14 @@ def test_repeated_config_key_exits_nonzero_naming_both_lines(tmp_path):
     assert "study.cfg:3: max_level is set twice, on lines 2 and 3" in result.output
 
 
+def test_non_utf8_config_exits_nonzero_naming_the_line(tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_bytes(b"min_level = 2\r\nmax_level = 2\nout_dir = caf\xe9\n")
+    result = CliRunner().invoke(main, ["study", "--config", str(cfg)])
+    assert result.exit_code != 0
+    assert f"{cfg}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 42" in result.output
+
+
 def test_failed_level_exits_nonzero_after_writing_the_other_levels(monkeypatch, tmp_path):
     solve = study_module.solve_vi
 

@@ -7,7 +7,15 @@ from signorini_fem import ExactSolution, build_system, trace_map
 from signorini_fem import assembly, norms
 from signorini_fem import mesh as msh
 
-from oracles import boundary_edges, boundary_sets, refine_loop, square_patch, unit_right_triangle
+from oracles import (
+    boundary_edges,
+    boundary_sets,
+    grid_positions,
+    nested_dissection_keys,
+    refine_loop,
+    square_patch,
+    unit_right_triangle,
+)
 
 
 def shoelace(vertices, triangles):
@@ -181,29 +189,55 @@ def test_point_triangle_distances():
 
 @pytest.mark.parametrize("level", range(1, 10))
 def test_grid_index_is_the_level_formula(level):
-    # the raster read from the mesh alone equals the one a level's grid sizes give
+    # the grid index, the vertex raster, read from the mesh alone equals the
+    # one a level's grid sizes give
     m = msh.mesh_at_level(level)
-    ix, iy, nx, ny = msh.grid_index(m)
+    raster = msh.vertex_raster(m)
+    ix, iy, nx, ny = grid_positions(raster)
     assert (nx, ny) == (4 * 2 ** (level - 1), 2 * 2 ** (level - 1))
     assert type(nx) is int and type(ny) is int
+    assert raster.dtype == np.int64
     assert np.array_equal(ix, np.rint(m.vertices[:, 0] * (nx / msh.WIDTH)).astype(np.int64))
     assert np.array_equal(iy, np.rint(m.vertices[:, 1] * (ny / msh.HEIGHT)).astype(np.int64))
     # every grid position holds one vertex
-    assert np.array_equal(np.sort(iy * (nx + 1) + ix), np.arange((nx + 1) * (ny + 1)))
+    assert np.array_equal(np.sort(raster, axis=None), np.arange((nx + 1) * (ny + 1)))
 
 
 def test_grid_index_of_the_hand_built_meshes():
     m, _, _ = square_patch()
-    ix, iy, nx, ny = msh.grid_index(m)
+    ix, iy, nx, ny = grid_positions(msh.vertex_raster(m))
     assert (nx, ny) == (2, 2)
     assert np.array_equal(ix, [0, 1, 2] * 3)
     assert np.array_equal(iy, np.repeat([0, 1, 2], 3))
-    # one triangle: its legs are one cell, its top vertex the upper-left corner
+    assert np.array_equal(msh.vertex_raster(m), np.arange(9).reshape(3, 3))
+    # one triangle: its legs are one cell, its top vertex the upper-left
+    # corner, and the upper-right corner is empty
     m, _, _ = unit_right_triangle()
-    ix, iy, nx, ny = msh.grid_index(m)
+    ix, iy, nx, ny = grid_positions(msh.vertex_raster(m))
     assert (nx, ny) == (1, 1)
     assert np.array_equal(ix, [0, 1, 0])
     assert np.array_equal(iy, [0, 0, 1])
+    assert np.array_equal(msh.vertex_raster(m), [[0, 1], [2, -1]])
+
+
+def test_build_initial_is_the_per_quad_loop():
+    m = msh.build_initial()
+    nx, ny = 4, 2
+    triangles = []
+    for iy in range(ny):
+        for ix in range(nx):
+            ll, ul = iy * (nx + 1) + ix, (iy + 1) * (nx + 1) + ix
+            triangles += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+    assert m.triangles.dtype == np.int64
+    assert np.array_equal(m.triangles, triangles)
+    assert np.array_equal(msh.vertex_raster(m), np.arange(m.num_vertices).reshape(ny + 1, nx + 1))
+
+
+@pytest.mark.parametrize("case", [*range(1, 10), "square_patch"])
+def test_elimination_order_is_the_key_sort_dissection(case):
+    m = msh.mesh_at_level(case) if isinstance(case, int) else square_patch()[0]
+    want = nested_dissection_keys(*grid_positions(msh.vertex_raster(m)))
+    assert np.array_equal(msh.elimination_order(m), want)
 
 
 def test_elimination_order_is_a_nested_dissection_permutation():
@@ -227,9 +261,9 @@ def test_elimination_order_is_computed_once_per_mesh_and_read_only(monkeypatch):
     calls = []
     dissect = msh._nested_dissection
 
-    def counted(mesh):
-        calls.append(mesh)
-        return dissect(mesh)
+    def counted(raster):
+        calls.append(raster)
+        return dissect(raster)
 
     monkeypatch.setattr(msh, "_nested_dissection", counted)
     m = msh.mesh_at_level(4)

@@ -160,10 +160,9 @@ def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
     m = mesh_at_level(4)
     tm = trace_map(m)
     A = assemble_stiffness(m)
-    ix, iy, nx, ny = msh.grid_index(m)
-    at = {(int(i), int(j)): v for v, (i, j) in enumerate(zip(ix, iy))}
-    p, q = at[(5, 3)], at[(6, 4)]
-    extra = at[(6, 3)], at[(5, 4)]
+    raster = msh.vertex_raster(m)
+    p, q = raster[3, 5], raster[4, 6]
+    extra = raster[3, 6], raster[4, 5]
     assert A[p, q] == 0.0 and q in A.indices[A.indptr[p] : A.indptr[p + 1]]
     assert extra[0] not in A.indices[A.indptr[extra[1]] : A.indptr[extra[1] + 1]]
     for stiffness in (perturbed(A, p, q, 1e-6), perturbed(A, *extra, -0.5)):
@@ -271,8 +270,9 @@ def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     # move one interior vertex of the middle column far enough right that it
     # rounds into the next column, onto the cell of another vertex
     m = mesh_at_level(3)
-    ix, iy, nx, ny = msh.grid_index(m)
-    moved = np.flatnonzero((ix == nx // 2) & (iy == ny // 2))
+    raster = msh.vertex_raster(m)
+    nx, ny = raster.shape[1] - 1, raster.shape[0] - 1
+    moved = raster[ny // 2, nx // 2]
     vertices = m.vertices.copy()
     vertices[moved, 0] += 0.6 * msh.WIDTH / nx
     shifted = dataclasses.replace(m, vertices=vertices)

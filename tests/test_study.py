@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import signorini_fem
 from signorini_fem import ExactSolution, SolverError, StudyConfig, StudyError, norms, run_study, study
+from signorini_fem import mesh as msh
 from signorini_fem.mesh import mesh_at_level
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
@@ -211,6 +212,25 @@ def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
     study._run_levels(StudyConfig(min_level=2, max_level=9), outcomes.__setitem__)
     assert built == list(range(2, 9))
     assert [rec.level for rec in outcomes.values()] == list(range(2, 9))
+
+
+def test_a_study_level_builds_one_raster_per_mesh(monkeypatch):
+    # the trace map, the DOF partition and the grid solver all slice it
+    built = []
+    build = msh._build_raster
+
+    def counted(vertices):
+        built.append(vertices)
+        return build(vertices)
+
+    monkeypatch.setattr(msh, "_build_raster", counted)
+    m = mesh_at_level(4)
+    study._run_level(m, StudyConfig(min_level=2, max_level=4), study._StageClock(), study.system_load)
+    assert len(built) == 1 and built[0] is m.vertices
+    raster = msh.vertex_raster(m)
+    assert not raster.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        raster[0, 0] = -1
 
 
 def _results(rec):
