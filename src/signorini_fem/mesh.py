@@ -10,9 +10,10 @@ DOFs; ``trace_grid`` gives a level's Gamma_S x.
 
 Level 1 is a 4 x 2 grid of congruent quadrilaterals, each split into two
 triangles along the diagonal from the lower-left to the upper-right corner
-(fixed convention, no criss-cross).  Refinement is uniform: every triangle is
-quadrisected through its edge midpoints, so level k holds a
-(4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.
+(fixed convention, no criss-cross).  Refinement is uniform: ``refine``
+quadrisects every triangle through its edge midpoints, found on the vertex
+raster, so it takes any mesh that ``vertex_raster`` accepts.  Level k holds
+a (4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.
 
 Meshes are immutable after construction and safe to share between threads;
 the three values a mesh computes lazily, its size, its vertex raster and its
@@ -142,39 +143,34 @@ def build_initial() -> TriMesh:
 def refine(mesh: TriMesh) -> TriMesh:
     """Uniformly quadrisect every triangle through its edge midpoints.
 
-    Existing vertices keep their indices; midpoint vertices are appended in
-    the deterministic order of first encounter (triangles in order, local
-    edges (0,1), (1,2), (2,0)).
+    Takes any mesh that ``vertex_raster`` accepts with one vertex per
+    position.  Existing vertices keep their indices; midpoints are appended
+    by first encounter (triangles in order, local edges (0,1), (1,2), (2,0)).
     """
     n_old = mesh.num_vertices
     tri = mesh.triangles
-    # every triangle's local edges (0,1), (1,2), (2,0), in encounter order
-    ends = np.stack([tri, np.roll(tri, -1, axis=1)], axis=-1).reshape(-1, 2)
-    # one integer per edge, from its sorted vertex pair
-    p, q = ends.T
-    edge_key = np.minimum(p, q) * (n_old + 1) + np.maximum(p, q)
-    keys, first, inverse = np.unique(edge_key, return_index=True, return_inverse=True)
-    # rank the unique edges by first encounter
-    rank = np.empty(keys.shape[0], dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(keys.shape[0])
-    mab, mbc, mca = (n_old + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    raster = vertex_raster(mesh)
+    rows, cols = raster.shape
+    cells = np.flatnonzero(raster >= 0)
+    if cells.shape[0] != n_old:
+        raise ValueError(f"{n_old - cells.shape[0]} vertices share a grid position with another vertex")
+    # (iy, ix) as a flat index iy (2 cols - 1) + ix: on the raster doubled,
+    # an edge's midpoint lies at the sum of its ends' indices
+    pos = np.empty(n_old, dtype=np.int64)
+    pos[raster.flat[cells]] = cells + cells // cols * (cols - 1)
+    nxt = np.roll(tri, -1, axis=1)
+    mid = (pos[tri] + pos[nxt]).ravel()
+    # each midpoint's first encounter by minimum.at: a fancy assignment's order over repeated indices is undocumented
+    edge = np.arange(mid.shape[0])
+    first = np.full((2 * rows - 1) * (2 * cols - 1), mid.shape[0], dtype=np.int64)
+    np.minimum.at(first, mid, edge)
+    first = first[mid]
+    new = first == edge
+    mab, mbc, mca = (np.cumsum(new) + (n_old - 1))[first].reshape(-1, 3).T
     a, b, c = tri.T
-    tris = np.stack(
-        [
-            np.column_stack([a, mab, mca]),
-            np.column_stack([b, mbc, mab]),
-            np.column_stack([c, mca, mbc]),
-            np.column_stack([mab, mbc, mca]),
-        ],
-        axis=1,
-    ).reshape(-1, 3)
-
-    # the unique edges' end pairs, listed in midpoint order
-    pairs = np.empty((keys.shape[0], 2), dtype=np.int64)
-    pairs[rank] = ends[first]
-    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[pairs[:, 0]] + mesh.vertices[pairs[:, 1]])])
-
-    return TriMesh(level=mesh.level + 1, vertices=vertices, triangles=tris.astype(np.int64))
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1).reshape(-1, 3)
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[tri.ravel()[new]] + mesh.vertices[nxt.ravel()[new]])])
+    return TriMesh(level=mesh.level + 1, vertices=vertices, triangles=tris.astype(np.int64, copy=False))
 
 
 def mesh_at_level(level: int) -> TriMesh:
@@ -204,19 +200,25 @@ def vertex_raster(mesh: TriMesh) -> np.ndarray:
     """Vertex ids by grid position, [row, column], -1 where no vertex is;
     computed once per mesh and returned read-only.  The grid spans the
     bounding box, with nx + 1 vertices on its bottom side, row 0 or Gamma_S,
-    and ny + 1 on its left side, so the raster has shape (ny + 1, nx + 1)."""
+    and ny + 1 on its left side, so the raster has shape (ny + 1, nx + 1);
+    a vertex off its grid position raises ValueError."""
     return mesh._raster
 
 
 def _build_raster(vertices: np.ndarray) -> np.ndarray:
     """The raster of ``vertex_raster``: the only place where coordinates
-    become grid positions.  Of two vertices on one position the later stays."""
+    become grid positions.  Of two vertices on one position the later stays;
+    a vertex more than 1e-6 spacings off its position raises ValueError."""
     # x and y as contiguous rows: reducing the (n, 2) array along n is ~5x slower
     v = np.ascontiguousarray(vertices.T)
     lo = v.min(axis=1, keepdims=True)
     # ny + 1 vertices have the least x, nx + 1 the least y
     ny, nx = (np.count_nonzero(v == lo, axis=1) - 1).tolist()
-    ix, iy = np.rint((v - lo) * ([[nx], [ny]] / (v.max(axis=1, keepdims=True) - lo))).astype(np.int64)
+    t = (v - lo) * ([[nx], [ny]] / (v.max(axis=1, keepdims=True) - lo))
+    off = np.abs(t - np.rint(t)).max(axis=0)
+    if not off.max() <= 1e-6:  # the meshes of levels 1..9 lie within 1.2e-13
+        raise ValueError(f"{np.count_nonzero(off > 1e-6)} vertices lie up to {off.max():.2g} spacings off the grid")
+    ix, iy = np.rint(t).astype(np.int64)
     raster = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
     raster[iy, ix] = np.arange(vertices.shape[0])
     return raster

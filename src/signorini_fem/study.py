@@ -12,18 +12,18 @@ non-reproducible values.
 
 The levels are independent work, tied together only by the rates.  Each
 costs about 4x the one before it, so the finest level is the critical path.
-A study builds its finest mesh and then forks one worker process.  The
-worker assembles that mesh's load and sends it back, then runs the coarser
-levels one after another; in a one-level study it runs none.  Meanwhile
-this process builds the finest level's stiffness and grid solver, takes
-the load from the worker and runs the rest of the level.  The load costs
-about as much as the stiffness with its grid solver, and the coarser
-levels together less than the rest of the finest level, so neither is on
-the critical path.  The parent merges the outcomes in level order, so the
-logs, reports and errors are those of running the levels in turn.  The
-worker is forked, not spawned: it needs no import, shares the finest mesh
-with the parent copy-on-write and sees every attribute of this module as
-the parent left it.
+A study refines its meshes in one chain and forks one worker process with
+them.  The worker assembles the finest mesh's load and sends it back, then
+runs the coarser levels one after another; in a one-level study it runs
+none.  Meanwhile this process builds the finest level's stiffness and grid
+solver, takes the load from the worker and runs the rest of the level.
+The load costs about as much as the stiffness with its grid solver, and
+the coarser levels together less than the rest of the finest level, so
+neither is on the critical path.  The parent merges the outcomes in level
+order, so the logs, reports and errors are those of running the levels in
+turn.  The worker is forked, not spawned: it needs no import, shares every
+level's mesh and raster with the parent copy-on-write and sees every
+attribute of this module as the parent left it.
 """
 
 from __future__ import annotations
@@ -57,10 +57,10 @@ log = logging.getLogger(__name__)
 # calling process's peak is set by assembly with the grid solver's
 # construction (609 MiB at level 9), which grows with the vertex count,
 # about 3.7x per level.  The worker adds its own peak, set by the finest
-# level's load on top of the mesh it shares from the fork: the 2..10 study
-# peaked at 2177 MiB in the calling process and 710 to 713 MiB in the
-# worker (BENCH_load_handoff.json), so a 2..11 study would need about
-# 10.4 GiB.
+# level's load on top of the meshes it shares from the fork: the 2..10 study
+# peaked at 2191 MiB in the calling process and 726 to 734 MiB in the
+# worker (BENCH_mesh_chain.json), so a 2..11 study would need about
+# 10.6 GiB.
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -113,8 +113,8 @@ class StudyConfig:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"max_level {self.max_level} is above {MAX_LEVEL}: the 2..10 study peaked at 2177 MiB RSS "
-                "in the calling process and 713 MiB in the worker, both set by level 10's assembly, "
+                f"max_level {self.max_level} is above {MAX_LEVEL}: the 2..10 study peaked at 2191 MiB RSS "
+                "in the calling process and 734 MiB in the worker, both set by level 10's assembly, "
                 "which grows about 3.7x per level"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
@@ -165,23 +165,22 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Execute the study and, when configured, write the report files.
 
     The report directory is created first, so a path that cannot be one
-    raises OSError before any level runs.  Once the finest mesh is built,
-    one forked worker process assembles its load and then runs the levels
-    below max_level, if any, while this process runs max_level.  A level
-    whose solve raises SolverError is skipped and the study goes on; so is
-    every level a worker that died did not report, and the finest level
-    when the worker died before it sent the load.  Once the reports of the
-    other levels are written, StudyError names every skipped level with its
-    message and carries the records.  Any other exception, in this process
-    or the worker, propagates; the worker is joined before this function
-    returns or raises.
+    raises OSError before any level runs.  Once the meshes are refined in
+    one chain, one forked worker process assembles the finest one's load
+    and then runs the levels below max_level, if any, while this process
+    runs max_level.  A level whose solve raises SolverError is skipped and
+    the study goes on; so is every level a worker that died did not report,
+    and the finest level when the worker died before it sent the load.
+    Once the reports of the other levels are written, StudyError names
+    every skipped level with its message and carries the records.  Any
+    other exception, in this process or the worker, propagates; the worker
+    is joined before this function returns or raises.
     """
     if config.out_dir is not None:
         Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    clock = _StageClock()  # the finest level's mesh stage includes building it
-    finest = mesh_at_level(config.max_level)
-    with _Worker(finest, config) as worker:
-        outcomes = {config.max_level: _outcome(finest, config, clock, worker.load)}
+    clock = _StageClock()  # the finest level's mesh stage includes the whole chain
+    with _Worker(config) as worker:
+        outcomes = {config.max_level: _outcome(worker.finest, config, clock, worker.load)}
         outcomes.update(worker.collect())
 
     records: list[ConvergenceRecord] = []
@@ -215,23 +214,28 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
 class _Worker:
     """The study's forked worker process, running while the block runs.
 
-    It assembles the finest mesh's load, then runs the levels below
-    max_level, if any.  It is joined when the block ends, and terminated
-    first when the block raised.
+    Entering the block refines the meshes in one chain and forks the worker
+    with them; this process keeps ``finest`` alone.  The worker assembles
+    its load, then runs the coarser levels.  It is joined when the block
+    ends, and terminated first when the block raised.
     """
 
     #: one name for every study: each failure message names its level
     name = "the study's worker process"
 
-    def __init__(self, finest, config: StudyConfig):
-        self.finest = finest
+    def __init__(self, config: StudyConfig):
         self.config = config
         self.peak_rss_mib = None
 
     def __enter__(self):
+        meshes = [mesh_at_level(self.config.min_level)]
+        for _ in range(self.config.min_level, self.config.max_level):
+            meshes.append(refine(meshes[-1]))
+        self.finest = meshes[-1]
         fork = multiprocessing.get_context("fork")
         self.receiver, sender = fork.Pipe(duplex=False)
-        self.process = fork.Process(target=_serve, args=(sender, self.finest, self.config))
+        # start() drops its args, so the coarser meshes go with this frame
+        self.process = fork.Process(target=_serve, args=(sender, meshes, self.config))
         self.process.start()
         sender.close()  # so that a dead worker ends receiver.recv() with EOFError
         return self
@@ -286,37 +290,30 @@ class _Worker:
         return outcomes
 
 
-def _serve(sender, finest, config: StudyConfig) -> None:
+def _serve(sender, meshes, config: StudyConfig) -> None:
     """Worker process: send the finest mesh's load, the outcome of each
     level below it and the worker's peak RSS, in this order.
 
-    Every message is (kind, value); an exception ends the worker with
-    ("error", (exception, traceback)).  The finest mesh is not released
-    here: the caller's frames, copied by the fork, still hold it, and its
-    pages stay shared with the caller copy-on-write.
+    meshes is the study's chain, min_level to max_level, shared with the
+    caller copy-on-write; the coarser ones come with their rasters, so the
+    worker builds no mesh and no raster.  Every message is (kind, value);
+    an exception ends the worker with ("error", (exception, traceback)).
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent terminates the worker
     try:
-        sender.send(("load", system_load(finest, config.solution())))
-        _run_levels(config, lambda level, outcome: sender.send(("level", (level, outcome))))
+        sender.send(("load", system_load(meshes[-1], config.solution())))
+        _run_levels(meshes[:-1], config, lambda level, outcome: sender.send(("level", (level, outcome))))
     except Exception as exc:
         sender.send(("error", (exc, traceback.format_exc())))
         return
     sender.send(("peak_rss_mib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
 
 
-def _run_levels(config: StudyConfig, report) -> None:
-    """Run the levels below max_level in turn and call report(level,
-    outcome) after each.
-
-    The first level's mesh is built by mesh_at_level, each later one by
-    refining the one before.
-    """
-    mesh = None
-    for level in range(config.min_level, config.max_level):
-        clock = _StageClock()
-        mesh = mesh_at_level(level) if mesh is None else refine(mesh)
-        report(level, _outcome(mesh, config, clock, system_load))
+def _run_levels(meshes, config: StudyConfig, report) -> None:
+    """Run a level on each of meshes in turn and call report(level,
+    outcome) after each; a level's mesh stage is its trace map alone."""
+    for mesh in meshes:
+        report(mesh.level, _outcome(mesh, config, _StageClock(), system_load))
 
 
 def _outcome(mesh, config: StudyConfig, clock, load):

@@ -60,16 +60,37 @@ def test_refine_counts():
 
 def test_refine_equals_the_per_triangle_loop():
     # the same arrays, dtypes included, as the loop that numbers midpoints
-    # by first encounter, from level 1 to level 8
-    m = msh.build_initial()
-    for _ in range(7):
-        fine, (ref, _) = msh.refine(m), refine_loop(m)
-        assert fine.level == ref.level
-        for name in ("vertices", "triangles"):
-            got, want = getattr(fine, name), getattr(ref, name)
-            assert got.dtype == want.dtype, name
-            assert np.array_equal(got, want), name
-        m = fine
+    # by first encounter: from level 1 to level 8, and three times from each
+    # hand-built mesh, the unit triangle's with an empty raster corner
+    for m, times in ((msh.build_initial(), 7), (square_patch()[0], 3), (unit_right_triangle()[0], 3)):
+        for _ in range(times):
+            fine, (ref, _) = msh.refine(m), refine_loop(m)
+            assert fine.level == ref.level
+            for name in ("vertices", "triangles"):
+                got, want = getattr(fine, name), getattr(ref, name)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want), name
+            m = fine
+
+
+def test_a_mesh_off_its_grid_is_refused():
+    # level 3 without its sixth Gamma_S vertex and the triangles at it: read
+    # as a grid one column short, 134 vertices would land on wrong positions
+    m = msh.mesh_at_level(3)
+    missing = msh.trace_map(m).vertices[5]
+    tris = m.triangles[~np.any(m.triangles == missing, axis=1)]
+    holed = msh.TriMesh(3, np.delete(m.vertices, missing, axis=0), tris - (tris > missing))
+    for reads_the_raster in (msh.trace_map, assembly.dof_partition, msh.refine):
+        with pytest.raises(ValueError, match="134 vertices lie up to 0.5 spacings off the grid"):
+            reads_the_raster(holed)
+
+
+def test_refine_refuses_two_vertices_on_one_position():
+    # a copy of a vertex a hair off it takes its raster position
+    m = msh.mesh_at_level(3)
+    doubled = msh.TriMesh(3, np.vstack([m.vertices, m.vertices[20] + 1e-9]), m.triangles)
+    with pytest.raises(ValueError, match="1 vertices share a grid position with another vertex"):
+        msh.refine(doubled)
 
 
 def test_vertex_counts_formula():

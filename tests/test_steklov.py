@@ -268,7 +268,8 @@ def test_out_of_memory_factorizations_raise_solver_error(monkeypatch):
 
 def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     # move one interior vertex of the middle column far enough right that it
-    # rounds into the next column, onto the cell of another vertex
+    # rounds into the next column, onto the cell of another vertex: the
+    # raster refuses it 0.4 spacings off, before any map is built
     m = mesh_at_level(3)
     raster = msh.vertex_raster(m)
     nx, ny = raster.shape[1] - 1, raster.shape[0] - 1
@@ -276,9 +277,8 @@ def test_dense_matrix_refuses_a_middle_column_that_does_not_separate():
     vertices = m.vertices.copy()
     vertices[moved, 0] += 0.6 * msh.WIDTH / nx
     shifted = dataclasses.replace(m, vertices=vertices)
-    smap = SteklovMap(shifted, trace_map(shifted), stiffness=assemble_stiffness(m))
-    with pytest.raises(SolverError, match="do not fill a uniform grid"):
-        smap.dense_matrix()
+    with pytest.raises(ValueError, match="1 vertices lie up to 0.4 spacings off the grid"):
+        trace_map(shifted)
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])

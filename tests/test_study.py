@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +83,9 @@ def test_config_validation():
 
 def test_level_cap_names_the_measured_reason():
     assert MAX_LEVEL == 10
-    with pytest.raises(ValueError, match="the 2..10 study peaked at 2177 MiB RSS in the calling process") as err:
+    with pytest.raises(ValueError, match="the 2..10 study peaked at 2191 MiB RSS in the calling process") as err:
         StudyConfig(max_level=11)
-    assert "and 713 MiB in the worker, both set by level 10's assembly" in str(err.value)
+    assert "and 734 MiB in the worker, both set by level 10's assembly" in str(err.value)
     assert "which grows about 3.7x per level" in str(err.value)
     assert StudyConfig(max_level=10).max_level == 10
 
@@ -209,13 +210,16 @@ def test_a_study_builds_one_grid_solver_per_level(monkeypatch):
     # the worker's loop runs here, over the levels below max_level
     built = count_grid_builds(monkeypatch)
     outcomes = {}
-    study._run_levels(StudyConfig(min_level=2, max_level=9), outcomes.__setitem__)
+    meshes = [mesh_at_level(k) for k in range(2, 9)]
+    study._run_levels(meshes, StudyConfig(min_level=2, max_level=9), outcomes.__setitem__)
     assert built == list(range(2, 9))
     assert [rec.level for rec in outcomes.values()] == list(range(2, 9))
 
 
 def test_a_study_level_builds_one_raster_per_mesh(monkeypatch):
-    # the trace map, the DOF partition and the grid solver all slice it
+    # the trace map, the DOF partition and the grid solver all slice it;
+    # the mesh is built first, as refine reads the rasters of levels 1..3
+    m = mesh_at_level(4)
     built = []
     build = msh._build_raster
 
@@ -224,7 +228,6 @@ def test_a_study_level_builds_one_raster_per_mesh(monkeypatch):
         return build(vertices)
 
     monkeypatch.setattr(msh, "_build_raster", counted)
-    m = mesh_at_level(4)
     study._run_level(m, StudyConfig(min_level=2, max_level=4), study._StageClock(), study.system_load)
     assert len(built) == 1 and built[0] is m.vertices
     raster = msh.vertex_raster(m)
@@ -293,18 +296,54 @@ def test_results_json_carries_the_worker_peak(records_small, tmp_path):
 
 
 def test_the_finest_mesh_stage_includes_building_the_mesh(monkeypatch, joined_worker):
-    build = study.mesh_at_level
+    refine = study.refine
 
-    def slow_finest(level):
-        if level == 4:
+    def slow_finest(mesh):
+        if mesh.level == 3:
             time.sleep(0.5)
-        return build(level)
+        return refine(mesh)
 
-    monkeypatch.setattr(study, "mesh_at_level", slow_finest)
+    monkeypatch.setattr(study, "refine", slow_finest)
     records = run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
     assert records[-1].stage_seconds["mesh"] >= 0.5
     assert records[-1].seconds >= 0.5
     assert all(rec.stage_seconds["mesh"] < 0.5 for rec in records[:-1])
+
+
+def test_a_study_builds_every_mesh_and_raster_in_the_calling_process(monkeypatch, joined_worker):
+    test_process = os.getpid()
+    refined = {}
+
+    def here_only(build):
+        def built(arg):
+            if os.getpid() != test_process:
+                raise RuntimeError(f"{build.__name__} ran in the worker")
+            return build(arg)
+
+        return built
+
+    refine = here_only(study.refine)
+
+    def chained(mesh):
+        refined[mesh.level] = weakref.ref(mesh)
+        return refine(mesh)
+
+    build = study.build_system
+
+    def finest_alone(mesh, tmap, sol, load):
+        if os.getpid() == test_process:
+            # the finest level runs here once the worker is forked
+            assert [level for level, ref in refined.items() if ref() is not None] == []
+        return build(mesh, tmap, sol, load=load)
+
+    monkeypatch.setattr(study, "refine", chained)
+    monkeypatch.setattr(study, "mesh_at_level", here_only(study.mesh_at_level))
+    monkeypatch.setattr(msh, "_build_raster", here_only(msh._build_raster))
+    monkeypatch.setattr(study, "build_system", finest_alone)
+    records = run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    assert [rec.level for rec in records] == [2, 3, 4]
+    # one chain: mesh_at_level(2), then refines to levels 3 and 4
+    assert list(refined) == [2, 3]
 
 
 def test_stage_seconds_add_up_to_the_level_seconds(records_small):
