@@ -668,6 +668,14 @@ class FeSystem:
         w[self.dirichlet_idx] = self.dirichlet_values
         return w
 
+    def trace_multiplier(self, z) -> np.ndarray:
+        """D^-1 (load - A w)_T for w the lift set to z on the trace and filled
+        on I by ``grid.flux``: of z = 0 the Newton potential nu with the
+        Dirichlet lifting, of the exact trace values the consistency flux."""
+        w = self.lift()
+        w[self.trace_dofs] = z
+        return self.grid.flux(w, self.load) / self.lumped_mass
+
 
 def system_load(mesh: TriMesh, sol) -> np.ndarray:
     """The load vector of sol's right-hand side, refined near the

@@ -35,8 +35,7 @@ def main(verbose: bool):
 @click.option("--max-level", type=str, default=None)
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 @click.option("--knots", type=str, default=None, help="Cut-off knots, e.g. 0.5,1.0")
-@click.option("--no-lambda-tilde", is_flag=True, help="Skip the consistency-flux track.")
-def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
+def study(config_path, min_level, max_level, out_dir, knots):
     """Run the refinement study and write results.csv / results.json."""
     kwargs = {}
     try:
@@ -49,8 +48,6 @@ def study(config_path, min_level, max_level, out_dir, knots, no_lambda_tilde):
                     kwargs[key] = _parse_value(StudyConfig.__dataclass_fields__[key].type, value)
                 except ValueError as exc:
                     raise ValueError(f"--{key.replace('_', '-')}: {exc}") from None
-        if no_lambda_tilde:
-            kwargs["compute_lambda_tilde"] = False
         config = StudyConfig(**kwargs)
         records = run_study(config)
     except (ValueError, RuntimeError) as exc:

@@ -16,9 +16,9 @@ DST-I spectrum of its interior mass and stiffness.
 Fractional norms are the geometric-mean surrogates sqrt(H1 * L2) and
 sqrt(H-1 * L2).
 
-``error_report`` returns one level's columns as a dict keyed by
-``RATE_KEYS``, the only list of the column names; ``TOLERANCES`` holds the
-quadrature settings the study records with them.
+``error_report`` returns one level's ten columns, the consistency flux's
+among them, as a dict keyed by ``RATE_KEYS``, the only list of the column
+names; ``TOLERANCES`` holds the quadrature settings the study records.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ TOLERANCES = {
 }
 
 #: The error columns of one level, in the order ``error_report`` returns
-#: them; the last three, of the consistency flux, only when it is given.
+#: them; the last three are those of the consistency flux.
 RATE_KEYS = (
     "e_L2_omega",
     "e_H1_omega",
@@ -231,10 +231,10 @@ def error_report(
     solution,
     sol,
     ref_level: int,
-    lam_tilde=None,
+    lam_tilde,
 ) -> dict:
     """The error columns of one converged level, keyed by ``RATE_KEYS``;
-    without lam_tilde the consistency flux's three columns are left out."""
+    the last three are those of lam_tilde, the consistency flux."""
     e_l2, e_h1 = volume_errors(mesh, solution.u.values, sol)
     t_l2, _, t_half = trace_errors(tmap, solution.u.values, sol)
 
@@ -245,6 +245,4 @@ def error_report(
         return [l2, hm1, geometric_mean(hm1, l2)]
 
     values = [e_l2, e_h1, t_l2, t_half, *multiplier_errors(solution.multiplier.values)]
-    if lam_tilde is not None:
-        values += multiplier_errors(lam_tilde)
-    return dict(zip(RATE_KEYS, values))
+    return dict(zip(RATE_KEYS, values + multiplier_errors(lam_tilde)))

@@ -14,10 +14,11 @@ handful of steps.
 ``solve_vi`` starts from the empty active set and does not read the exact
 solution.  It first runs PDAS on the problem condensed onto the trace,
 (sigma, nu) of ``condense_system``, where a step is a dense solve on the
-trace DOFs, then the full-space PDAS from the set found there; normally
-one step confirms it.  Both stages solve with the system's own grid solver
-(``FeSystem.grid``, a DST-I solver of the five-point stiffness, built with
-the system), so a solve builds no solver and factorizes nothing.
+trace DOFs and nu is ``FeSystem.trace_multiplier`` of the zero trace, then
+the full-space PDAS from the set found there; normally one step confirms
+it.  Both stages solve with the system's own grid solver (``FeSystem.grid``,
+a DST-I solver of the five-point stiffness, built with the system), so a
+solve builds no solver and factorizes nothing.
 ``linear_subsolve`` is a sparse LU solve of an SPD block listed in the
 order of ``mesh.elimination_order``, which SuperLU keeps (``LU_OPTIONS``).
 """
@@ -84,11 +85,11 @@ def condense_system(system: FeSystem):
 
     sigma = D^-1 S with S = A_TT - A_TI A_II^-1 A_IT from ``system.grid``,
     and nu = D^-1 (f_T - A_TI A_II^-1 f_I), with f the load less the
-    Dirichlet lifting, is the Newton potential.  The contact problem on the
-    trace is: t <= g, lambda = nu - sigma t >= 0, and lambda (t - g) = 0.
+    Dirichlet lifting, is the Newton potential, ``system.trace_multiplier``
+    of the zero trace.  The contact problem on the trace is: t <= g,
+    lambda = nu - sigma t >= 0, and lambda (t - g) = 0.
     """
-    D = system.lumped_mass
-    return system.grid.schur / D[:, None], system.grid.flux(system.lift(), system.load) / D
+    return system.grid.schur / system.lumped_mass[:, None], system.trace_multiplier(0.0)
 
 
 def solve_vi(

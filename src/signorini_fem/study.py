@@ -1,7 +1,8 @@
 """Convergence study over uniformly refined levels, with CSV/JSON reports.
 
 Per level the problem is assembled, the contact problem solved by PDAS, the
-consistency flux computed from the exact trace, and all norms evaluated.
+consistency flux computed from the exact trace by the kernel of the solver's
+Newton potential, ``FeSystem.trace_multiplier``, and all norms evaluated.
 Averaged rates alpha_k follow from (err_first / err_k) = (1/2)^(alpha_k n)
 with n the number of halvings between the first and the k-th level;
 level-to-level rates are reported alongside in the JSON mirror as a
@@ -99,7 +100,6 @@ class StudyConfig:
     min_level: int = 2
     max_level: int = 9
     knots: tuple[float, float] = (0.5, 1.0)
-    compute_lambda_tilde: bool = True
     out_dir: str | None = None
 
     def __post_init__(self):
@@ -107,8 +107,6 @@ class StudyConfig:
             value = getattr(self, name)
             if spec.type == "int" and not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if spec.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
         if not 1 <= self.min_level <= self.max_level:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
@@ -347,14 +345,10 @@ def _run_level(mesh, config: StudyConfig, clock: _StageClock, load) -> Convergen
     clock.lap("assemble")
     solution = solve_vi(mesh, tmap, sol, system=system)
     clock.lap("contact")
-    lam_tilde = None
-    if config.compute_lambda_tilde:
-        # the multiplier of the exact trace z, read as the boundary residual
-        # of its refined extension: at level 8 nu - sigma z subtracts two
-        # values near 194 to leave one near 1.3
-        w = system.lift()
-        w[system.trace_dofs] = exact_trace_values(sol, tmap, system.lumped_mass)
-        lam_tilde = system.grid.flux(w, system.load) / system.lumped_mass
+    # the multiplier of the exact trace z, read as the boundary residual
+    # of its refined extension: at level 8 nu - sigma z subtracts two
+    # values near 194 to leave one near 1.3
+    lam_tilde = system.trace_multiplier(exact_trace_values(sol, tmap, system.lumped_mass))
     clock.lap("flux")
 
     errors = error_report(mesh, tmap, solution, sol, ref_level=ref_level, lam_tilde=lam_tilde)
@@ -477,21 +471,21 @@ def config_from_file(path) -> dict:
     Lines look like "max_level = 6".  A '#' at the start of a line or after
     whitespace starts a comment; elsewhere it is part of the value, so
     "out_dir = a#b" names the directory a#b.  Each value is read as the
-    type of its StudyConfig field: knots are two comma-separated reals,
-    switches are exactly "true" or "false".  Bytes that are not UTF-8,
-    unknown keys, keys set twice and values that do not parse raise
-    ValueError naming the line (both lines for a repeated key); an unknown
-    key's message lists the accepted ones.
+    type of its StudyConfig field: knots are two comma-separated reals.  A
+    UTF-8 byte order mark at the start is skipped.  Bytes that are not
+    UTF-8, unknown keys, keys set twice and values that are empty or do not
+    parse raise ValueError naming the line (both lines for a repeated key);
+    an unknown key's message lists the accepted ones.
     """
     fields = StudyConfig.__dataclass_fields__
     kwargs = {}
     lines = {}
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # a character after the bytes that decode falls on the bad byte's line
-        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        # a character after the bytes that decode (without a BOM) falls on the bad byte's line
+        lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
         raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
@@ -513,11 +507,9 @@ def config_from_file(path) -> dict:
 
 
 def _parse_value(kind: str, value: str):
-    """Read value as a StudyConfig field of the annotated type kind."""
-    if kind == "bool":
-        if value not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value == "true"
+    """Read a non-empty value as a StudyConfig field of the annotated type kind."""
+    if not value:
+        raise ValueError("the value is empty")
     if kind == "int":
         if not re.fullmatch(r"[+-]?[0-9]+", value):
             raise ValueError(f"expected an integer, got {value!r}")

@@ -4,13 +4,14 @@ Each reference computes a quantity the package also computes, by the plain
 route the package replaced: dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, new arrays for every DST-I and every grid-fill step, the
-full-space PDAS from the empty active set for the contact solve, edge lists
-for the boundary that the package reads from vertex coordinates, one
-stable sort on base-3 keys for the nested dissection that the package
-splits into raster slices, both singular terms of the exact solution on
-every point, ``einsum`` for the load's and the volume norms' point maps and
-sums, and a fresh sparse solve or a long-double tridiagonal one, on the 1D
-Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
+full-space PDAS from the empty active set for the contact solve, the trace
+multiplier written out where the Newton potential and the consistency flux
+are computed, edge lists for the boundary that the package reads from
+vertex coordinates, one stable sort on base-3 keys for the nested
+dissection that the package splits into raster slices, both singular
+terms of the exact solution on every point, ``einsum`` for the load's and
+the volume norms' point maps and sums, and a fresh sparse solve or a
+long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
 the vertex raster inverted, are views that only the tests need,
 ``count_grid_builds`` counts the grid solvers a call builds, and
 ``counting_spla`` and ``out_of_memory_splu`` stand in for SuperLU.
@@ -325,6 +326,17 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
         iterations=iterations,
         residual=float(np.max(np.abs(r[system.free_mask]))),
     )
+
+
+def trace_multiplier_written_out(system: FeSystem, z=None) -> np.ndarray:
+    """``FeSystem.trace_multiplier`` written out: the Dirichlet values on
+    their vertices, z on the trace unless it is None (the Newton
+    potential's zero trace), then the grid's boundary residual over D."""
+    w = np.zeros(system.mesh.num_vertices)
+    w[system.dirichlet_idx] = system.dirichlet_values
+    if z is not None:
+        w[system.trace_dofs] = z
+    return system.grid.flux(w, system.load) / system.lumped_mass
 
 
 def dst1_allocating(x: np.ndarray, axis: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -26,6 +28,7 @@ REMOVED_KEYS = (
     "volume_quad_depth",
     "ref_offset",
     "emit_boundary_profiles",
+    "compute_lambda_tilde",
 )
 
 
@@ -34,19 +37,17 @@ def test_study_command_runs(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("min_level = 2\nmax_level = 3\n")
     runner = CliRunner()
-    result = runner.invoke(
-        main, ["study", "--config", str(cfg), "--out-dir", str(out), "--no-lambda-tilde"]
-    )
+    result = runner.invoke(main, ["study", "--config", str(cfg), "--out-dir", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "results.csv").exists()
     payload = json.loads((out / "results.json").read_text())
-    assert payload["config"]["compute_lambda_tilde"] is False
+    assert list(payload["config"]) == ["min_level", "max_level", "knots", "out_dir"]
     assert [rec["level"] for rec in payload["records"]] == [2, 3]
 
 
 def test_summary_rows_line_up_with_the_header():
     # the first level has no rates; its blank cells keep the column width
-    result = CliRunner().invoke(main, ["study", "--min-level", "1", "--max-level", "3", "--no-lambda-tilde"])
+    result = CliRunner().invoke(main, ["study", "--min-level", "1", "--max-level", "3"])
     assert result.exit_code == 0, result.output
     lines = result.output.splitlines()
     header = next(i for i, line in enumerate(lines) if line.lstrip().startswith("level "))
@@ -68,7 +69,6 @@ def test_flag_overrides_config(tmp_path):
             "--max-level", "2",
             "--knots", "0.5,1.0",
             "--out-dir", str(out),
-            "--no-lambda-tilde",
         ],
     )
     assert result.exit_code == 0, result.output
@@ -102,12 +102,12 @@ def test_bad_knots_flag():
 
 def test_invalid_config_value_exits_nonzero(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("min_level = 2\ncompute_lambda_tilde = yes\n")
+    cfg.write_text("min_level = 2\nmax_level = yes\n")
     runner = CliRunner()
     result = runner.invoke(main, ["study", "--config", str(cfg)])
     assert result.exit_code != 0
     assert "study.cfg:2" in result.output
-    assert "expected true or false" in result.output
+    assert "expected an integer" in result.output
 
 
 def test_out_of_range_config_value_exits_nonzero(tmp_path):
@@ -126,7 +126,34 @@ def test_removed_config_keys_exit_nonzero_naming_the_line(tmp_path):
         result = CliRunner().invoke(main, ["study", "--config", str(cfg)])
         assert result.exit_code != 0
         assert f"study.cfg:2: unknown config key {key!r}" in result.output
-        assert "accepted keys: min_level, max_level, knots, compute_lambda_tilde, out_dir" in result.output
+        assert "accepted keys: min_level, max_level, knots, out_dir" in result.output
+
+
+def test_removed_flag_exits_nonzero():
+    result = CliRunner().invoke(main, ["study", "--max-level", "2", "--no-lambda-tilde"])
+    assert result.exit_code != 0
+    assert "No such option" in result.output and "--no-lambda-tilde" in result.output
+
+
+def _readme_command_lines() -> list:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1]
+    code = re.search(r"```sh\n(.*?)```", block, re.DOTALL).group(1)
+    return [shlex.split(line, comments=True) for line in code.splitlines() if line.strip()]
+
+
+def test_every_readme_command_line_is_accepted_by_the_parser(tmp_path, monkeypatch):
+    # parsed with click's make_context, so no study runs; --config needs a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "study.cfg").write_text("")
+    lines = _readme_command_lines()
+    assert lines
+    for prog, *args in lines:
+        assert prog == "signorini-fem"
+        name = next(arg for arg in args if arg in main.commands)
+        split = args.index(name) + 1
+        with main.make_context(prog, args[:split]) as ctx:
+            main.commands[name].make_context(name, args[split:], parent=ctx)
 
 
 def test_empty_out_dir_flag_exits_nonzero_and_writes_nothing(tmp_path):
@@ -134,7 +161,7 @@ def test_empty_out_dir_flag_exits_nonzero_and_writes_nothing(tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
         result = runner.invoke(main, ["study", "--min-level", "2", "--max-level", "2", "--out-dir", ""])
         assert result.exit_code != 0
-        assert "out_dir must be a path string, not empty" in result.output
+        assert "Error: --out-dir: the value is empty" in result.output
         assert list(Path(cwd).iterdir()) == []
 
 
@@ -145,7 +172,7 @@ def test_empty_out_dir_config_key_exits_nonzero_and_writes_nothing(tmp_path):
     with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
         result = runner.invoke(main, ["study", "--config", str(cfg)])
         assert result.exit_code != 0
-        assert "out_dir must be a path string, not empty" in result.output
+        assert f"Error: {cfg}:3: out_dir: the value is empty" in result.output
         assert list(Path(cwd).iterdir()) == []
 
 
@@ -176,7 +203,7 @@ def test_failed_level_exits_nonzero_after_writing_the_other_levels(monkeypatch, 
     monkeypatch.setattr(study_module, "solve_vi", solve_all_but_level_3)
     out = tmp_path / "results"
     result = CliRunner().invoke(
-        main, ["study", "--min-level", "2", "--max-level", "4", "--out-dir", str(out), "--no-lambda-tilde"]
+        main, ["study", "--min-level", "2", "--max-level", "4", "--out-dir", str(out)]
     )
     assert result.exit_code != 0
     assert "level 3 failed: PDAS did not converge" in result.output

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import signorini_fem
+from signorini_fem.norms import RATE_KEYS
 
 PACKAGE = Path(signorini_fem.__file__).parent
 
@@ -75,6 +76,7 @@ def test_the_readme_library_example_runs_and_its_claim_holds():
     code = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
     names = {}
     exec(compile(code, "README.md", "exec"), names)
+    assert list(names["errors"]) == list(RATE_KEYS)
     # "Dirichlet-to-Neumann: vi.multiplier.values"
     lam, expected = names["lam"], names["vi"].multiplier.values
     assert np.abs(lam - expected).max() <= 1e-12 * np.abs(expected).max()

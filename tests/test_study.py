@@ -19,9 +19,11 @@ import signorini_fem
 from signorini_fem import ExactSolution, SolverError, StudyConfig, StudyError, norms, run_study, study
 from signorini_fem import mesh as msh
 from signorini_fem.mesh import mesh_at_level
+from signorini_fem.solver import condense_system
+from signorini_fem.steklov import exact_trace_values
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
-from oracles import count_grid_builds
+from oracles import count_grid_builds, trace_multiplier_written_out
 
 
 STAGES = ["mesh", "assemble", "contact", "flux", "norms"]
@@ -101,8 +103,8 @@ def test_level_cap_names_the_measured_reason():
         (dict(knots=(0.0, 1.0)), "0 < s0 < s1"),
         (dict(knots=(0.9, 0.6)), "0 < s0 < s1"),
         (dict(knots=(0.5, float("nan"))), "knots must be two real numbers"),
-        (dict(compute_lambda_tilde="yes"), "compute_lambda_tilde must be true or false"),
-        (dict(compute_lambda_tilde=1), "compute_lambda_tilde must be true or false"),
+        (dict(min_level=3, max_level=2), "levels must satisfy 1 <= min <= max, got 3..2"),
+        (dict(knots=(0.5, float("inf"))), "knots must be two real numbers"),
         (dict(max_level=6.0), "max_level must be an integer"),
         (dict(knots=(0.5, True)), "knots must be two real numbers"),
         (dict(knots="0.5,1.0"), "knots must be two real numbers"),
@@ -236,6 +238,31 @@ def test_a_study_level_builds_one_raster_per_mesh(monkeypatch):
         raster[0, 0] = -1
 
 
+@pytest.mark.parametrize("level", range(2, 9))
+def test_nu_and_the_study_lambda_tilde_equal_the_written_out_recipe(monkeypatch, level):
+    # both come from FeSystem.trace_multiplier; the norms are left out
+    kept = {}
+    build = study.build_system
+
+    def keep_system(mesh, tmap, sol, load):
+        kept["system"] = build(mesh, tmap, sol, load=load)
+        return kept["system"]
+
+    def keep_lambda_tilde(mesh, tmap, solution, sol, ref_level, lam_tilde):
+        kept["lam_tilde"] = lam_tilde
+        return {}
+
+    monkeypatch.setattr(study, "build_system", keep_system)
+    monkeypatch.setattr(study, "error_report", keep_lambda_tilde)
+    mesh = mesh_at_level(level)
+    config = StudyConfig()
+    study._run_level(mesh, config, study._StageClock(), study.system_load)
+    system = kept["system"]
+    z = exact_trace_values(config.solution(), msh.trace_map(mesh), system.lumped_mass)
+    assert np.array_equal(condense_system(system)[1], trace_multiplier_written_out(system))
+    assert np.array_equal(kept["lam_tilde"], trace_multiplier_written_out(system, z))
+
+
 def _results(rec):
     timings_and_rates = ("seconds", "stage_seconds", "rates", "rates_stepwise")
     return {k: v for k, v in dataclasses.asdict(rec).items() if k not in timings_and_rates}
@@ -269,7 +296,7 @@ def _check_the_worker_load(monkeypatch, min_level):
 
     monkeypatch.setattr(study, "system_load", load_in_the_worker)
     monkeypatch.setattr(study, "build_system", keep_load)
-    config = StudyConfig(min_level=min_level, max_level=5, compute_lambda_tilde=False)
+    config = StudyConfig(min_level=min_level, max_level=5)
     records = run_study(config)
     # the coarser levels build their systems in the worker, out of this dict's sight
     assert list(received) == [5]
@@ -291,7 +318,7 @@ def test_results_json_carries_the_worker_peak(records_small, tmp_path):
     _, _, out = records_small
     assert json.loads((out / "results.json").read_text())["worker_peak_rss_mib"] > 0.0
     # a one-level study's worker sends the load and its peak
-    run_study(StudyConfig(min_level=3, max_level=3, compute_lambda_tilde=False, out_dir=str(tmp_path)))
+    run_study(StudyConfig(min_level=3, max_level=3, out_dir=str(tmp_path)))
     assert json.loads((tmp_path / "results.json").read_text())["worker_peak_rss_mib"] > 0.0
 
 
@@ -304,7 +331,7 @@ def test_the_finest_mesh_stage_includes_building_the_mesh(monkeypatch, joined_wo
         return refine(mesh)
 
     monkeypatch.setattr(study, "refine", slow_finest)
-    records = run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    records = run_study(StudyConfig(min_level=2, max_level=4))
     assert records[-1].stage_seconds["mesh"] >= 0.5
     assert records[-1].seconds >= 0.5
     assert all(rec.stage_seconds["mesh"] < 0.5 for rec in records[:-1])
@@ -340,7 +367,7 @@ def test_a_study_builds_every_mesh_and_raster_in_the_calling_process(monkeypatch
     monkeypatch.setattr(study, "mesh_at_level", here_only(study.mesh_at_level))
     monkeypatch.setattr(msh, "_build_raster", here_only(msh._build_raster))
     monkeypatch.setattr(study, "build_system", finest_alone)
-    records = run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+    records = run_study(StudyConfig(min_level=2, max_level=4))
     assert [rec.level for rec in records] == [2, 3, 4]
     # one chain: mesh_at_level(2), then refines to levels 3 and 4
     assert list(refined) == [2, 3]
@@ -360,7 +387,7 @@ def test_stage_seconds_add_up_to_the_level_seconds(records_small):
 
 def test_each_level_is_logged_once_in_order_with_its_stages(caplog, joined_worker):
     with caplog.at_level(logging.INFO, logger="signorini_fem.study"):
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=2, max_level=4))
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level ")]
     assert [line.split(":")[0] for line in lines] == ["level 2", "level 3", "level 4"]
     for line in lines:
@@ -395,7 +422,7 @@ def _fail_to_converge():
 def test_failed_level_raises_with_the_other_records(monkeypatch, joined_worker):
     _solve_failing_at(monkeypatch, 3, _fail_to_converge)
     with pytest.raises(StudyError, match="level 3 failed: PDAS did not converge") as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=2, max_level=4))
     assert [rec.level for rec in err.value.records] == [2, 4]
 
 
@@ -404,7 +431,7 @@ def test_failed_level_raises_with_the_other_records(monkeypatch, joined_worker):
 def test_failed_first_or_finest_level_raises_with_the_other_records(monkeypatch, joined_worker, failing_level):
     _solve_failing_at(monkeypatch, failing_level, _fail_to_converge)
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=2, max_level=4))
     assert str(err.value) == f"level {failing_level} failed: PDAS did not converge within 100 iterations"
     assert [rec.level for rec in err.value.records] == [k for k in (2, 3, 4) if k != failing_level]
 
@@ -416,7 +443,7 @@ def test_another_exception_reaches_the_caller(monkeypatch, joined_worker, failin
 
     _solve_failing_at(monkeypatch, failing_level, fail)
     with pytest.raises(ValueError, match=f"no stiffness at level {failing_level}") as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=2, max_level=4))
     # the worker's traceback is the cause of what it raised
     assert ("in the study's worker process" in str(err.value.__cause__)) == (failing_level == 3)
 
@@ -431,7 +458,7 @@ def test_a_worker_that_dies_fails_its_unreported_levels(monkeypatch, joined_work
     _solve_failing_at(monkeypatch, 3, die)
     out = tmp_path / "died"
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
+        run_study(StudyConfig(min_level=2, max_level=4, out_dir=str(out)))
     assert str(err.value) == "level 3 failed: the study's worker process exited with code 3"
     assert [rec.level for rec in err.value.records] == [2, 4]
     assert json.loads((out / "results.json").read_text())["failed_levels"] == [3]
@@ -453,7 +480,7 @@ def _check_a_worker_that_dies_in_the_load(monkeypatch, tmp_path, min_level):
     _load_failing_in_the_worker(monkeypatch, lambda: os._exit(3))
     out = tmp_path / "died"
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=min_level, max_level=4, compute_lambda_tilde=False, out_dir=str(out)))
+        run_study(StudyConfig(min_level=min_level, max_level=4, out_dir=str(out)))
     reason = "the study's worker process exited with code 3"
     assert str(err.value) == "; ".join(f"level {k} failed: {reason}" for k in range(min_level, 5))
     assert err.value.records == []
@@ -476,7 +503,7 @@ def test_an_exception_in_the_worker_load_reaches_the_caller(monkeypatch, joined_
 
     _load_failing_in_the_worker(monkeypatch, fail)
     with pytest.raises(ValueError, match="no load for the finest level") as err:
-        run_study(StudyConfig(min_level=2, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=2, max_level=4))
     assert "in the study's worker process" in str(err.value.__cause__)
 
 
@@ -490,7 +517,7 @@ def _check_a_finest_level_that_fails_before_it_reads_the_load(monkeypatch, min_l
 
     monkeypatch.setattr(study, "build_system", off_the_stencil_at_the_finest_level)
     with pytest.raises(StudyError) as err:
-        run_study(StudyConfig(min_level=min_level, max_level=4, compute_lambda_tilde=False))
+        run_study(StudyConfig(min_level=min_level, max_level=4))
     assert str(err.value) == "level 4 failed: the stiffness is not the five-point stencil"
     assert [rec.level for rec in err.value.records] == list(range(min_level, 4))
 
@@ -510,22 +537,11 @@ def test_text_printed_before_a_study_is_written_once():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = (
         "import signorini_fem as sf; print('before the study'); "
-        "sf.run_study(sf.StudyConfig(min_level=2, max_level=3, compute_lambda_tilde=False))"
+        "sf.run_study(sf.StudyConfig(min_level=2, max_level=3))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("before the study") == 1
-
-
-def test_lambda_tilde_optional(tmp_path):
-    records = run_study(StudyConfig(min_level=2, max_level=3, compute_lambda_tilde=False))
-    for rec in records:
-        assert "e_Hminushalf_lambda_tilde" not in rec.errors
-    out = tmp_path / "no_tilde"
-    emit_reports(records, StudyConfig(min_level=2, max_level=3, compute_lambda_tilde=False), out)
-    lines = (out / "results.csv").read_text().strip().splitlines()
-    row = lines[1].split(",")
-    assert row[12] == "" and row[13] == ""
 
 
 def test_config_file_parsing(tmp_path):
@@ -536,7 +552,6 @@ def test_config_file_parsing(tmp_path):
 min_level = 2
 max_level = 4
 knots = 0.45,1.05
-compute_lambda_tilde = false
 out_dir = results
 """
     )
@@ -545,7 +560,6 @@ out_dir = results
         "min_level": 2,
         "max_level": 4,
         "knots": (0.45, 1.05),
-        "compute_lambda_tilde": False,
         "out_dir": "results",
     }
     StudyConfig(**kwargs)
@@ -559,7 +573,7 @@ def study_configs(draw):
     s1 = draw(st.floats(ExactSolution.x_left, ExactSolution.x_right, exclude_min=True, **reals))
     s0 = draw(st.floats(0.0, s1, exclude_min=True, exclude_max=True, **reals))
     out_dir = draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,24}", fullmatch=True))
-    return StudyConfig(min_level, max_level, (s0, s1), draw(st.booleans()), out_dir)
+    return StudyConfig(min_level, max_level, (s0, s1), out_dir)
 
 
 @given(config=study_configs())
@@ -569,7 +583,6 @@ def test_config_file_round_trip(tmp_path_factory, config):
         f"min_level = {config.min_level}",
         f"max_level = {config.max_level}",
         f"knots = {config.knots[0]!r},{config.knots[1]!r}",
-        f"compute_lambda_tilde = {str(config.compute_lambda_tilde).lower()}",
     ]
     if config.out_dir is not None:
         lines.append(f"out_dir = {config.out_dir}")
@@ -595,9 +608,11 @@ def test_config_file_rejects_malformed_lines(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("compute_lambda_tilde = yes", "expected true or false"),
-        ("compute_lambda_tilde = True", "expected true or false"),
         ("max_level = 6.5", "max_level"),
+        # an empty value of every kind, out_dir's too
+        ("max_level =", "max_level: the value is empty"),
+        ("knots = ", "knots: the value is empty"),
+        ("out_dir =  # none", "out_dir: the value is empty"),
         ("knots = 0.5", "two comma-separated reals"),
         # int() reads both of these as integers
         ("max_level = 1_0", "expected an integer, got '1_0'"),
@@ -616,6 +631,17 @@ def test_config_file_rejects_bad_values_naming_the_line(tmp_path, line, message)
     with pytest.raises(ValueError, match=message) as err:
         config_from_file(path)
     assert f"{path}:3:" in str(err.value)
+
+
+def test_config_file_skips_a_utf8_byte_order_mark(tmp_path):
+    # as Windows Notepad writes one
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmin_level = 2\nmax_level = 3\n")
+    assert config_from_file(path) == {"min_level": 2, "max_level": 3}
+    path.write_bytes(b"\xef\xbb\xbfmin_level = 2\nout_dir = caf\xe9\n")
+    with pytest.raises(ValueError, match="not UTF-8") as err:
+        config_from_file(path)
+    assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_config_file_reads_signed_ascii_integers(tmp_path):
