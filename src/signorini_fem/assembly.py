@@ -18,8 +18,9 @@ repeated runs produce bit-identical vectors.
 ``GridPoisson``: on the uniform grid the stiffness is the five-point
 stencil, so a 2D DST-I solves with the interior block and the Schur
 complement onto the trace has a closed form.  The grid is built, and the
-stiffness checked against the stencil, once per system; every solve on the
-contact path and the study's consistency flux go through it.  It and
+stiffness checked against the stencil, once per system.  Its ``fill`` is
+the one kernel of the contact path and the consistency flux, and returns
+the residual its refinement certified, which every caller reads.  It and
 ``dof_partition`` take their index sets as slices of ``mesh.vertex_raster``.
 One ``fill`` runs all its transforms in one work set, in place and in
 blocks of grid lines, and reuses its refinement vectors: a process that
@@ -530,10 +531,10 @@ class GridPoisson:
         _dst1(x, 0, along_y, out=x)
         return x.ravel()
 
-    def fill(self, w: np.ndarray, load: np.ndarray, free=None) -> np.ndarray:
-        """w with the values on I and on the free trace DOFs (a mask, none
-        by default) that solve A w = load on those rows, by dense ``schur``
-        and ``solve`` steps refined against the assembled stiffness while
+    def fill(self, w: np.ndarray, load: np.ndarray, free=None):
+        """(w, load - A w) for w with the values on I and on the free trace
+        DOFs (a mask, none by default) that solve A w = load on those rows,
+        by ``schur`` and ``solve`` steps refined against the stiffness while
         the residual falls.  The contract: a final residual norm above 1e-11
         times the starting one raises SolverError.  The steps share one
         ``work_set`` and the loop's vectors are allocated once."""
@@ -558,31 +559,29 @@ class GridPoisson:
             x[:m] += self.solve(r_int, work)
             x[m:] += d_free
 
-        # take's default mode="raise" buffers out; rows are in range
+        # load - A v with its rows in out and their norm; take's default
+        # mode="raise" buffers out, and rows are in range
         def residual(v, out):
             full = self.stiffness @ v
-            return np.take(np.subtract(load, full, out=full), rows, out=out, mode="clip")
+            np.take(np.subtract(load, full, out=full), rows, out=out, mode="clip")
+            return full, np.linalg.norm(out)
 
         w = w.copy()
         w[rows] = 0.0
-        r = residual(w, np.empty(rows.shape[0]))
-        start = res = np.linalg.norm(r)
         # w and trial differ only on rows, also after they swap
-        trial, r_trial, on_rows = w.copy(), np.empty_like(r), np.empty_like(r)
+        trial, (r, r_trial, on_rows) = w.copy(), np.empty((3, rows.shape[0]))
+        full, start = residual(w, r)
+        res = start
         for _ in range(_MAX_REFINE):
             step(r, np.take(w, rows, out=on_rows, mode="clip"))
             trial[rows] = on_rows
-            res_trial = np.linalg.norm(residual(trial, r_trial))
+            full_trial, res_trial = residual(trial, r_trial)
             if not res_trial < res:
                 break
-            w, trial, r, r_trial, res = trial, w, r_trial, r, res_trial
+            w, trial, r, r_trial, full, res = trial, w, r_trial, r, full_trial, res_trial
         if not res <= 1e-11 * start:
             raise SolverError(f"grid solve residual {res:.3e} exceeds contract")
-        return w
-
-    def flux(self, w: np.ndarray, load: np.ndarray) -> np.ndarray:
-        """The boundary residual (load - A w)_T of w filled on I by ``fill``."""
-        return (load - self.stiffness @ self.fill(w, load))[self.trace_dofs]
+        return w, full
 
 
 def second_difference_eigenvalues(n: int) -> np.ndarray:
@@ -661,20 +660,19 @@ class FeSystem:
         """Global vertex ids of the multiplier DOFs, by x."""
         return self.grid.trace_dofs
 
-    def lift(self) -> np.ndarray:
-        """A new vertex vector: the Dirichlet values on their vertices, zero
-        elsewhere.  Every solve of the system starts from it."""
+    def fill(self, z, free=None):
+        """``grid.fill(w, load, free)`` for w the Dirichlet values with z on
+        the trace: every solve of the system."""
         w = np.zeros(self.mesh.num_vertices)
         w[self.dirichlet_idx] = self.dirichlet_values
-        return w
+        w[self.trace_dofs] = z
+        return self.grid.fill(w, self.load, free)
 
     def trace_multiplier(self, z) -> np.ndarray:
-        """D^-1 (load - A w)_T for w the lift set to z on the trace and filled
-        on I by ``grid.flux``: of z = 0 the Newton potential nu with the
-        Dirichlet lifting, of the exact trace values the consistency flux."""
-        w = self.lift()
-        w[self.trace_dofs] = z
-        return self.grid.flux(w, self.load) / self.lumped_mass
+        """D^-1 r_T for (w, r) = ``fill(z)``: of z = 0 the Newton potential
+        nu with the Dirichlet lifting, of the exact trace values the
+        consistency flux."""
+        return self.fill(z)[1][self.trace_dofs] / self.lumped_mass
 
 
 def system_load(mesh: TriMesh, sol) -> np.ndarray:

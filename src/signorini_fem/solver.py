@@ -110,14 +110,14 @@ def solve_vi(
     the system when none is given.  The solve is trace first: PDAS runs
     from the empty active set on (sigma, nu) of ``condense_system``, and
     the full-space PDAS then starts from the set it returns.  A full-space
-    step fixes the active trace values to g, solves the inactive ones with
-    the Schur complement of ``system.grid``, recovers the interior by the
-    grid solve, and refines on the assembled free rows;
-    ``GridPoisson.fill`` raises SolverError past its residual contract.
-    So u and lambda are those of the full-space system, whatever set the
-    trace stage hands on.  ``iterations`` counts the steps of both stages.
-    Each stage takes at most max_iter steps; a trace stage that does not
-    converge still hands on its last set.  warm_start=True raises
+    step is ``system.fill`` of g on the active DOFs, which raises
+    SolverError past its residual contract; the residual it returns gives
+    the active multipliers and, less B lambda, ``residual``.  So u and
+    lambda are those of the full-space system, whatever set the trace
+    stage hands on.  ``iterations`` counts the steps of both stages.  Each
+    stage takes at most max_iter steps; a trace stage that does not
+    converge still hands on its last set, and with no step u is the
+    Dirichlet lift.  warm_start=True raises
     ValueError: the solver does not read the contact interval of the exact
     solution.
     """
@@ -126,30 +126,30 @@ def solve_vi(
     if system is None:
         system = build_system(mesh, tmap, sol)
 
-    A = system.stiffness
-    F = system.load
     D = system.lumped_mass
     trace = system.trace_dofs
-    n_mult = trace.shape[0]
-    g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
+    g = np.broadcast_to(np.asarray(g, dtype=float), trace.shape).copy()
 
     _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, max_iter)
-    u = system.lift()
+    u = r = None
 
     def solve_fixed(active):
-        u[trace[active]] = g[active]
-        u[:] = system.grid.fill(u, F, free=~active)
-        lam = np.zeros(n_mult)
-        lam[active] = (F - A @ u)[trace[active]] / D[active]
-        return u[trace], lam
+        nonlocal u, r
+        u, r = system.fill(np.where(active, g, 0.0), free=~active)
+        return u[trace], np.where(active, r[trace] / D, 0.0)
 
     active, lam, steps, converged = pdas(solve_fixed, g, D, active, max_iter)
+    if u is None:  # max_iter < 1 runs no step: the iterate is the Dirichlet lift
+        u = np.zeros(system.mesh.num_vertices)
+        u[system.dirichlet_idx] = system.dirichlet_values
+        r = system.load - system.stiffness @ u
+    r[trace] -= lam * D  # the saddle residual F - A u - B lambda
     solution = VISolution(
         u=FeFunction(u),
         multiplier=FeFunction(lam),
         active=active,
         iterations=trace_steps + steps,
-        residual=_saddle_residual(system, u, lam),
+        residual=float(np.max(np.abs(r[system.free_mask]))),
     )
     if not converged:
         raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations", solution)
@@ -205,13 +205,6 @@ def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, 
 
     active, lam, iterations, converged = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), max_iter)
     return t, lam, active, iterations, converged
-
-
-def _saddle_residual(system: FeSystem, u: np.ndarray, lam: np.ndarray) -> float:
-    """Inf-norm of F - A u - B lambda over the non-Dirichlet rows."""
-    r = system.load - system.stiffness @ u
-    r[system.trace_dofs] -= lam * system.lumped_mass
-    return float(np.max(np.abs(r[system.free_mask])))
 
 
 def discrete_transmission_points(solution: VISolution, tmap: TraceMap) -> tuple[float, float]:

@@ -142,6 +142,7 @@ class ConvergenceRecord:
     xr_dist: float = math.nan
     xr_ratio: float = math.nan
     iterations: int = 0
+    saddle_residual: float = 0.0  # VISolution.residual of the level's solve
     seconds: float = 0.0
     tolerances: dict = field(default_factory=dict)
 
@@ -191,11 +192,12 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
             continue
         records.append(outcome)
         log.info(
-            "level %d: h=%.3e, e_L2(Omega)=%.3e, iterations=%d, %.2fs (%s)",
+            "level %d: h=%.3e, e_L2(Omega)=%.3e, iterations=%d, saddle residual=%.3e, %.2fs (%s)",
             level,
             outcome.h,
             outcome.errors["e_L2_omega"],
             outcome.iterations,
+            outcome.saddle_residual,
             outcome.seconds,
             ", ".join(f"{stage} {sec:.2f}s" for stage, sec in outcome.stage_seconds.items()),
         )
@@ -364,6 +366,7 @@ def _run_level(mesh, config: StudyConfig, clock: _StageClock, load) -> Convergen
         xr_dist=abs(sol.x_right - xr_h),
         xr_ratio=abs(sol.x_right - xr_h) / h,
         iterations=solution.iterations,
+        saddle_residual=solution.residual,
         seconds=clock.last - clock.start,
         stage_seconds=clock.seconds,
         tolerances={**TOLERANCES, "ref_level": ref_level},
@@ -482,10 +485,10 @@ def config_from_file(path) -> dict:
     lines = {}
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # decoded whole: a bad byte's position is its offset in the file
     except UnicodeDecodeError as exc:
-        # a character after the bytes that decode (without a BOM) falls on the bad byte's line
-        lineno = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+        # a character after the bytes that decode falls on the bad byte's line
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
         raise ValueError(f"{path}:{lineno}: not UTF-8: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()

@@ -331,12 +331,14 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
 def trace_multiplier_written_out(system: FeSystem, z=None) -> np.ndarray:
     """``FeSystem.trace_multiplier`` written out: the Dirichlet values on
     their vertices, z on the trace unless it is None (the Newton
-    potential's zero trace), then the grid's boundary residual over D."""
+    potential's zero trace), filled on I by the grid, then the boundary
+    residual of a fresh stiffness product over D."""
     w = np.zeros(system.mesh.num_vertices)
     w[system.dirichlet_idx] = system.dirichlet_values
     if z is not None:
         w[system.trace_dofs] = z
-    return system.grid.flux(w, system.load) / system.lumped_mass
+    filled, _ = system.grid.fill(w, system.load)
+    return (system.load - system.stiffness @ filled)[system.trace_dofs] / system.lumped_mass
 
 
 def dst1_allocating(x: np.ndarray, axis: int) -> np.ndarray:

@@ -247,9 +247,10 @@ def test_fill_and_flux_equal_the_allocating_fill_bitwise(grid):
     w, load = rng.standard_normal((2, grid.stiffness.shape[0]))
     n = grid.trace_dofs.shape[0]
     for free in (None, rng.random(n) < 0.5, np.ones(n, dtype=bool)):
-        assert np.array_equal(grid.fill(w, load, free=free), grid_fill_allocating(grid, w, load, free=free))
-    filled = grid_fill_allocating(grid, w, load)
-    assert np.array_equal(grid.flux(w, load), (load - grid.stiffness @ filled)[grid.trace_dofs])
+        filled, r = grid.fill(w, load, free=free)
+        assert np.array_equal(filled, grid_fill_allocating(grid, w, load, free=free))
+        # the residual the fill certified, over all vertices
+        assert np.array_equal(r, load - grid.stiffness @ filled)
 
 
 def test_dst1_in_work_arrays_equals_the_allocating_dst1_bitwise(grid):
@@ -317,12 +318,16 @@ def test_build_system_partitions(sol):
     assert np.allclose(system.dirichlet_values, expect, rtol=0, atol=0)
 
 
-def test_lift_is_the_dirichlet_values_and_zero_elsewhere(sol):
+def test_fill_keeps_the_dirichlet_values_and_sets_the_trace(sol):
     m = msh.mesh_at_level(3)
     system = assembly.build_system(m, msh.trace_map(m), sol)
-    lift = system.lift()
-    assert np.array_equal(lift[system.dirichlet_idx], system.dirichlet_values)
-    assert not lift[system.free_mask].any()
-    # a new vector per call: a solve may write into it
-    lift[:] = 1.0
-    assert not system.lift()[system.free_mask].any()
+    z = np.linspace(-1.0, 1.0, system.trace_dofs.shape[0])
+    w, r = system.fill(z)
+    assert np.array_equal(w[system.dirichlet_idx], system.dirichlet_values)
+    assert np.array_equal(w[system.trace_dofs], z)
+    assert np.array_equal(r, system.load - system.stiffness @ w)
+    # the free trace DOFs are solved for, so z is not read there
+    free = np.arange(z.shape[0]) % 2 == 0
+    w_free, _ = system.fill(np.where(free, 5.0, z), free=free)
+    assert np.array_equal(w_free, system.fill(np.where(free, 0.0, z), free=free)[0])
+    assert np.array_equal(w_free[system.trace_dofs[~free]], z[~free])

@@ -409,6 +409,34 @@ def test_nonconvergence_carries_iterate(sol):
     assert excinfo.value.solution.iterations == 2
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_no_step_carries_the_dirichlet_lift_and_its_saddle_residual(sol, max_iter):
+    # no step of either stage runs, so no fill leaves a residual to read
+    mesh, tmap, system = make_problem(4, sol)
+    with pytest.raises(SolverError) as excinfo:
+        solve_vi(mesh, tmap, sol, system=system, max_iter=max_iter)
+    assert str(excinfo.value) == f"full-space PDAS did not converge within {max_iter} iterations"
+    vi = excinfo.value.solution
+    lift = np.zeros(mesh.num_vertices)
+    lift[system.dirichlet_idx] = system.dirichlet_values
+    assert np.array_equal(vi.u.values, lift)
+    assert np.array_equal(vi.multiplier.values, np.zeros(tmap.num_multipliers))
+    assert not vi.active.any()
+    assert vi.iterations == 0
+    assert vi.residual == 1.9358547382957183
+
+
+@pytest.mark.parametrize("level", [2, 4, 6])
+def test_the_residual_is_the_saddle_residual_of_u_and_lambda(sol, level):
+    # read from the last step's fill, it has the bits of a fresh product
+    mesh, tmap, system = make_problem(level, sol)
+    for g in (0.0, 1e-3 * (tmap.multiplier_x - 0.7)):
+        vi = solve_vi(mesh, tmap, sol, g=g, system=system)
+        r = system.load - system.stiffness @ vi.u.values
+        r[system.trace_dofs] -= vi.multiplier.values * system.lumped_mass
+        assert vi.residual == float(np.max(np.abs(r[system.free_mask])))
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="counts the page faults of glibc's heap",

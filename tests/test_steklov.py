@@ -208,7 +208,7 @@ def test_fill_refines_against_the_assembled_stiffness():
     assert np.array_equal(grid.trace_dofs, tm.multiplier_vertices)
     load = rng.standard_normal(m.num_vertices)
     for free in (np.zeros(tm.num_multipliers, dtype=bool), rng.random(tm.num_multipliers) < 0.5):
-        w = grid.fill(np.zeros(m.num_vertices), load, free=free)
+        w, _ = grid.fill(np.zeros(m.num_vertices), load, free=free)
         rows = np.concatenate([grid.interior, tm.multiplier_vertices[free]])
         assert np.linalg.norm((load - A @ w)[rows]) <= 1e-13 * np.linalg.norm(load[rows])
 

@@ -19,7 +19,7 @@ import signorini_fem
 from signorini_fem import ExactSolution, SolverError, StudyConfig, StudyError, norms, run_study, study
 from signorini_fem import mesh as msh
 from signorini_fem.mesh import mesh_at_level
-from signorini_fem.solver import condense_system
+from signorini_fem.solver import condense_system, solve_vi
 from signorini_fem.steklov import exact_trace_values
 from signorini_fem.study import CSV_COLUMNS, MAX_LEVEL, ConvergenceRecord, averaged_rate, config_from_file, emit_reports
 
@@ -164,6 +164,20 @@ def test_json_roundtrip(records_small):
         assert blob["rates_averaged"] == rec.rates
         assert blob["xl_dist"] == rec.xl_dist
         assert blob["iterations"] == rec.iterations
+
+
+def test_records_carry_the_saddle_residual_of_their_solve(records_small):
+    # level 5 runs in this process, levels 2..4 in the worker
+    records, config, out = records_small
+    payload = json.loads((out / "results.json").read_text())
+    for rec, blob in zip(records, payload["records"]):
+        mesh = mesh_at_level(rec.level)
+        tmap = msh.trace_map(mesh)
+        system = study.build_system(mesh, tmap, config.solution(), load=study.system_load)
+        assert rec.saddle_residual == solve_vi(mesh, tmap, None, system=system).residual
+        assert blob["saddle_residual"] == rec.saddle_residual
+        assert "saddle_residual" not in rec.errors
+    assert "saddle" not in (out / "results.csv").read_text()
 
 
 def test_the_study_columns_are_the_norms_columns():
@@ -392,6 +406,7 @@ def test_each_level_is_logged_once_in_order_with_its_stages(caplog, joined_worke
     assert [line.split(":")[0] for line in lines] == ["level 2", "level 3", "level 4"]
     for line in lines:
         assert all(f"{stage} " in line for stage in STAGES)
+        assert "saddle residual=" in line
 
 
 def test_emit_reports_empty_records_error(monkeypatch, joined_worker):
@@ -642,6 +657,19 @@ def test_config_file_skips_a_utf8_byte_order_mark(tmp_path):
     with pytest.raises(ValueError, match="not UTF-8") as err:
         config_from_file(path)
     assert str(err.value).startswith(f"{path}:2: ")
+
+
+@pytest.mark.parametrize("bom, offset", [(b"", 42), (b"\xef\xbb\xbf", 45)])
+def test_a_byte_that_is_not_utf8_is_named_by_its_offset_in_the_file(tmp_path, bom, offset):
+    path = tmp_path / "latin1.cfg"
+    data = bom + b"min_level = 2\r\nmax_level = 2\nout_dir = caf\xe9\n"
+    path.write_bytes(data)
+    assert data[offset] == 0xE9
+    with pytest.raises(ValueError) as err:
+        config_from_file(path)
+    assert str(err.value) == (
+        f"{path}:3: not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position {offset}: invalid continuation byte"
+    )
 
 
 def test_config_file_reads_signed_ascii_integers(tmp_path):
