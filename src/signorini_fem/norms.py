@@ -76,13 +76,13 @@ def geometric_mean(a: float, b: float) -> float:
     return float(np.sqrt(a * b))
 
 
-def _affine_data(mesh: TriMesh, u_values: np.ndarray):
-    """Per-triangle affine representation (c0, cx, cy) and gradient of u_h."""
-    grads, _ = element_gradients(mesh.vertices[mesh.triangles])  # (t, 2, 3)
-    vals = u_values[mesh.triangles]  # (t, 3)
+def _affine_data(tri: np.ndarray, vals: np.ndarray):
+    """Affine representation c0 + g . x of u_h on triangles given as
+    coordinates (t, 3, 2), from its values vals (t, 3) at their corners:
+    (c0, g), with g of shape (t, 2)."""
+    grads, _ = element_gradients(tri)  # (t, 2, 3)
     g = np.einsum("tdk,tk->td", grads, vals)  # (t, 2)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    c0 = vals[:, 0] - np.einsum("td,td->t", g, v0)
+    c0 = vals[:, 0] - np.einsum("td,td->t", g, tri[:, 0])
     return c0, g
 
 
@@ -99,49 +99,66 @@ def volume_errors(
     local diameter: a piece splits while a transmission point lies within
     twice its diameter.  Everywhere else a single fixed rule of degree
     ``VOLUME_DEGREE`` is used.  Every leaf is counterclockwise, so its
-    signed area is its area.  A NaN or infinite nodal value raises
-    ValueError, as ``quad`` and ``dual_norm`` do.
+    signed area is its area.  The leaves of each depth are summed per
+    ``TRIANGLE_CHUNK``, in order; the mesh's triangles, at depth 0, get
+    their coordinates and the affine data of u_h chunk by chunk, so no
+    array spans every triangle but the split mask and the leaf list.  A
+    NaN or infinite nodal value raises ValueError, as ``quad`` and
+    ``dual_norm`` do.
     """
     bad = np.count_nonzero(~np.isfinite(u_values))
     if bad:
         raise ValueError(f"u_h has {bad} non-finite of {u_values.shape[0]} nodal values")
     bary, w = tri_quadrature(VOLUME_DEGREE)
-    c0, g = _affine_data(mesh, u_values)
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
 
-    def leaf_sums(tri, owner, leaves):
+    tri = c0 = g = None  # the pieces below depth 0 and the affine data of their triangles
+
+    def pieces(ids):
+        """Coordinates and affine data of the current depth's pieces ids."""
+        if tri is None:
+            corners = np.take(mesh.triangles, ids, axis=0)
+            cells = np.take(mesh.vertices, corners, axis=0)
+            return (cells, *_affine_data(cells, u_values[corners]))
+        return tri[ids], c0[ids], g[ids]
+
+    # one loop over the chunks: a chunk's arrays live until the next one's
+    # replace them, so the heap reuses their pages (see ``assembly``)
+    def leaf_sums(leaves):
         l2 = h1 = 0.0
         for start in range(0, leaves.shape[0], TRIANGLE_CHUNK):
-            sel = leaves[start : start + TRIANGLE_CHUNK]
-            cells = tri[sel]
-            t = owner[sel, None]
+            cells, const, grad = pieces(leaves[start : start + TRIANGLE_CHUNK])
             x, y = map_points(bary, cells)
             ue, uex, uey = sol.u_and_grad(x, y)
-            uh = c0[t] + g[t, 0] * x + g[t, 1] * y
+            uh = const[:, None] + grad[:, 0, None] * x + grad[:, 1, None] * y
             area = signed_areas(cells)
             l2 += float(np.einsum("tq,q,t->", (ue - uh) ** 2, w, area))
-            h1 += float(np.einsum("tq,q,t->", (uex - g[t, 0]) ** 2 + (uey - g[t, 1]) ** 2, w, area))
+            h1 += float(np.einsum("tq,q,t->", (uex - grad[:, 0, None]) ** 2 + (uey - grad[:, 1, None]) ** 2, w, area))
         return l2, h1
 
-    tri = mesh.vertices[mesh.triangles]
-    owner = np.arange(mesh.num_triangles)
-    split = cells_near(tri, tps, 2.0 * mesh.max_edge_length())
+    split = np.zeros(mesh.num_triangles, dtype=bool)
+    radius = 2.0 * mesh.max_edge_length()
+    for start in range(0, mesh.num_triangles, TRIANGLE_CHUNK):
+        part = slice(start, start + TRIANGLE_CHUNK)
+        split[part] = cells_near(np.take(mesh.vertices, mesh.triangles[part], axis=0), tps, radius)
     total_l2 = total_h1 = 0.0
     for depth in range(max_depth + 1):
         if depth == max_depth:
             split[:] = False
         else:
-            near = tri[split]
+            ids = np.flatnonzero(split)
+            near = pieces(ids)[0]
             edges = near - np.roll(near, -1, axis=1)
             diam = np.hypot(edges[..., 0], edges[..., 1]).max(axis=1)
-            split[split] = cells_near(near, tps, 2.0 * diam)
-        l2, h1 = leaf_sums(tri, owner, np.flatnonzero(~split))
+            split[ids] = cells_near(near, tps, 2.0 * diam)
+        l2, h1 = leaf_sums(np.flatnonzero(~split))
         total_l2 += l2
         total_h1 += h1
         if not split.any():
             break
-        tri = quadrisect(tri[split]).reshape(-1, 3, 2)
-        owner = np.repeat(owner[split], 4)
+        parents, c0, g = pieces(np.flatnonzero(split))
+        tri = quadrisect(parents).reshape(-1, 3, 2)
+        c0, g = np.repeat(c0, 4), np.repeat(g, 4, axis=0)
         split = np.ones(tri.shape[0], dtype=bool)
 
     return float(np.sqrt(total_l2)), float(np.sqrt(total_h1))

@@ -53,15 +53,14 @@ from .steklov import exact_trace_values
 
 log = logging.getLogger(__name__)
 
-# Level 10 ran in 48 s at a peak RSS of 2193 to 2246 MiB over two runs on
-# a 7.8 GiB host (BENCH_level10.json).  No sparse factor is built; the
-# calling process's peak is set by assembly with the grid solver's
-# construction (609 MiB at level 9), which grows with the vertex count,
-# about 3.7x per level.  The worker adds its own peak, set by the finest
-# level's load on top of the meshes it shares from the fork: the 2..10 study
-# peaked at 2191 MiB in the calling process and 726 to 734 MiB in the
-# worker (BENCH_mesh_chain.json), so a 2..11 study would need about
-# 10.6 GiB.
+# The 2..10 study peaked at 817 MiB RSS in the calling process and 679 MiB
+# in the worker, two runs on a 7.8 GiB host (BENCH_memory_diet.json; 2191
+# and 726 MiB while the stiffness was built through a global COO matrix).
+# No sparse factor is built.  The caller reads 791 MiB after level 10's
+# assemble stage and 817 MiB after its norms; the worker's peak is level
+# 10's load on top of the meshes it shares from the fork.  From the 2..9
+# study to the 2..10 one both grew about 3.2x.  Level 11 stays refused
+# until a run of it within this host's 7 GB is measured.
 MAX_LEVEL = 10
 
 #: the H^-1 dual norms use a reference trace space this many levels above
@@ -111,9 +110,9 @@ class StudyConfig:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"max_level {self.max_level} is above {MAX_LEVEL}: the 2..10 study peaked at 2191 MiB RSS "
-                "in the calling process and 734 MiB in the worker, both set by level 10's assembly, "
-                "which grows about 3.7x per level"
+                f"max_level {self.max_level} is above {MAX_LEVEL}: level 11 has not been measured within "
+                "this host's 7 GB; the 2..10 study peaked at 817 MiB RSS in the calling process and "
+                "679 MiB in the worker, mostly level 10's assembly and load, which grow about 3.2x per level"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):
@@ -135,6 +134,7 @@ class ConvergenceRecord:
     h: float
     errors: dict
     stage_seconds: dict  # wall seconds of mesh, assemble, contact, flux, norms
+    stage_peak_rss_mib: dict = field(default_factory=dict)  # the process's peak RSS after each stage
     rates: dict = field(default_factory=dict)  # averaged against first level
     rates_stepwise: dict = field(default_factory=dict)  # diagnostic only
     xl_dist: float = math.nan
@@ -199,7 +199,10 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
             outcome.iterations,
             outcome.saddle_residual,
             outcome.seconds,
-            ", ".join(f"{stage} {sec:.2f}s" for stage, sec in outcome.stage_seconds.items()),
+            ", ".join(
+                f"{stage} {sec:.2f}s {outcome.stage_peak_rss_mib[stage]:.0f} MiB"
+                for stage, sec in outcome.stage_seconds.items()
+            ),
         )
 
     if records:
@@ -306,7 +309,7 @@ def _serve(sender, meshes, config: StudyConfig) -> None:
     except Exception as exc:
         sender.send(("error", (exc, traceback.format_exc())))
         return
-    sender.send(("peak_rss_mib", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
+    sender.send(("peak_rss_mib", _peak_rss_mib()))
 
 
 def _run_levels(meshes, config: StudyConfig, report) -> None:
@@ -325,16 +328,24 @@ def _outcome(mesh, config: StudyConfig, clock, load):
         return f"level {mesh.level} failed: {exc}"
 
 
+def _peak_rss_mib() -> float:
+    """This process's peak RSS so far, in MiB (Linux counts ru_maxrss in KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 class _StageClock:
-    """Wall seconds of one level's stages, each booked when it ends."""
+    """Wall seconds of one level's stages, each booked when it ends, with
+    the process's peak RSS at that moment."""
 
     def __init__(self):
         self.start = self.last = time.perf_counter()
         self.seconds = {}
+        self.peak_rss_mib = {}
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
         self.seconds[stage] = now - self.last
+        self.peak_rss_mib[stage] = _peak_rss_mib()
         self.last = now
 
 
@@ -369,6 +380,7 @@ def _run_level(mesh, config: StudyConfig, clock: _StageClock, load) -> Convergen
         saddle_residual=solution.residual,
         seconds=clock.last - clock.start,
         stage_seconds=clock.seconds,
+        stage_peak_rss_mib=clock.peak_rss_mib,
         tolerances={**TOLERANCES, "ref_level": ref_level},
     )
 
@@ -426,11 +438,11 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir,
     Returns the written paths.  The JSON mirror carries the configuration,
     every ``ConvergenceRecord`` field in full precision (``rates`` as
     ``rates_averaged``), ``failed_levels``, the configured levels without a
-    record, ``stage_seconds`` by level, and ``worker_peak_rss_mib``, the
-    worker process's peak RSS (None when the worker died before it sent
-    it).  The timings and the peak stand beside the records so that the
-    records of two runs differ only in ``seconds``.  A NaN or infinite value raises ValueError
-    before any write.
+    record, ``stage_seconds`` and ``stage_peak_rss_mib`` by level, and
+    ``worker_peak_rss_mib``, the worker process's peak RSS (None when the
+    worker died before it sent it).  The timings and the peaks stand beside
+    the records so that the records of two runs differ only in ``seconds``.
+    A NaN or infinite value raises ValueError before any write.
     """
     configured = range(config.min_level, config.max_level + 1)
     payload = {
@@ -439,12 +451,13 @@ def emit_reports(records: list[ConvergenceRecord], config: StudyConfig, out_dir,
             {
                 ("rates_averaged" if key == "rates" else key): value
                 for key, value in asdict(rec).items()
-                if key != "stage_seconds"
+                if key not in ("stage_seconds", "stage_peak_rss_mib")
             }
             for rec in records
         ],
         "failed_levels": sorted(set(configured) - {rec.level for rec in records}),
         "stage_seconds": {str(rec.level): rec.stage_seconds for rec in records},
+        "stage_peak_rss_mib": {str(rec.level): rec.stage_peak_rss_mib for rec in records},
         "worker_peak_rss_mib": worker_peak_rss_mib,
     }
     text = json.dumps(payload, indent=2, allow_nan=False)

@@ -1,7 +1,8 @@
 """Independent references that the tests compare the package against.
 
 Each reference computes a quantity the package also computes, by the plain
-route the package replaced: dense elimination for the Schur complement, one
+route the package replaced: one global COO matrix for the stiffness, the
+stencil check in one piece, dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, new arrays for every DST-I and every grid-fill step, the
 full-space PDAS from the empty active set for the contact solve, the trace
@@ -13,10 +14,13 @@ terms of the exact solution on every point, ``einsum`` for the load's and
 the volume norms' point maps and sums, and a fresh sparse solve or a
 long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
 the vertex raster inverted, are views that only the tests need,
-``count_grid_builds`` counts the grid solvers a call builds, and
+``holed`` and ``doubled`` build meshes off the grid,
+``count_grid_builds`` counts the grid solvers a call builds,
+``traced_peak_mib`` measures what a call allocates, and
 ``counting_spla`` and ``out_of_memory_splu`` stand in for SuperLU.
 """
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -38,7 +42,16 @@ from signorini_fem.assembly import (
 )
 from signorini_fem.biortho import dual_shape_values
 from signorini_fem.manufactured import REFLECTION_OFFSET
-from signorini_fem.mesh import _ND_LEAF, TraceMap, TriMesh, build_initial, cells_near, elimination_order, trace_map
+from signorini_fem.mesh import (
+    _ND_LEAF,
+    TraceMap,
+    TriMesh,
+    build_initial,
+    cells_near,
+    elimination_order,
+    trace_map,
+    vertex_raster,
+)
 from signorini_fem.solver import SolverError, VISolution, pdas
 from signorini_fem.steklov import SteklovMap
 
@@ -122,6 +135,18 @@ def square_patch() -> tuple[TriMesh, np.ndarray, np.ndarray]:
     return mesh, np.array([(0, 1), (1, 2)]), gamma_d
 
 
+def holed(mesh: TriMesh, missing: int) -> TriMesh:
+    """mesh without the vertex missing and the triangles around it; the
+    vertices after it move down by one."""
+    tris = mesh.triangles[~np.any(mesh.triangles == missing, axis=1)]
+    return TriMesh(mesh.level, np.delete(mesh.vertices, missing, axis=0), tris - (tris > missing))
+
+
+def doubled(mesh: TriMesh, twin: int) -> TriMesh:
+    """mesh with a copy of the vertex twin, 1e-9 off it, that no triangle uses."""
+    return TriMesh(mesh.level, np.vstack([mesh.vertices, mesh.vertices[twin] + 1e-9]), mesh.triangles)
+
+
 def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
     """What ``trace_map`` and ``dof_partition`` must find for these edges.
 
@@ -181,6 +206,50 @@ def nested_dissection_keys(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int) -> 
         y0 = np.where(upper & ~across_x, mid + 1, y0)
         unsettled &= digit != 2
     return np.argsort(key, kind="stable")
+
+
+def assemble_stiffness_coo(mesh: TriMesh) -> sp.csr_matrix:
+    """``assembly.assemble_stiffness`` through one global COO matrix: every
+    element matrix entry local[t, i, j] at (tri[t, i], tri[t, j]), listed in
+    (t, i, j) order, and scipy's ``tocsr``."""
+    grads, area = element_gradients(mesh.vertices[mesh.triangles])
+    local = np.einsum("tdi,tdj->tij", grads, grads) * area[:, None, None]
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.num_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def check_stencil_unblocked(mesh: TriMesh, stiffness) -> None:
+    """``GridPoisson``'s stencil check in one piece: the stiffness on the
+    free cells of the raster, indexed by rows and then columns, minus the
+    five-point stencil built from its diagonals; SolverError when the
+    largest deviation exceeds the tolerance."""
+    raster = vertex_raster(mesh)
+    ny, n = raster.shape[0] - 1, raster.shape[1] - 2
+    hx, hy = np.ptp(mesh.vertices, axis=0) / (n + 1, ny)
+    cells = raster[:-1, 1:-1].ravel()
+    a, b = hy / hx, hx / hy
+    main = np.full(n * ny, 2.0 * (a + b))
+    main[:n] = a + b
+    side = np.full(n * ny - 1, -a)
+    side[: n - 1] = -0.5 * a
+    side[n - 1 :: n] = 0.0  # a row's last cell and the next row's first
+    size = (n * ny, n * ny)
+    stencil = sp.diags([side, main, side], [-1, 0, 1], shape=size) + sp.diags([-b, -b], [-n, n], shape=size)
+    if not abs(stiffness[cells][:, cells] - stencil).max() <= assembly._STENCIL_RTOL * (a + b):
+        raise SolverError("the stiffness is not the five-point stencil of its grid")
+
+
+def traced_peak_mib(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in MiB, as
+    ``tracemalloc`` counts it: numpy's arrays, not memory live before."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def in_cone(coeffs: np.ndarray, tol: float = 0.0) -> bool:
@@ -621,7 +690,7 @@ def volume_errors_einsum(mesh: TriMesh, u_values: np.ndarray, sol, max_depth: in
     graded=False every piece near a transmission point splits down to
     max_depth, the uniform rule the grading is checked against."""
     bary, w = tri_quadrature(norms.VOLUME_DEGREE)
-    c0, g = norms._affine_data(mesh, u_values)
+    c0, g = norms._affine_data(mesh.vertices[mesh.triangles], u_values[mesh.triangles])
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
 
     def leaf_sums(tri, owner, leaves):

@@ -3,18 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from signorini_fem import ExactSolution, assembly, mesh as msh
+from signorini_fem import ExactSolution, assembly, norms, mesh as msh
 from signorini_fem.mesh import WIDTH
 
 from oracles import (
     ExactOracle,
     assemble_load_einsum,
+    assemble_stiffness_coo,
     boundary_edges,
+    doubled,
     dst1_allocating,
     grid_fill_allocating,
     grid_solve_allocating,
+    holed,
     line_grams,
     split_by_lines,
+    square_patch,
+    traced_peak_mib,
     unit_right_triangle,
 )
 
@@ -45,6 +50,79 @@ def test_stiffness_deterministic():
     assert np.array_equal(A1.data, A2.data)
     assert np.array_equal(A1.indices, A2.indices)
     assert np.array_equal(A1.indptr, A2.indptr)
+
+
+def assert_same_csr(got, expected):
+    """The same CSR arrays, dtypes included, and the same bits in data."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(got.data.view(np.uint64), expected.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("level", range(1, 10))
+def test_stiffness_equals_the_coo_assembly_bitwise(level):
+    # from level 8 on, the rows come in more than one block
+    m = msh.mesh_at_level(level)
+    assert_same_csr(assembly.assemble_stiffness(m), assemble_stiffness_coo(m))
+
+
+def test_stiffness_of_hand_built_meshes_equals_the_coo_assembly_bitwise():
+    m = msh.mesh_at_level(3)
+    _, _, interior = assembly.dof_partition(m)
+    meshes = [
+        unit_right_triangle()[0],
+        square_patch()[0],
+        holed(m, interior[0]),
+        holed(m, interior[interior.shape[0] // 2]),
+        doubled(m, interior[0]),  # a last row without entries
+        doubled(m, interior[-1]),
+    ]
+    for mesh in meshes:
+        assert_same_csr(assembly.assemble_stiffness(mesh), assemble_stiffness_coo(mesh))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+def test_stiffness_in_small_blocks_equals_the_coo_assembly_bitwise(monkeypatch, rows):
+    # 81 vertices at level 3: one row a block, a partial last block, one block
+    monkeypatch.setattr(assembly, "ROW_BLOCK", rows)
+    for level in (2, 3):
+        m = msh.mesh_at_level(level)
+        assert_same_csr(assembly.assemble_stiffness(m), assemble_stiffness_coo(m))
+
+
+@pytest.fixture(scope="module")
+def level8():
+    """The level-8 mesh with its raster and size, which every level computes
+    before it assembles, and its interpolant of the exact solution."""
+    m = msh.mesh_at_level(8)
+    msh.vertex_raster(m)
+    m.max_edge_length()
+    sol = ExactSolution()
+    x, y = m.vertices.T
+    return m, sol, sol.u(x, y) + 1e-3 * np.sin(7.0 * x) * y
+
+
+def test_stiffness_build_allocates_at_most_64_mib_at_level_8(level8):
+    # 124 MiB through the global COO; the CSR itself is 11 MiB
+    m, _, _ = level8
+    _, peak = traced_peak_mib(assembly.assemble_stiffness, m)
+    assert peak <= 64.0
+
+
+def test_grid_solver_allocates_at_most_32_mib_at_level_8(level8):
+    # 53 MiB with the stencil check in one piece
+    m, _, _ = level8
+    stiffness = assembly.assemble_stiffness(m)
+    _, peak = traced_peak_mib(assembly.GridPoisson, m, stiffness)
+    assert peak <= 32.0
+
+
+def test_volume_errors_allocate_at_most_50_mib_at_level_8(level8):
+    # 62 MiB with every triangle's coordinates and affine data at once
+    m, sol, nodal = level8
+    _, peak = traced_peak_mib(norms.volume_errors, m, nodal, sol)
+    assert peak <= 50.0
 
 
 def test_dirichlet_reduced_stiffness_is_spd():

@@ -220,7 +220,7 @@ def test_level_above_the_cap_exits_before_any_mesh(monkeypatch):
     result = CliRunner().invoke(main, ["study", "--max-level", str(MAX_LEVEL + 1)])
     assert time.perf_counter() - start < 1.0
     assert result.exit_code != 0
-    assert "2191 MiB" in result.output and "734 MiB in the worker" in result.output
+    assert "817 MiB" in result.output and "679 MiB in the worker" in result.output
     assert not built
 
 

@@ -370,9 +370,10 @@ def test_volume_errors_match_recursive_oracle(sol, solved_levels, level):
     assert np.allclose(batched, oracle, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7, 8])
 def test_volume_errors_equal_the_einsum_route_bitwise(sol, level):
-    # the fused, masked evaluator and the point mapping move no bit
+    # the fused, masked evaluator, the point mapping and the affine data per
+    # chunk move no bit; level 8 has four chunks of triangles at depth 0
     m = mesh_at_level(level)
     x, y = m.vertices.T
     nodal = sol.u(x, y) + 1e-3 * np.sin(7.0 * x) * y

@@ -16,12 +16,21 @@ from signorini_fem import (
     trace_map,
 )
 from signorini_fem import mesh as msh
-from signorini_fem import steklov
+from signorini_fem import assembly, steklov
 from signorini_fem.assembly import GridPoisson, assemble_stiffness, dof_partition
 from signorini_fem.solver import condense_system
 from signorini_fem.steklov import SteklovMap, exact_trace_values, solve_schur_vi, trace_moments
 
-from oracles import counting_spla, out_of_memory_splu, schur_complement_dense, schur_consistency, square_patch
+from oracles import (
+    check_stencil_unblocked,
+    counting_spla,
+    doubled,
+    holed,
+    out_of_memory_splu,
+    schur_complement_dense,
+    schur_consistency,
+    square_patch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +180,45 @@ def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
             smap.dense_matrix()
 
 
+@pytest.mark.parametrize("cells_per_block", [1, 5 * 63, assembly.ROW_BLOCK])
+def test_blocked_stencil_check_refuses_a_moved_entry_in_any_block(monkeypatch, cells_per_block):
+    # level 5 has 32 raster rows of 63 free cells: blocks of one row, of
+    # five rows with a last block of two, and one block
+    monkeypatch.setattr(assembly, "ROW_BLOCK", cells_per_block)
+    m = mesh_at_level(5)
+    A = assemble_stiffness(m)
+    raster = msh.vertex_raster(m)
+    cells = raster[:-1, 1:-1]
+    ny, n = cells.shape
+    hx, hy = np.ptp(m.vertices, axis=0) / (n + 1, ny)
+    delta = 1e-6 * (hy / hx + hx / hy)
+    GridPoisson(m, A)
+    check_stencil_unblocked(m, A)
+    # the first, a middle and the last block; a pair in a row, a diagonal
+    # entry, and a pair across two rows
+    for row in (0, ny // 2, ny - 1):
+        above = min(row + 1, ny - 1)
+        for i, j in ((cells[row, 0], cells[row, 1]), (cells[row, -1], cells[row, -1]), (cells[row, 3], cells[above, 4])):
+            moved = perturbed(A, i, j, delta)
+            with pytest.raises(SolverError, match="five-point stencil"):
+                check_stencil_unblocked(m, moved)
+            with pytest.raises(SolverError, match="five-point stencil"):
+                GridPoisson(m, moved)
+    # entries in a Dirichlet column are not the stencil's, and a move below
+    # the tolerance passes
+    for stiffness in (perturbed(A, cells[0, 0], raster[0, 0], 1.0), perturbed(A, cells[-1, -1], raster[-1, -1], 1.0), perturbed(A, cells[4, 4], cells[4, 4], 1e-12)):
+        check_stencil_unblocked(m, stiffness)
+        GridPoisson(m, stiffness)
+
+
 def test_grid_refuses_a_mesh_with_an_interior_vertex_missing():
     # the vertex and its six triangles go; the hole leaves one cell empty
     m = mesh_at_level(3)
     _, _, interior = dof_partition(m)
     for missing in (interior[0], interior[interior.shape[0] // 2]):
-        tris = m.triangles[~np.any(m.triangles == missing, axis=1)]
-        holed = dataclasses.replace(
-            m, vertices=np.delete(m.vertices, missing, axis=0), triangles=tris - (tris > missing)
-        )
+        mesh = holed(m, missing)
         with pytest.raises(SolverError, match="do not fill a uniform grid"):
-            GridPoisson(holed, assemble_stiffness(holed))
+            GridPoisson(mesh, assemble_stiffness(mesh))
 
 
 def test_grid_refuses_a_mesh_with_two_vertices_in_one_cell():
@@ -189,9 +226,9 @@ def test_grid_refuses_a_mesh_with_two_vertices_in_one_cell():
     m = mesh_at_level(3)
     _, _, interior = dof_partition(m)
     for twin in (interior[0], interior[-1]):
-        doubled = dataclasses.replace(m, vertices=np.vstack([m.vertices, m.vertices[twin] + 1e-9]))
+        mesh = doubled(m, twin)
         with pytest.raises(SolverError, match="do not fill a uniform grid"):
-            GridPoisson(doubled, assemble_stiffness(doubled))
+            GridPoisson(mesh, assemble_stiffness(mesh))
 
 
 def test_fill_refines_against_the_assembled_stiffness():

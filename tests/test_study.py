@@ -3,6 +3,7 @@ import json
 import logging
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -85,10 +86,11 @@ def test_config_validation():
 
 def test_level_cap_names_the_measured_reason():
     assert MAX_LEVEL == 10
-    with pytest.raises(ValueError, match="the 2..10 study peaked at 2191 MiB RSS in the calling process") as err:
+    with pytest.raises(ValueError, match="the 2..10 study peaked at 817 MiB RSS in the calling process") as err:
         StudyConfig(max_level=11)
-    assert "and 734 MiB in the worker, both set by level 10's assembly" in str(err.value)
-    assert "which grows about 3.7x per level" in str(err.value)
+    assert "and 679 MiB in the worker, mostly level 10's assembly and load" in str(err.value)
+    assert "level 11 has not been measured within this host's 7 GB" in str(err.value)
+    assert "which grow about 3.2x per level" in str(err.value)
     assert StudyConfig(max_level=10).max_level == 10
 
 
@@ -190,7 +192,7 @@ def test_json_record_keys_are_the_record_fields_in_order(records_small):
     expected = [
         "rates_averaged" if f.name == "rates" else f.name
         for f in dataclasses.fields(ConvergenceRecord)
-        if f.name != "stage_seconds"
+        if f.name not in ("stage_seconds", "stage_peak_rss_mib")
     ]
     assert expected[:5] == ["level", "h", "errors", "rates_averaged", "rates_stepwise"]
     for blob in payload["records"]:
@@ -214,6 +216,7 @@ def test_determinism_modulo_seconds(tmp_path):
         for rec in payload["records"]:
             rec.pop("seconds")
         payload.pop("stage_seconds")
+        payload.pop("stage_peak_rss_mib")
         payload.pop("worker_peak_rss_mib")
         payload["config"].pop("out_dir")
         return payload
@@ -278,7 +281,7 @@ def test_nu_and_the_study_lambda_tilde_equal_the_written_out_recipe(monkeypatch,
 
 
 def _results(rec):
-    timings_and_rates = ("seconds", "stage_seconds", "rates", "rates_stepwise")
+    timings_and_rates = ("seconds", "stage_seconds", "stage_peak_rss_mib", "rates", "rates_stepwise")
     return {k: v for k, v in dataclasses.asdict(rec).items() if k not in timings_and_rates}
 
 
@@ -399,13 +402,30 @@ def test_stage_seconds_add_up_to_the_level_seconds(records_small):
     assert "stage" not in (out / "results.csv").read_text()
 
 
+def test_stage_peaks_never_fall_through_the_stages(records_small):
+    # level 5 runs in this process, levels 2..4 one after another in the
+    # worker, after it assembled level 5's load
+    records, _, out = records_small
+    payload = json.loads((out / "results.json").read_text())
+    assert list(payload["stage_peak_rss_mib"]) == [str(rec.level) for rec in records]
+    for rec, blob in zip(records, payload["records"]):
+        assert list(rec.stage_peak_rss_mib) == STAGES
+        peaks = list(rec.stage_peak_rss_mib.values())
+        assert peaks[0] > 0.0 and peaks == sorted(peaks)
+        assert payload["stage_peak_rss_mib"][str(rec.level)] == rec.stage_peak_rss_mib
+        assert "stage_peak_rss_mib" not in blob and "stage_peak_rss_mib" not in rec.errors
+    in_worker = [peak for rec in records[:-1] for peak in rec.stage_peak_rss_mib.values()]
+    assert in_worker == sorted(in_worker) and in_worker[-1] <= payload["worker_peak_rss_mib"]
+    assert records[-1].stage_peak_rss_mib["norms"] <= study._peak_rss_mib()
+
+
 def test_each_level_is_logged_once_in_order_with_its_stages(caplog, joined_worker):
     with caplog.at_level(logging.INFO, logger="signorini_fem.study"):
         run_study(StudyConfig(min_level=2, max_level=4))
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level ")]
     assert [line.split(":")[0] for line in lines] == ["level 2", "level 3", "level 4"]
     for line in lines:
-        assert all(f"{stage} " in line for stage in STAGES)
+        assert all(re.search(rf"{stage} [0-9.]+s [0-9]+ MiB", line) for stage in STAGES)
         assert "saddle residual=" in line
 
 
