@@ -26,8 +26,8 @@ complement onto the trace has a closed form.  The grid is built, and the
 stiffness checked against the stencil in blocks of raster rows, once per
 system; the check feeds no solve.  Its ``fill`` is
 the one kernel of the contact path and the consistency flux, and returns
-the residual its refinement certified, which every caller reads.  It and
-``dof_partition`` take their index sets as slices of ``mesh.vertex_raster``.
+the residual its refinement certified, which every caller reads.  It is
+the one place where ``mesh.vertex_raster`` becomes the vertex partition.
 One ``fill`` runs all its transforms in one work set, in place and in
 blocks of grid lines, and reuses its refinement vectors: a process that
 fixes glibc's mmap threshold, as the benchmark does, also pins its trim
@@ -501,21 +501,6 @@ def boundary_lumped_mass(tmap: TraceMap) -> np.ndarray:
     return 0.5 * (h[:-1] + h[1:])
 
 
-def dof_partition(mesh: TriMesh):
-    """Dirichlet / free / interior split of the vertices, by grid position.
-
-    The free vertices are columns 1..nx-1 of rows 0..ny-1 of
-    ``mesh.vertex_raster``, the multiplier DOFs in row 0 and the interior
-    above it; the rest are Dirichlet.  Returns (dirichlet_idx, free_mask,
-    interior_idx) with sorted index arrays.
-    """
-    raster = vertex_raster(mesh)
-    free, interior = raster[:-1, 1:-1], np.sort(raster[1:-1, 1:-1], axis=None)
-    free_mask = np.zeros(mesh.num_vertices, dtype=bool)
-    free_mask[free[free >= 0]] = True
-    return np.flatnonzero(~free_mask), free_mask, interior[interior >= 0]
-
-
 # assembled entries differ from the stencil's by rounding that grows like
 # 1/h: 6.5e-14 of a + b at level 8
 _STENCIL_RTOL = 1e-10
@@ -567,8 +552,9 @@ class GridPoisson:
     vertical ones and 0 across diagonals, so the 2D DST-I diagonalizes A_II
     (Buzbee, Golub & Nielson, SINUM 1970) and the 1D one the Schur complement
     onto the trace row (Bjorstad & Widlund, SINUM 1986).  Its n x ny raster
-    is the free part of ``mesh.vertex_raster``: ``trace_dofs`` is its row 0
-    and ``interior`` lists I, row by row.
+    is the free part of ``mesh.vertex_raster``: ``trace_dofs`` is its row 0,
+    ``interior`` lists I, row by row, ``free_mask`` is True on the raster
+    and ``dirichlet_idx`` lists the other vertices, sorted.
     """
 
     def __init__(self, mesh: TriMesh, stiffness):
@@ -583,6 +569,9 @@ class GridPoisson:
         self.stiffness = stiffness
         self.trace_dofs = cells[:n]
         self.interior = cells[n:]
+        self.free_mask = np.zeros(mesh.num_vertices, dtype=bool)
+        self.free_mask[cells] = True
+        self.dirichlet_idx = np.flatnonzero(~self.free_mask)
         self._b = b
         # a lam_k + b mu_l, the second difference's eigenvalues in x and y
         lam = second_difference_eigenvalues(n)
@@ -726,19 +715,17 @@ class FeFunction:
 
 @dataclass(frozen=True)
 class FeSystem:
-    """Assembled pieces of one discretized problem, plus index partitions.
+    """Assembled pieces of one discretized problem.
 
-    The stiffness and the multiplier DOFs are read from ``grid``, so
+    The stiffness and the vertex partition are read from ``grid``, so
     ``dataclasses.replace`` with a new load or new Dirichlet values keeps
-    them with the grid, and one with a new stiffness raises TypeError.
+    them with the grid, and one with a new stiffness or index set raises.
     """
 
     mesh: TriMesh
     load: np.ndarray
     lumped_mass: np.ndarray  # D_j per multiplier DOF
-    dirichlet_idx: np.ndarray
-    dirichlet_values: np.ndarray
-    free_mask: np.ndarray  # True for non-Dirichlet vertices
+    dirichlet_values: np.ndarray  # one per vertex of dirichlet_idx
     grid: GridPoisson  # grid.interior: the free vertices that are not multiplier DOFs
 
     @property
@@ -749,6 +736,14 @@ class FeSystem:
     def trace_dofs(self) -> np.ndarray:
         """Global vertex ids of the multiplier DOFs, by x."""
         return self.grid.trace_dofs
+
+    @property
+    def dirichlet_idx(self) -> np.ndarray:
+        return self.grid.dirichlet_idx
+
+    @property
+    def free_mask(self) -> np.ndarray:
+        return self.grid.free_mask
 
     def fill(self, z, free=None):
         """``grid.fill(w, load, free)`` for w the Dirichlet values with z on
@@ -769,30 +764,26 @@ def system_load(mesh: TriMesh, sol) -> np.ndarray:
     """The load vector of sol's right-hand side, refined near the
     transmission points and split at the load's kinks, as build_system
     assembles it."""
-    pts = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
     return assemble_load(
         mesh,
         sol.rhs,
-        refine_near=(pts, 2.0 * mesh.max_edge_length()),
+        refine_near=(sol.transmission_points, 2.0 * mesh.max_edge_length()),
         split_x=sol.load_split_x,
     )
 
 
 def build_system(mesh: TriMesh, tmap: TraceMap, sol, load=system_load) -> FeSystem:
-    """Assemble stiffness, lumped mass and Dirichlet data for sol, build the
-    stiffness's grid solver, then take the load vector from load(mesh, sol);
-    a stiffness off the five-point stencil raises SolverError before the
-    load is asked for."""
-    stiffness = assemble_stiffness(mesh)
-    dir_idx, free_mask, _ = dof_partition(mesh)
+    """Assemble the stiffness and build its grid solver, then take sol's
+    values on the grid's Dirichlet vertices, the lumped mass, and the load
+    vector from load(mesh, sol); a stiffness off the five-point stencil
+    raises SolverError before the load is asked for."""
+    grid = GridPoisson(mesh, assemble_stiffness(mesh))
+    dir_idx = grid.dirichlet_idx
     dir_vals = sol.u(mesh.vertices[dir_idx, 0], mesh.vertices[dir_idx, 1])
-    grid = GridPoisson(mesh, stiffness)
     return FeSystem(
         mesh=mesh,
         load=load(mesh, sol),
         lumped_mass=boundary_lumped_mass(tmap),
-        dirichlet_idx=dir_idx,
         dirichlet_values=np.asarray(dir_vals, dtype=float),
-        free_mask=free_mask,
         grid=grid,
     )

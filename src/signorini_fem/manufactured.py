@@ -180,6 +180,11 @@ class ExactSolution:
         return tuple(sorted({REFLECTION_OFFSET - s1, s0, REFLECTION_OFFSET - s0, s1}))
 
     @property
+    def transmission_points(self) -> np.ndarray:
+        """(x_left, 0) and (x_right, 0), where load and volume norms refine."""
+        return np.array([[self.x_left, 0.0], [self.x_right, 0.0]])
+
+    @property
     def kink_x(self) -> tuple[float, ...]:
         """Breakpoints of trace and flux integrands on the contact boundary:
         the transmission points plus the cut-off lines."""

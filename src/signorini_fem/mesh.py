@@ -3,7 +3,7 @@
 The domain is Omega = (0, WIDTH) x (0, HEIGHT) with WIDTH = 1.4 + e/2.7 and
 HEIGHT = 0.5.  The contact boundary Gamma_S is the bottom edge y = 0; the
 other three sides form the Dirichlet boundary Gamma_D.  A mesh carries no
-boundary lists: ``trace_map`` (row 0) and ``assembly.dof_partition`` (the
+boundary lists: ``trace_map`` (row 0) and ``assembly.GridPoisson`` (the
 first and last columns and the last row are Dirichlet) slice the split from
 ``vertex_raster``.  All Gamma_S vertices but the two ends are multiplier
 DOFs; ``trace_grid`` gives a level's Gamma_S x.

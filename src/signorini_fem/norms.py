@@ -110,7 +110,7 @@ def volume_errors(
     if bad:
         raise ValueError(f"u_h has {bad} non-finite of {u_values.shape[0]} nodal values")
     bary, w = tri_quadrature(VOLUME_DEGREE)
-    tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
+    tps = sol.transmission_points
 
     tri = c0 = g = None  # the pieces below depth 0 and the affine data of their triangles
 

@@ -104,8 +104,9 @@ def solve_vi(
     """Solve the discrete variational inequality by PDAS from a cold start.
 
     g is the obstacle at the multiplier DOFs (scalar or per-DOF array;
-    affine obstacles are supported through the array form); ``pdas``
-    refuses one with a non-finite entry.  Dirichlet data
+    affine obstacles are supported through the array form); as in ``pdas``,
+    a non-finite one or max_iter < 1 raises ValueError, here before any
+    fill.  Dirichlet data
     are the nodal values of sol on Gamma_D; sol is read only to assemble
     the system when none is given.  The solve is trace first: PDAS runs
     from the empty active set on (sigma, nu) of ``condense_system``, and
@@ -115,9 +116,8 @@ def solve_vi(
     the active multipliers and, less B lambda, ``residual``.  So u and
     lambda are those of the full-space system, whatever set the trace
     stage hands on.  ``iterations`` counts the steps of both stages.  Each
-    stage takes at most max_iter steps; a trace stage that does not
-    converge still hands on its last set, and with no step u is the
-    Dirichlet lift.  warm_start=True raises
+    stage takes at least one step and at most max_iter; a trace stage that
+    does not converge still hands on its last set.  warm_start=True raises
     ValueError: the solver does not read the contact interval of the exact
     solution.
     """
@@ -129,6 +129,7 @@ def solve_vi(
     D = system.lumped_mass
     trace = system.trace_dofs
     g = np.broadcast_to(np.asarray(g, dtype=float), trace.shape).copy()
+    _check_pdas_input(g, max_iter)
 
     _, _, active, trace_steps, _ = dense_pdas(*condense_system(system), g, D, max_iter)
     u = r = None
@@ -139,10 +140,6 @@ def solve_vi(
         return u[trace], np.where(active, r[trace] / D, 0.0)
 
     active, lam, steps, converged = pdas(solve_fixed, g, D, active, max_iter)
-    if u is None:  # max_iter < 1 runs no step: the iterate is the Dirichlet lift
-        u = np.zeros(system.mesh.num_vertices)
-        u[system.dirichlet_idx] = system.dirichlet_values
-        r = system.load - system.stiffness @ u
     r[trace] -= lam * D  # the saddle residual F - A u - B lambda
     solution = VISolution(
         u=FeFunction(u),
@@ -165,14 +162,10 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, max_iter
     { j : lam_j + (t_j - g_j) / D_j > 0 }; the iteration has converged
     when it repeats.  Returns (active, lam, iterations, converged), where
     lam is the last step's multiplier and active the set that follows it.
-    An obstacle with a NaN or infinite entry raises ValueError before the
-    first step: no comparison with it decides a set.
+    An obstacle with a NaN or infinite entry, or max_iter < 1, raises
+    ValueError before the first step (``_check_pdas_input``).
     """
-    bad = np.count_nonzero(~np.isfinite(g))
-    if bad:
-        raise ValueError(f"the obstacle has {bad} non-finite of {g.shape[0]} entries")
-    lam = np.zeros(g.shape[0])
-    iterations = 0
+    _check_pdas_input(g, max_iter)
     for iterations in range(1, max_iter + 1):
         t, lam = solve_fixed(active)
         new_active = (lam + (t - g) / D) > 0.0
@@ -180,6 +173,16 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, max_iter
             return active, lam, iterations, True
         active = new_active
     return active, lam, iterations, False
+
+
+def _check_pdas_input(g: np.ndarray, max_iter: int) -> None:
+    """ValueError for an obstacle entry that no comparison decides a set
+    with (NaN or infinite), or for max_iter < 1: no step, no iterate."""
+    bad = np.count_nonzero(~np.isfinite(g))
+    if bad:
+        raise ValueError(f"the obstacle has {bad} non-finite of {g.shape[0]} entries")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
 
 def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, max_iter: int):

@@ -14,8 +14,8 @@ of the stiffness matrix.
 ``SteklovMap`` keeps a SuperLU factor of the interior block: its
 extensions, Newton potential and consistency flux, and ``solve_schur_vi``
 on them, are the independent cross-check of the grid solver
-(``assembly.GridPoisson``) that the contact path and the study use.  Only
-its dense matrix comes from a grid solver, built on the map's stiffness.
+(``assembly.GridPoisson``) that the contact path and the study use; its
+index sets and dense matrix come from a grid solver of its stiffness.
 The map returns multipliers as coefficient arrays.  The module also
 integrates the trace moments against the dual basis.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import GridPoisson, SolverError, assemble_stiffness, boundary_lumped_mass, dof_partition, quad
+from .assembly import GridPoisson, SolverError, assemble_stiffness, boundary_lumped_mass, quad
 from .biortho import dual_shape_values
 from .mesh import TriMesh, TraceMap, elimination_order
 from .solver import LU_OPTIONS, dense_pdas
@@ -37,11 +37,12 @@ MOMENTS_EPSABS = 1e-12
 class SteklovMap:
     """Factorized Dirichlet-to-Neumann map of one mesh level.
 
-    The map orders its interior unknowns itself: ``interior_idx`` lists them
-    in ``mesh.elimination_order``, and SuperLU factorizes the interior block
-    in that order.  An extension is one solve with that factor, without
-    the refinement step that ``linear_subsolve`` always takes; the
-    consistency flux ``exact_trace_flux`` always takes one refinement step.
+    Its vertex sets are a ``GridPoisson``'s, built with the map, so a
+    stiffness off the stencil raises SolverError here.  SuperLU factorizes
+    the interior block in ``interior_idx``'s ``mesh.elimination_order``.
+    An extension is one solve with that factor, without the refinement
+    step that ``linear_subsolve`` always takes; the consistency flux
+    ``exact_trace_flux`` always takes one refinement step.
     Read-only after construction, but for the dense matrix, which the
     first ``dense_matrix`` call computes and keeps as a read-only array;
     concurrent applications are safe, and two threads that race on that
@@ -53,10 +54,10 @@ class SteklovMap:
         self.tmap = tmap
         self.stiffness = assemble_stiffness(mesh) if stiffness is None else stiffness
         self.lumped = boundary_lumped_mass(tmap) if lumped is None else lumped
-        self.trace_dofs = tmap.multiplier_vertices
-        self.dirichlet_idx, _, interior_idx = dof_partition(mesh)
+        grid = self._grid = GridPoisson(mesh, self.stiffness)
+        self.trace_dofs, self.dirichlet_idx = grid.trace_dofs, grid.dirichlet_idx
         order = elimination_order(mesh)
-        self.interior_idx = order[np.isin(order, interior_idx)]
+        self.interior_idx = order[np.isin(order, grid.interior)]
         rows = self.stiffness[self.interior_idx]
         self._a_it = rows[:, self.trace_dofs].tocsr()
         self._a_id = rows[:, self.dirichlet_idx].tocsr()
@@ -135,12 +136,11 @@ class SteklovMap:
         return self._boundary_flux(w, load)
 
     def dense_matrix(self) -> np.ndarray:
-        """The operator as a dense matrix, D^-1 S, with S from
+        """The operator as a dense matrix, D^-1 S, with S from the map's
         ``GridPoisson.schur``: nothing is solved or factorized.  Every call
         after the first returns the same read-only array."""
         if self._sigma is None:
-            grid = GridPoisson(self.mesh, self.stiffness)
-            sigma = grid.schur / self.lumped[:, None]
+            sigma = self._grid.schur / self.lumped[:, None]
             sigma.flags.writeable = False
             self._sigma = sigma
         return self._sigma

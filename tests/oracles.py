@@ -5,10 +5,12 @@ route the package replaced: one global COO matrix for the stiffness, the
 stencil check in one piece, dense elimination for the Schur complement, one
 Python step per triangle for the refinement, quadrature for the diagonal
 trace coupling, new arrays for every DST-I and every grid-fill step, the
-full-space PDAS from the empty active set for the contact solve, the trace
-multiplier written out where the Newton potential and the consistency flux
-are computed, edge lists for the boundary that the package reads from
-vertex coordinates, one stable sort on base-3 keys for the nested
+full-space PDAS from the empty active set and every active set enumerated
+for the contact solve, the trace multiplier written out where the Newton
+potential and the consistency flux are computed, edge lists for the
+boundary that the package reads from vertex coordinates, the bounding box
+for the vertex partition that the package slices from the raster, one
+stable sort on base-3 keys for the nested
 dissection that the package splits into raster slices, both singular
 terms of the exact solution on every point, ``einsum`` for the load's and
 the volume norms' point maps and sums, and a fresh sparse solve or a
@@ -20,6 +22,7 @@ the vertex raster inverted, are views that only the tests need,
 ``counting_spla`` and ``out_of_memory_splu`` stand in for SuperLU.
 """
 
+import itertools
 import tracemalloc
 import types
 
@@ -34,7 +37,6 @@ from signorini_fem.assembly import (
     FeFunction,
     FeSystem,
     assemble_stiffness,
-    dof_partition,
     element_gradients,
     quadrisect,
     signed_areas,
@@ -148,7 +150,7 @@ def doubled(mesh: TriMesh, twin: int) -> TriMesh:
 
 
 def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
-    """What ``trace_map`` and ``dof_partition`` must find for these edges.
+    """What ``trace_map`` and ``GridPoisson`` must find for these edges.
 
     Returns (trace_vertices, trace_pairs, multipliers, dirichlet_idx): the
     sorted Gamma_S vertices; the set of their neighbour pairs along Gamma_S;
@@ -160,6 +162,18 @@ def boundary_sets(gamma_s: np.ndarray, gamma_d: np.ndarray):
     multipliers = trace_vertices[count == 2]
     dirichlet_idx = np.setdiff1d(np.concatenate([gamma_s, gamma_d]), multipliers)
     return trace_vertices, {frozenset(e) for e in gamma_s.tolist()}, multipliers, dirichlet_idx
+
+
+def box_partition(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex partition of ``GridPoisson`` read from coordinates, not
+    from the raster: the interior vertices lie strictly inside the bounding
+    box, the free ones also on its bottom side without the two corners,
+    and the rest are Dirichlet.  Returns (dirichlet_idx, free_mask,
+    interior_idx) with sorted index arrays."""
+    x, y = mesh.vertices.T
+    inside_x = (x > x.min()) & (x < x.max())
+    free = inside_x & (y < y.max())
+    return np.flatnonzero(~free), free, np.flatnonzero(free & (y > y.min()))
 
 
 def grid_positions(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -294,7 +308,7 @@ def schur_complement_dense(mesh: TriMesh, tmap: TraceMap | None = None, stiffnes
     if tmap is None:
         tmap = trace_map(mesh)
     A = assemble_stiffness(mesh) if stiffness is None else stiffness
-    _, _, ii = dof_partition(mesh)
+    _, _, ii = box_partition(mesh)
     trace = tmap.multiplier_vertices
     a_tt = A[trace][:, trace].toarray()
     a_ti = A[trace][:, ii].toarray()
@@ -395,6 +409,39 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
         iterations=iterations,
         residual=float(np.max(np.abs(r[system.free_mask]))),
     )
+
+
+def brute_force_vi(system: FeSystem, g=0.0) -> list:
+    """Every feasible complementary (active, u, lam) of the contact problem,
+    by a sparse solve for each of the 2^n active sets, in
+    ``itertools.product`` order; raises AssertionError if there is none."""
+    A = system.stiffness
+    F = system.load
+    D = system.lumped_mass
+    trace = system.trace_dofs
+    n_mult = trace.shape[0]
+    g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
+    solutions = []
+    for active_tuple in itertools.product([False, True], repeat=n_mult):
+        active = np.array(active_tuple)
+        u = np.zeros(system.mesh.num_vertices)
+        u[system.dirichlet_idx] = system.dirichlet_values
+        u[trace[active]] = g[active]
+        fixed_mask = ~system.free_mask
+        fixed_mask[trace[active]] = True
+        free = np.flatnonzero(~fixed_mask)
+        fixed = np.flatnonzero(fixed_mask)
+        u[free] = spla.spsolve(
+            A[np.ix_(free, free)].tocsc(), F[free] - A[np.ix_(free, fixed)] @ u[fixed]
+        )
+        resid = F - A @ u
+        lam = np.zeros(n_mult)
+        lam[active] = resid[trace[active]] / D[active]
+        feasible = np.all(u[trace] <= g + 1e-10) and np.all(lam >= -1e-10)
+        if feasible:
+            solutions.append((active, u, lam))
+    assert solutions, "no feasible complementary active set found"
+    return solutions
 
 
 def trace_multiplier_written_out(system: FeSystem, z=None) -> np.ndarray:

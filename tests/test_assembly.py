@@ -11,6 +11,7 @@ from oracles import (
     assemble_load_einsum,
     assemble_stiffness_coo,
     boundary_edges,
+    box_partition,
     doubled,
     dst1_allocating,
     grid_fill_allocating,
@@ -69,7 +70,7 @@ def test_stiffness_equals_the_coo_assembly_bitwise(level):
 
 def test_stiffness_of_hand_built_meshes_equals_the_coo_assembly_bitwise():
     m = msh.mesh_at_level(3)
-    _, _, interior = assembly.dof_partition(m)
+    _, _, interior = box_partition(m)
     meshes = [
         unit_right_triangle()[0],
         square_patch()[0],
@@ -128,7 +129,7 @@ def test_volume_errors_allocate_at_most_50_mib_at_level_8(level8):
 def test_dirichlet_reduced_stiffness_is_spd():
     m = msh.mesh_at_level(2)
     A = assembly.assemble_stiffness(m)
-    _, free, _ = assembly.dof_partition(m)
+    free = assembly.GridPoisson(m, A).free_mask
     red = A[np.ix_(free, free)].toarray()
     np.linalg.cholesky(red)  # raises if not SPD
 
@@ -394,6 +395,20 @@ def test_build_system_partitions(sol):
     # Dirichlet values are the nodal values of the exact solution
     expect = sol.u(m.vertices[system.dirichlet_idx, 0], m.vertices[system.dirichlet_idx, 1])
     assert np.allclose(system.dirichlet_values, expect, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("case", [*range(1, 7), "square_patch"])
+def test_grid_partition_is_the_bounding_box_partition(case):
+    # the raster's slices against the coordinates; the trace and interior
+    # rows tile the free vertices
+    m = msh.mesh_at_level(case) if isinstance(case, int) else square_patch()[0]
+    grid = assembly.GridPoisson(m, assembly.assemble_stiffness(m))
+    dirichlet_idx, free_mask, interior = box_partition(m)
+    assert grid.dirichlet_idx.dtype == dirichlet_idx.dtype
+    assert np.array_equal(grid.dirichlet_idx, dirichlet_idx)
+    assert grid.free_mask.dtype == bool and np.array_equal(grid.free_mask, free_mask)
+    assert np.array_equal(np.sort(grid.interior), interior)
+    assert np.array_equal(np.sort(np.concatenate([grid.trace_dofs, grid.interior])), np.flatnonzero(free_mask))
 
 
 def test_fill_keeps_the_dirichlet_values_and_sets_the_trace(sol):

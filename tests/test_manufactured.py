@@ -211,6 +211,14 @@ def test_kink_lines(sol):
     assert sol.x_left in sol.kink_x and sol.x_right in sol.kink_x
 
 
+def test_transmission_points_lie_on_the_contact_boundary(sol):
+    # the points near which the load and the volume norms refine, as float64
+    tps = sol.transmission_points
+    assert tps.dtype == np.float64
+    assert tps.tolist() == [[sol.x_left, 0.0], [sol.x_right, 0.0]]
+    assert tps is not sol.transmission_points  # a new array per call: no caller can edit the next one's
+
+
 def _special_x(sol):
     """The anchors, the domain ends and every knot of both cut-offs, each
     with one step of rounding on either side."""

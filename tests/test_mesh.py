@@ -80,7 +80,10 @@ def test_a_mesh_off_its_grid_is_refused():
     missing = msh.trace_map(m).vertices[5]
     tris = m.triangles[~np.any(m.triangles == missing, axis=1)]
     holed = msh.TriMesh(3, np.delete(m.vertices, missing, axis=0), tris - (tris > missing))
-    for reads_the_raster in (msh.trace_map, assembly.dof_partition, msh.refine):
+    def grid(mesh):
+        return assembly.GridPoisson(mesh, assembly.assemble_stiffness(mesh))
+
+    for reads_the_raster in (msh.trace_map, grid, msh.refine):
         with pytest.raises(ValueError, match="134 vertices lie up to 0.5 spacings off the grid"):
             reads_the_raster(holed)
 
@@ -133,7 +136,11 @@ def test_coordinate_boundary_is_the_topological_boundary(case):
     assert np.array_equal(np.sort(tm.vertices), trace_vertices)
     assert {frozenset(p) for p in zip(tm.vertices[:-1].tolist(), tm.vertices[1:].tolist())} == trace_pairs
     assert np.array_equal(np.sort(tm.multiplier_vertices), multipliers)
-    got, _, _ = assembly.dof_partition(m)
+    if case == "unit_right_triangle":  # its raster has an empty corner: no grid, no partition
+        with pytest.raises(assembly.SolverError, match="do not fill a uniform grid"):
+            assembly.GridPoisson(m, assembly.assemble_stiffness(m))
+        return
+    got = assembly.GridPoisson(m, assembly.assemble_stiffness(m)).dirichlet_idx
     assert got.dtype.kind == "i"
     assert np.array_equal(got, dirichlet_idx)
 

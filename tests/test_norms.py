@@ -31,8 +31,7 @@ def sol():
 class AffineData:
     """Affine stand-in for the exact solution, reproduced exactly by P1."""
 
-    x_left = 0.3
-    x_right = 1.1
+    transmission_points = np.array([[0.3, 0.0], [1.1, 0.0]])
     kink_x = ()
 
     @staticmethod

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import os
 import platform
 import subprocess
@@ -18,9 +17,9 @@ from signorini_fem import solver, steklov
 from signorini_fem.mesh import elimination_order
 from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discrete_transmission_points, linear_subsolve
 from signorini_fem.steklov import SteklovMap
-from signorini_fem.assembly import FeFunction
+from signorini_fem.assembly import FeFunction, GridPoisson
 
-from oracles import count_grid_builds, counting_spla, full_space_vi, out_of_memory_splu
+from oracles import brute_force_vi, count_grid_builds, counting_spla, full_space_vi, out_of_memory_splu
 
 
 @pytest.fixture(scope="module")
@@ -33,37 +32,6 @@ def make_problem(level, sol):
     tmap = trace_map(mesh)
     system = build_system(mesh, tmap, sol)
     return mesh, tmap, system
-
-
-def brute_force_vi(system, g=0.0):
-    """Enumerate all active sets and return the feasible complementary one."""
-    A = system.stiffness
-    F = system.load
-    D = system.lumped_mass
-    trace = system.trace_dofs
-    n_mult = trace.shape[0]
-    g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
-    solutions = []
-    for active_tuple in itertools.product([False, True], repeat=n_mult):
-        active = np.array(active_tuple)
-        u = np.zeros(system.mesh.num_vertices)
-        u[system.dirichlet_idx] = system.dirichlet_values
-        u[trace[active]] = g[active]
-        fixed_mask = ~system.free_mask.copy()
-        fixed_mask[trace[active]] = True
-        free = np.flatnonzero(~fixed_mask)
-        fixed = np.flatnonzero(fixed_mask)
-        u[free] = spla.spsolve(
-            A[np.ix_(free, free)].tocsc(), F[free] - A[np.ix_(free, fixed)] @ u[fixed]
-        )
-        resid = F - A @ u
-        lam = np.zeros(n_mult)
-        lam[active] = resid[trace[active]] / D[active]
-        feasible = np.all(u[trace] <= g + 1e-10) and np.all(lam >= -1e-10)
-        if feasible:
-            solutions.append((active, u, lam))
-    assert solutions, "no feasible complementary active set found"
-    return solutions
 
 
 def test_linear_subsolve_identity():
@@ -228,12 +196,18 @@ def test_a_built_system_solves_without_building_a_grid(sol, monkeypatch):
 
 
 def test_a_system_refuses_a_grid_built_on_another_stiffness(sol):
-    # the stiffness and the trace DOFs are the grid's, not copies of them
+    # the stiffness, the trace DOFs and the vertex partition are the
+    # grid's, not copies of them
     _, _, system = make_problem(3, sol)
     assert system.stiffness is system.grid.stiffness
     assert system.trace_dofs is system.grid.trace_dofs
+    assert system.dirichlet_idx is system.grid.dirichlet_idx
+    assert system.free_mask is system.grid.free_mask
     with pytest.raises(TypeError, match="stiffness"):
         dataclasses.replace(system, stiffness=(1.0 + 1e-3) * system.stiffness)
+    for name in ("dirichlet_idx", "free_mask"):
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(system, **{name: getattr(system, name)[::-1]})
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
@@ -410,20 +384,21 @@ def test_nonconvergence_carries_iterate(sol):
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])
-def test_no_step_carries_the_dirichlet_lift_and_its_saddle_residual(sol, max_iter):
-    # no step of either stage runs, so no fill leaves a residual to read
+def test_no_step_is_refused_before_any_fill(sol, max_iter, monkeypatch):
+    # a solve of no step would have no fill's iterate to return
     mesh, tmap, system = make_problem(4, sol)
-    with pytest.raises(SolverError) as excinfo:
+    smap = SteklovMap(mesh, tmap, stiffness=system.stiffness, lumped=system.lumped_mass)
+    steps = []
+    monkeypatch.setattr(GridPoisson, "fill", lambda *args, **kwargs: steps.append(args))
+    message = f"max_iter must be at least 1, got {max_iter}"
+    with pytest.raises(ValueError, match=message):
         solve_vi(mesh, tmap, sol, system=system, max_iter=max_iter)
-    assert str(excinfo.value) == f"full-space PDAS did not converge within {max_iter} iterations"
-    vi = excinfo.value.solution
-    lift = np.zeros(mesh.num_vertices)
-    lift[system.dirichlet_idx] = system.dirichlet_values
-    assert np.array_equal(vi.u.values, lift)
-    assert np.array_equal(vi.multiplier.values, np.zeros(tmap.num_multipliers))
-    assert not vi.active.any()
-    assert vi.iterations == 0
-    assert vi.residual == 1.9358547382957183
+    with pytest.raises(ValueError, match=message):
+        steklov.solve_schur_vi(smap, system.load, system.dirichlet_values, max_iter=max_iter)
+    start = np.zeros(tmap.num_multipliers, dtype=bool)
+    with pytest.raises(ValueError, match=message):
+        solver.pdas(steps.append, np.zeros(tmap.num_multipliers), system.lumped_mass, start, max_iter)
+    assert steps == []
 
 
 @pytest.mark.parametrize("level", [2, 4, 6])

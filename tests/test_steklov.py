@@ -17,11 +17,12 @@ from signorini_fem import (
 )
 from signorini_fem import mesh as msh
 from signorini_fem import assembly, steklov
-from signorini_fem.assembly import GridPoisson, assemble_stiffness, dof_partition
+from signorini_fem.assembly import GridPoisson, assemble_stiffness
 from signorini_fem.solver import condense_system
 from signorini_fem.steklov import SteklovMap, exact_trace_values, solve_schur_vi, trace_moments
 
 from oracles import (
+    box_partition,
     check_stencil_unblocked,
     counting_spla,
     doubled,
@@ -163,9 +164,11 @@ def perturbed(stiffness, i, j, delta):
     return (stiffness + bump).tocsr()
 
 
-def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
+def test_map_refuses_a_stiffness_off_the_stencil():
     # one diagonal edge of the grid, inside the mesh: its assembled entry is
-    # a stored 0; the other diagonal of the same cell has no entry at all
+    # a stored 0; the other diagonal of the same cell has no entry at all.
+    # The map builds its grid solver, and so runs the stencil check, when
+    # it is constructed
     m = mesh_at_level(4)
     tm = trace_map(m)
     A = assemble_stiffness(m)
@@ -175,9 +178,8 @@ def test_dense_matrix_refuses_a_stiffness_off_the_stencil():
     assert A[p, q] == 0.0 and q in A.indices[A.indptr[p] : A.indptr[p + 1]]
     assert extra[0] not in A.indices[A.indptr[extra[1]] : A.indptr[extra[1] + 1]]
     for stiffness in (perturbed(A, p, q, 1e-6), perturbed(A, *extra, -0.5)):
-        smap = SteklovMap(m, tm, stiffness=stiffness)
         with pytest.raises(SolverError, match="five-point stencil"):
-            smap.dense_matrix()
+            SteklovMap(m, tm, stiffness=stiffness)
 
 
 @pytest.mark.parametrize("cells_per_block", [1, 5 * 63, assembly.ROW_BLOCK])
@@ -214,7 +216,7 @@ def test_blocked_stencil_check_refuses_a_moved_entry_in_any_block(monkeypatch, c
 def test_grid_refuses_a_mesh_with_an_interior_vertex_missing():
     # the vertex and its six triangles go; the hole leaves one cell empty
     m = mesh_at_level(3)
-    _, _, interior = dof_partition(m)
+    _, _, interior = box_partition(m)
     for missing in (interior[0], interior[interior.shape[0] // 2]):
         mesh = holed(m, missing)
         with pytest.raises(SolverError, match="do not fill a uniform grid"):
@@ -224,7 +226,7 @@ def test_grid_refuses_a_mesh_with_an_interior_vertex_missing():
 def test_grid_refuses_a_mesh_with_two_vertices_in_one_cell():
     # a copy of an interior vertex, a hair off it, that no triangle uses
     m = mesh_at_level(3)
-    _, _, interior = dof_partition(m)
+    _, _, interior = box_partition(m)
     for twin in (interior[0], interior[-1]):
         mesh = doubled(m, twin)
         with pytest.raises(SolverError, match="do not fill a uniform grid"):
@@ -254,7 +256,7 @@ def test_fill_refines_against_the_assembled_stiffness():
 def test_grid_solve_is_the_interior_inverse(level):
     m = mesh_at_level(level)
     A = assemble_stiffness(m)
-    _, _, interior = dof_partition(m)
+    _, _, interior = box_partition(m)
     grid = GridPoisson(m, A)
     assert np.array_equal(np.sort(grid.interior), interior)
     r = np.random.default_rng(level).standard_normal(interior.shape[0])
