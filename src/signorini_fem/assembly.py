@@ -554,7 +554,8 @@ class GridPoisson:
     onto the trace row (Bjorstad & Widlund, SINUM 1986).  Its n x ny raster
     is the free part of ``mesh.vertex_raster``: ``trace_dofs`` is its row 0,
     ``interior`` lists I, row by row, ``free_mask`` is True on the raster
-    and ``dirichlet_idx`` lists the other vertices, sorted.
+    and ``dirichlet_idx`` lists the other vertices, sorted.  The four are
+    read-only, as the raster is.
     """
 
     def __init__(self, mesh: TriMesh, stiffness):
@@ -567,11 +568,13 @@ class GridPoisson:
         a, b = hy / hx, hx / hy
         _check_stencil(stiffness, cells, n, a, b)
         self.stiffness = stiffness
-        self.trace_dofs = cells[:n]
-        self.interior = cells[n:]
-        self.free_mask = np.zeros(mesh.num_vertices, dtype=bool)
-        self.free_mask[cells] = True
-        self.dirichlet_idx = np.flatnonzero(~self.free_mask)
+        free_mask = np.zeros(mesh.num_vertices, dtype=bool)
+        free_mask[cells] = True
+        dirichlet_idx = np.flatnonzero(~free_mask)
+        for index in cells, free_mask, dirichlet_idx:
+            index.flags.writeable = False
+        self.trace_dofs, self.interior = cells[:n], cells[n:]
+        self.free_mask, self.dirichlet_idx = free_mask, dirichlet_idx
         self._b = b
         # a lam_k + b mu_l, the second difference's eigenvalues in x and y
         lam = second_difference_eigenvalues(n)

@@ -16,9 +16,9 @@ raster, so it takes any mesh that ``vertex_raster`` accepts.  Level k holds
 a (4*2^(k-1)) x (2*2^(k-1)) grid of quads and the meshes are nested.
 
 Meshes are immutable after construction and safe to share between threads;
-the three values a mesh computes lazily, its size, its vertex raster and its
-elimination order, depend on nothing else, so two threads that race to
-compute one store equal values.
+the two values a mesh computes lazily, its size and its vertex raster,
+depend on nothing else, so two threads that race to compute one store equal
+values.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ HEIGHT = 0.5
 
 _NX0 = 4
 _NY0 = 2
-
-# largest box of grid vertices that nested dissection leaves unsplit
-_ND_LEAF = 16
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,6 @@ class TriMesh:
         raster = _build_raster(self.vertices)
         raster.flags.writeable = False
         return raster
-
-    @functools.cached_property
-    def _elimination_order(self) -> np.ndarray:
-        order = _nested_dissection(self._raster)
-        order.flags.writeable = False
-        return order
 
 
 @dataclass(frozen=True)
@@ -222,42 +213,6 @@ def _build_raster(vertices: np.ndarray) -> np.ndarray:
     raster = np.full((ny + 1, nx + 1), -1, dtype=np.int64)
     raster[iy, ix] = np.arange(vertices.shape[0])
     return raster
-
-
-def elimination_order(mesh: TriMesh) -> np.ndarray:
-    """Vertex permutation by geometric nested dissection of the grid.
-
-    A box of grid vertices is split across its side with more vertices at
-    the middle grid line; the lower half comes first, then the upper half,
-    then the separator line.  Boxes of at most _ND_LEAF vertices are not
-    split.  The diagonals run from lower left to upper right, so every edge
-    joins vertices at most one grid line apart and one line separates.  From
-    level 2 on, the first separator is the middle grid column,
-    ``vertex_raster(mesh)[:, nx // 2]``.  Listing the unknowns of a sparse
-    SPD block (any subset of the vertices) in this order keeps the fill of
-    its factorization low (George, SINUM 1973).
-
-    The order is computed once per mesh and returned read-only.
-    """
-    return mesh._elimination_order
-
-
-def _nested_dissection(raster: np.ndarray) -> np.ndarray:
-    """The order of ``elimination_order``, computed: each box is a slice of
-    the raster, and each leaf and each separator lists its vertices by id."""
-
-    def dissect(box):
-        wy, wx = box.shape
-        if wx * wy <= _ND_LEAF:
-            return np.sort(box, axis=None)
-        if wx >= wy:
-            mid = (wx - 1) // 2
-            return np.concatenate([dissect(box[:, :mid]), dissect(box[:, mid + 1 :]), np.sort(box[:, mid])])
-        mid = (wy - 1) // 2
-        return np.concatenate([dissect(box[:mid]), dissect(box[mid + 1 :]), np.sort(box[mid])])
-
-    order = dissect(raster)
-    return order[order >= 0]
 
 
 def point_triangle_distances(point: np.ndarray, tri: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ the full-space PDAS from the set found there; normally one step confirms
 it.  Both stages solve with the system's own grid solver (``FeSystem.grid``,
 a DST-I solver of the five-point stiffness, built with the system), so a
 solve builds no solver and factorizes nothing.
-``linear_subsolve`` is a sparse LU solve of an SPD block listed in the
-order of ``mesh.elimination_order``, which SuperLU keeps (``LU_OPTIONS``).
+``linear_subsolve`` is a sparse LU solve of an SPD block; SuperLU orders
+the factor itself and pivots on the diagonal (``LU_OPTIONS``).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import scipy.sparse.linalg as spla
 from .assembly import FeFunction, FeSystem, SolverError, build_system
 from .mesh import TriMesh, TraceMap
 
-# SuperLU settings for an SPD block listed in elimination order: keep the
-# caller's column order and pivot on the diagonal
-LU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+# SuperLU settings for an SPD block: minimum degree on A^T + A orders the
+# unknowns, and symmetric mode pivots on the diagonal
+LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,10 @@ class VISolution:
 def linear_subsolve(matrix: sp.spmatrix, rhs: np.ndarray, rtol: float = 1e-12):
     """Solve an SPD system to relative residual rtol by sparse LU.
 
-    The factorization keeps the order in which the caller lists the
-    unknowns, so list them in ``elimination_order``.  One step of iterative
-    refinement always follows the first solve, and up to two more run while
-    the residual is above rtol, so the contract holds also for
-    ill-conditioned fine-level systems.
+    SuperLU orders the factor (``LU_OPTIONS``), so the caller may list the
+    unknowns in any order.  One step of iterative refinement always follows
+    the first solve, and up to two more run while the residual is above
+    rtol, so the contract holds also for ill-conditioned fine-level systems.
     """
     matrix = matrix.tocsc()
     rhs_norm = float(np.linalg.norm(rhs))

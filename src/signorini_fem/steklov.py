@@ -15,7 +15,8 @@ of the stiffness matrix.
 extensions, Newton potential and consistency flux, and ``solve_schur_vi``
 on them, are the independent cross-check of the grid solver
 (``assembly.GridPoisson``) that the contact path and the study use; its
-index sets and dense matrix come from a grid solver of its stiffness.
+index sets and dense matrix come from a grid solver of its stiffness,
+which the map does not keep.
 The map returns multipliers as coefficient arrays.  The module also
 integrates the trace moments against the dual basis.
 """
@@ -27,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import GridPoisson, SolverError, assemble_stiffness, boundary_lumped_mass, quad
 from .biortho import dual_shape_values
-from .mesh import TriMesh, TraceMap, elimination_order
+from .mesh import TriMesh, TraceMap
 from .solver import LU_OPTIONS, dense_pdas
 
 #: Absolute tolerance of the trace moments' adaptive quadrature.
@@ -37,16 +38,14 @@ MOMENTS_EPSABS = 1e-12
 class SteklovMap:
     """Factorized Dirichlet-to-Neumann map of one mesh level.
 
-    Its vertex sets are a ``GridPoisson``'s, built with the map, so a
+    Its read-only vertex sets and its dense matrix D^-1 S are those of a
+    ``GridPoisson`` built with the map and dropped after it, so a
     stiffness off the stencil raises SolverError here.  SuperLU factorizes
-    the interior block in ``interior_idx``'s ``mesh.elimination_order``.
-    An extension is one solve with that factor, without the refinement
-    step that ``linear_subsolve`` always takes; the consistency flux
-    ``exact_trace_flux`` always takes one refinement step.
-    Read-only after construction, but for the dense matrix, which the
-    first ``dense_matrix`` call computes and keeps as a read-only array;
-    concurrent applications are safe, and two threads that race on that
-    first call store equal arrays.
+    the interior block, ordered as ``LU_OPTIONS`` says.  An extension is
+    one solve with that factor, without the refinement step that
+    ``linear_subsolve`` always takes; the consistency flux
+    ``exact_trace_flux`` always takes one refinement step.  Read-only
+    after construction, so concurrent applications are safe.
     """
 
     def __init__(self, mesh: TriMesh, tmap: TraceMap, stiffness=None, lumped=None):
@@ -54,10 +53,10 @@ class SteklovMap:
         self.tmap = tmap
         self.stiffness = assemble_stiffness(mesh) if stiffness is None else stiffness
         self.lumped = boundary_lumped_mass(tmap) if lumped is None else lumped
-        grid = self._grid = GridPoisson(mesh, self.stiffness)
-        self.trace_dofs, self.dirichlet_idx = grid.trace_dofs, grid.dirichlet_idx
-        order = elimination_order(mesh)
-        self.interior_idx = order[np.isin(order, grid.interior)]
+        grid = GridPoisson(mesh, self.stiffness)
+        self.trace_dofs, self.dirichlet_idx, self.interior_idx = grid.trace_dofs, grid.dirichlet_idx, grid.interior
+        self._sigma = grid.schur / self.lumped[:, None]
+        self._sigma.flags.writeable = False
         rows = self.stiffness[self.interior_idx]
         self._a_it = rows[:, self.trace_dofs].tocsr()
         self._a_id = rows[:, self.dirichlet_idx].tocsr()
@@ -66,7 +65,6 @@ class SteklovMap:
         except (RuntimeError, MemoryError) as exc:
             n = self.interior_idx.shape[0]
             raise SolverError(f"interior factorization of {n} unknowns failed: {exc!r}") from exc
-        self._sigma = None
 
     @property
     def num_multipliers(self) -> int:
@@ -136,13 +134,9 @@ class SteklovMap:
         return self._boundary_flux(w, load)
 
     def dense_matrix(self) -> np.ndarray:
-        """The operator as a dense matrix, D^-1 S, with S from the map's
-        ``GridPoisson.schur``: nothing is solved or factorized.  Every call
-        after the first returns the same read-only array."""
-        if self._sigma is None:
-            sigma = self._grid.schur / self.lumped[:, None]
-            sigma.flags.writeable = False
-            self._sigma = sigma
+        """The operator as a dense matrix, D^-1 S, with S the closed-form
+        ``GridPoisson.schur``: computed with the map, nothing solved or
+        factorized, and every call returns the same read-only array."""
         return self._sigma
 
 
@@ -188,11 +182,10 @@ def solve_schur_vi(
 
     Returns (trace values, multiplier coefficients, active mask).  Cross
     check against the full-space solver; a non-finite obstacle raises
-    ValueError, as in ``solver.pdas``.  The dense Steklov matrix comes
-    from ``SteklovMap.dense_matrix``, computed on the map's first call and
-    reused after; the Newton potential is one solve with the map's
-    interior factor, and each PDAS step solves a dense system of up to the
-    matrix's size.
+    ValueError, as in ``solver.pdas``.  The dense Steklov matrix is
+    ``SteklovMap.dense_matrix``, computed with the map; the Newton
+    potential is one solve with the map's interior factor, and each PDAS
+    step solves a dense system of up to the matrix's size.
     """
     n = smap.num_multipliers
     g = np.broadcast_to(np.asarray(g, dtype=float), (n,)).copy()

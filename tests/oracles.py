@@ -9,11 +9,9 @@ full-space PDAS from the empty active set and every active set enumerated
 for the contact solve, the trace multiplier written out where the Newton
 potential and the consistency flux are computed, edge lists for the
 boundary that the package reads from vertex coordinates, the bounding box
-for the vertex partition that the package slices from the raster, one
-stable sort on base-3 keys for the nested
-dissection that the package splits into raster slices, both singular
-terms of the exact solution on every point, ``einsum`` for the load's and
-the volume norms' point maps and sums, and a fresh sparse solve or a
+for the vertex partition that the package slices from the raster, both
+singular terms of the exact solution on every point, ``einsum`` for the
+load's and the volume norms' point maps and sums, and a fresh sparse solve or a
 long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
 the vertex raster inverted, are views that only the tests need,
 ``holed`` and ``doubled`` build meshes off the grid,
@@ -45,12 +43,10 @@ from signorini_fem.assembly import (
 from signorini_fem.biortho import dual_shape_values
 from signorini_fem.manufactured import REFLECTION_OFFSET
 from signorini_fem.mesh import (
-    _ND_LEAF,
     TraceMap,
     TriMesh,
     build_initial,
     cells_near,
-    elimination_order,
     trace_map,
     vertex_raster,
 )
@@ -184,42 +180,6 @@ def grid_positions(raster: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int
     col, row = np.empty_like(ids), np.empty_like(ids)
     col[ids], row[ids] = ix, iy
     return col, row, raster.shape[1] - 1, raster.shape[0] - 1
-
-
-def nested_dissection_keys(ix: np.ndarray, iy: np.ndarray, nx: int, ny: int) -> np.ndarray:
-    """``mesh.elimination_order`` from the vertices' grid positions, by a
-    stable sort on keys instead of the recursion over raster slices.
-
-    All boxes of one dissection depth are split in one vectorized pass:
-    each vertex gathers one base-3 digit per depth (0 lower half, 1 upper
-    half, 2 separator, 0 once settled), so a stable sort by these keys
-    lists every box in post order and the vertices of one leaf by index.
-    """
-    n = ix.shape[0]
-    # the box each vertex is in: inclusive grid index ranges
-    x0 = np.zeros(n, dtype=np.int64)
-    x1 = np.full(n, nx, dtype=np.int64)
-    y0 = np.zeros(n, dtype=np.int64)
-    y1 = np.full(n, ny, dtype=np.int64)
-    key = np.zeros(n, dtype=np.int64)
-    unsettled = np.ones(n, dtype=bool)
-    while unsettled.any():
-        wx = x1 - x0 + 1
-        wy = y1 - y0 + 1
-        unsettled &= wx * wy > _ND_LEAF
-        across_x = wx >= wy
-        mid = np.where(across_x, (x0 + x1) // 2, (y0 + y1) // 2)
-        at = np.where(across_x, ix, iy)
-        digit = np.where(unsettled, (at > mid) + 2 * (at == mid), 0)
-        key = 3 * key + digit
-        lower = unsettled & (digit == 0)
-        upper = unsettled & (digit == 1)
-        x1 = np.where(lower & across_x, mid - 1, x1)
-        x0 = np.where(upper & across_x, mid + 1, x0)
-        y1 = np.where(lower & ~across_x, mid - 1, y1)
-        y0 = np.where(upper & ~across_x, mid + 1, y0)
-        unsettled &= digit != 2
-    return np.argsort(key, kind="stable")
 
 
 def assemble_stiffness_coo(mesh: TriMesh) -> sp.csr_matrix:
@@ -370,7 +330,7 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
 
     Every step factorizes the free block of its active set with
     ``solver.linear_subsolve`` (looked up at call time, so a test may
-    replace it), listed in ``elimination_order``.
+    replace it), its unknowns listed by index.
     """
     mesh = system.mesh
     A = system.stiffness
@@ -381,13 +341,12 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
     g = np.broadcast_to(np.asarray(g, dtype=float), (n_mult,)).copy()
     u = np.zeros(mesh.num_vertices)
     u[system.dirichlet_idx] = system.dirichlet_values
-    order = elimination_order(mesh)
 
     def solve_fixed(active):
         fixed_mask = ~system.free_mask
         fixed_mask[trace[active]] = True
         u[trace[active]] = g[active]
-        free = order[~fixed_mask[order]]
+        free = np.flatnonzero(~fixed_mask)
         fixed = np.flatnonzero(fixed_mask)
         rows = A[free]
         rhs = F[free] - rows[:, fixed] @ u[fixed]

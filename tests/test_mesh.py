@@ -11,7 +11,6 @@ from oracles import (
     boundary_edges,
     boundary_sets,
     grid_positions,
-    nested_dissection_keys,
     refine_loop,
     square_patch,
     unit_right_triangle,
@@ -259,51 +258,6 @@ def test_build_initial_is_the_per_quad_loop():
     assert m.triangles.dtype == np.int64
     assert np.array_equal(m.triangles, triangles)
     assert np.array_equal(msh.vertex_raster(m), np.arange(m.num_vertices).reshape(ny + 1, nx + 1))
-
-
-@pytest.mark.parametrize("case", [*range(1, 10), "square_patch"])
-def test_elimination_order_is_the_key_sort_dissection(case):
-    m = msh.mesh_at_level(case) if isinstance(case, int) else square_patch()[0]
-    want = nested_dissection_keys(*grid_positions(msh.vertex_raster(m)))
-    assert np.array_equal(msh.elimination_order(m), want)
-
-
-def test_elimination_order_is_a_nested_dissection_permutation():
-    m = msh.build_initial()
-    assert np.array_equal(msh.elimination_order(m), np.arange(m.num_vertices))  # one leaf
-    for level in range(2, 9):
-        m = msh.refine(m)
-        order = msh.elimination_order(m)
-        assert order.dtype.kind == "i"
-        assert np.array_equal(np.sort(order), np.arange(m.num_vertices))
-        # the first separator is the middle grid column, listed last, after
-        # every vertex left of it and before that every vertex right of it
-        x = m.vertices[order, 0]
-        ny = 2 ** level
-        assert np.all(x[-(ny + 1) :] == 0.5 * msh.WIDTH)
-        rest = x[: -(ny + 1)]
-        assert np.flatnonzero(rest < 0.5 * msh.WIDTH).max() < np.flatnonzero(rest > 0.5 * msh.WIDTH).min()
-
-
-def test_elimination_order_is_computed_once_per_mesh_and_read_only(monkeypatch):
-    calls = []
-    dissect = msh._nested_dissection
-
-    def counted(raster):
-        calls.append(raster)
-        return dissect(raster)
-
-    monkeypatch.setattr(msh, "_nested_dissection", counted)
-    m = msh.mesh_at_level(4)
-    first = msh.elimination_order(m)
-    assert msh.elimination_order(m) is first
-    assert len(calls) == 1
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = first[1]
-    # another mesh of the same level has its own order
-    msh.elimination_order(msh.mesh_at_level(4))
-    assert len(calls) == 2
 
 
 def _full_scan(tri, points, radius):

@@ -14,7 +14,6 @@ import scipy.sparse.linalg as spla
 import signorini_fem
 from signorini_fem import ExactSolution, SolverError, build_system, mesh_at_level, solve_vi, trace_map
 from signorini_fem import solver, steklov
-from signorini_fem.mesh import elimination_order
 from signorini_fem.solver import LU_OPTIONS, VISolution, condense_system, discrete_transmission_points, linear_subsolve
 from signorini_fem.steklov import SteklovMap
 from signorini_fem.assembly import FeFunction, GridPoisson
@@ -85,21 +84,30 @@ def test_linear_subsolve_reports_an_out_of_memory_factorization(monkeypatch):
         linear_subsolve(A, np.ones(60))
 
 
-def test_elimination_order_fills_less_than_colamd(sol):
-    # a count, not a time: L + U entries of the level-6 free and interior blocks
-    mesh, tmap, system = make_problem(6, sol)
+@pytest.mark.parametrize("level", [6, 7])
+def test_superlu_pivots_on_the_diagonal_and_fills_less_than_colamd(level, sol, monkeypatch):
+    # counts, not times: L + U entries of the SteklovMap interior factor
+    # and, at level 6, of every free block the full-space oracle factors
+    # through linear_subsolve (at level 7 MMD fills 2.10M, COLAMD 3.30M)
+    mesh, tmap, system = make_problem(level, sol)
     A = system.stiffness
-    order = elimination_order(mesh)
-    free = order[system.free_mask[order]]
-    nd = spla.splu(A[free][:, free].tocsc(), **LU_OPTIONS)
-    free = np.flatnonzero(system.free_mask)
-    colamd = spla.splu(A[free][:, free].tocsc(), permc_spec="COLAMD")
-    assert nd.L.nnz + nd.U.nnz < colamd.L.nnz + colamd.U.nnz
-
     smap = SteklovMap(mesh, tmap, stiffness=A, lumped=system.lumped_mass)
-    ii = np.sort(system.grid.interior)
-    colamd = spla.splu(A[ii][:, ii].tocsc(), permc_spec="COLAMD")
-    assert smap._lu.L.nnz + smap._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    ii = system.grid.interior
+    factors = [(A[ii][:, ii].tocsc(), smap._lu)]
+    if level == 6:
+
+        def recording_splu(matrix, **options):
+            assert options == LU_OPTIONS
+            factors.append((matrix, spla.splu(matrix, **options)))
+            return factors[-1][1]
+
+        monkeypatch.setattr(solver, "spla", types.SimpleNamespace(splu=recording_splu))
+        full_space_vi(system)
+        assert len(factors) > 2
+    for block, lu in factors:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        colamd = spla.splu(block, permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])

@@ -1,5 +1,6 @@
 import dataclasses
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +283,45 @@ def test_dense_matrix_is_condensed_once_per_map(monkeypatch, sol):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="read-only"):
         first[0, 0] = 0.0
+
+
+def test_map_keeps_its_dense_matrix_and_no_grid(monkeypatch):
+    # the grid solver, and with it its S, is freed once the map is built
+    grids = []
+    init = GridPoisson.__init__
+
+    def watched(self, *args):
+        grids.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(GridPoisson, "__init__", watched)
+    m = mesh_at_level(4)
+    smap = SteklovMap(m, trace_map(m))
+    assert len(grids) == 1 and grids[0]() is None
+    assert not any(isinstance(value, GridPoisson) for value in vars(smap).values())
+    sigma = smap.dense_matrix()
+    assert smap.dense_matrix() is sigma
+    assert not sigma.flags.writeable
+
+
+def test_index_sets_are_read_only(sol):
+    # the map's interior_idx is the grid's interior itself, so a write
+    # through either would corrupt both
+    m = mesh_at_level(3)
+    tm = trace_map(m)
+    system = build_system(m, tm, sol)
+    smap = SteklovMap(m, tm, stiffness=system.stiffness, lumped=system.lumped_mass)
+    assert np.array_equal(smap.interior_idx, system.grid.interior)
+    owners = [
+        (system.grid, ("trace_dofs", "interior", "dirichlet_idx", "free_mask")),
+        (system, ("trace_dofs", "dirichlet_idx", "free_mask")),
+        (smap, ("trace_dofs", "interior_idx", "dirichlet_idx")),
+    ]
+    for owner, names in owners:
+        for name in names:
+            index = getattr(owner, name)
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = index[-1]
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
