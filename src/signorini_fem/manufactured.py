@@ -24,9 +24,9 @@ support, x < s1 on the left and 1.4 - x < s1 on the right, and the spline
 only on its band (s0, s1): elsewhere the skipped products are exact zeros
 and the plateau values exactly 1 and 0, so the results are those of the
 formulas on every point.  ``u_and_grad`` returns u and its gradient from
-one evaluation of each term, for the volume norms.  A finite-difference
-cross-check of the gradient and the Laplacian lives in the test suite, not
-in any runtime path.
+one evaluation of each term; ``u`` and ``grad_u`` are its parts.  A
+finite-difference cross-check of the gradient and the Laplacian lives in
+the test suite, not in any runtime path.
 """
 
 from __future__ import annotations
@@ -201,13 +201,13 @@ class ExactSolution:
         cut-off and only where that cut-off can be nonzero.
 
         Yields (on, weight, y[on], factors) per term, weight 1 on the left.
-        The factors are (S, C) for order 0 and (S, S_x, S_y, C, C_x) plus
-        C_xx for order 2, all at the points of the mask ``on`` and all
-        derivatives in x: the reflected term's S_xi and C' change sign.  Off
-        ``on`` the cut-off and its derivatives are exactly 0, so every
-        skipped product is an exact zero.  A call with a NaN, inf or huge
-        coordinate keeps every point on both supports, so the formulas see
-        them as they would unmasked.
+        The factors are (S, S_x, S_y, C, C_x), plus C_xx for order 2, all at
+        the points of the mask ``on`` and all derivatives in x: the
+        reflected term's S_xi and C' change sign.  Off ``on`` the cut-off
+        and its derivatives are exactly 0, so every skipped product is an
+        exact zero.  A call with a NaN, inf or huge coordinate keeps every
+        point on both supports, so the formulas see them as they would
+        unmasked.
         """
         tame = np.abs(x).max(initial=0.0) <= _BOUNDED and np.abs(y).max(initial=0.0) <= _BOUNDED
         for reflected in (False, True):
@@ -221,27 +221,20 @@ class ExactSolution:
             else:
                 xi, arg, weight = x_on - self.x_left, x_on, 1.0
             cut = self.cutoff._values(arg, order)
-            if order == 0:
-                yield on, weight, y_on, (singular_term(*self._polar(xi, y_on)), cut[0])
-                continue
             s, s_x, s_y = _singular_with_gradient(*self._polar(xi, y_on))
             if reflected:
                 s_x = -s_x
                 cut[1] = -cut[1]
             yield on, weight, y_on, (s, s_x, s_y, *cut)
 
-    @_blockwise
     def u(self, x, y):
-        """Solution value at (x, y) in the closed domain."""
-        v = np.zeros(x.shape)
-        for on, a, _, (s, c) in self._terms(x, y, 0):
-            v[on] += a * s * c
-        return v * (1.0 - y**2)
+        """Solution value at (x, y) in the closed domain: the first output
+        of ``u_and_grad``."""
+        return self.u_and_grad(x, y)[0]
 
     @_blockwise
     def u_and_grad(self, x, y):
-        """(u, u_x, u_y) at (x, y), each singular term evaluated once; the
-        values are those of ``u`` and ``grad_u``."""
+        """(u, u_x, u_y) at (x, y), each singular term evaluated once."""
         v, ux, uy = np.zeros(x.shape), np.zeros(x.shape), np.zeros(x.shape)
         for on, a, _, (s, s_x, s_y, c, c_x) in self._terms(x, y, 1):
             v[on] += a * s * c

@@ -1,12 +1,12 @@
 """Error norms of the benchmark study.
 
-Volume norms use a fixed triangle rule per cell, with graded quadrisection
-near the transmission points, where the exact solution has fractional
-regularity.  The subdivision runs breadth first: all pieces of one depth
-form one batch, so the exact solution is evaluated a few times per depth
-rather than once per piece, and each evaluation is one call of the fused
-``u_and_grad``, which evaluates each singular term once and only on its
-cut-off's support.  Trace norms are adaptive G10/K21 integrals
+Volume norms use ``tri_quadrature``'s rule per cell, with graded
+quadrisection near the transmission points, where the exact solution has
+fractional regularity.  The subdivision runs breadth first: all pieces of
+one depth form one batch, so the exact solution is evaluated a few times
+per depth rather than once per piece, and each evaluation is one call of
+the fused ``u_and_grad``, which evaluates each singular term once and only
+on its cut-off's support.  Trace norms are adaptive G10/K21 integrals
 (``quad``) over all trace elements at once, split at the known kink
 locations.  The negative-order boundary norm is a discrete dual norm on a
 fine reference trace grid (``mesh.trace_grid``): the nodal multiplier
@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .assembly import (
+    TRI_DEGREE,
     TRIANGLE_CHUNK,
     _dst1,
     element_gradients,
@@ -38,8 +39,6 @@ from .assembly import (
 from .biortho import postprocess_multiplier
 from .mesh import TriMesh, TraceMap, cells_near, signed_areas, trace_grid
 
-#: Degree of the fixed triangle rule of the volume norms.
-VOLUME_DEGREE = 4
 #: Quadrisection depth of the volume norms near the transmission points.
 VOLUME_DEPTH = 6
 #: Tolerances of the adaptive trace and multiplier quadrature.
@@ -49,7 +48,7 @@ TRACE_EPSREL = 1e-10
 
 #: The quadrature settings every record carries.
 TOLERANCES = {
-    "volume_degree": VOLUME_DEGREE,
+    "volume_degree": TRI_DEGREE,
     "volume_depth": VOLUME_DEPTH,
     "trace_epsabs": TRACE_EPSABS,
     "trace_epsrel": TRACE_EPSREL,
@@ -97,19 +96,19 @@ def volume_errors(
     Triangles whose closure is within 2h of a transmission point are
     integrated by repeated quadrisection up to max_depth, graded by the
     local diameter: a piece splits while a transmission point lies within
-    twice its diameter.  Everywhere else a single fixed rule of degree
-    ``VOLUME_DEGREE`` is used.  Every leaf is counterclockwise, so its
-    signed area is its area.  The leaves of each depth are summed per
-    ``TRIANGLE_CHUNK``, in order; the mesh's triangles, at depth 0, get
-    their coordinates and the affine data of u_h chunk by chunk, so no
-    array spans every triangle but the split mask and the leaf list.  A
+    twice its diameter.  Every leaf takes ``tri_quadrature``'s rule and is
+    counterclockwise, so its signed area is its area.  The leaves of each
+    depth are summed per ``TRIANGLE_CHUNK``, in order; the mesh's
+    triangles, at depth 0, get their coordinates and the affine data of u_h
+    chunk by chunk, so no array spans every triangle but the split mask and
+    the leaf list.  A
     NaN or infinite nodal value raises ValueError, as ``quad`` and
     ``dual_norm`` do.
     """
     bad = np.count_nonzero(~np.isfinite(u_values))
     if bad:
         raise ValueError(f"u_h has {bad} non-finite of {u_values.shape[0]} nodal values")
-    bary, w = tri_quadrature(VOLUME_DEGREE)
+    bary, w = tri_quadrature()
     tps = sol.transmission_points
 
     tri = c0 = g = None  # the pieces below depth 0 and the affine data of their triangles

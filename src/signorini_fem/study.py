@@ -54,9 +54,8 @@ from .steklov import exact_trace_values
 log = logging.getLogger(__name__)
 
 # The 2..10 study peaked at 817 MiB RSS in the calling process and 679 MiB
-# in the worker, two runs on a 7.8 GiB host (BENCH_memory_diet.json; 2191
-# and 726 MiB while the stiffness was built through a global COO matrix).
-# No sparse factor is built.  The caller reads 791 MiB after level 10's
+# in the worker, two runs on a 7.8 GiB host (BENCH_memory_diet.json).  No
+# sparse factor is built.  The caller reads 791 MiB after level 10's
 # assemble stage and 817 MiB after its norms; the worker's peak is level
 # 10's load on top of the meshes it shares from the fork.  From the 2..9
 # study to the 2..10 one both grew about 3.2x.  Level 11 stays refused

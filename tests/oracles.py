@@ -12,8 +12,11 @@ boundary that the package reads from vertex coordinates, the bounding box
 for the vertex partition that the package slices from the raster, both
 singular terms of the exact solution on every point, ``einsum`` for the
 load's and the volume norms' point maps and sums, and a fresh sparse solve or a
-long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.  The cone helper and ``grid_positions``,
-the vertex raster inverted, are views that only the tests need,
+long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.
+``tri_quadrature`` adds the conical-product triangle rules of any degree
+that the reference loads and the exactness checks integrate with.  The
+cone helper and ``grid_positions``, the vertex raster inverted, are views
+that only the tests need,
 ``holed`` and ``doubled`` build meshes off the grid,
 ``count_grid_builds`` counts the grid solvers a call builds,
 ``traced_peak_mib`` measures what a call allocates, and
@@ -28,6 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.special import roots_jacobi
 
 from signorini_fem import assembly, norms, solver
 from signorini_fem.assembly import (
@@ -38,7 +42,6 @@ from signorini_fem.assembly import (
     element_gradients,
     quadrisect,
     signed_areas,
-    tri_quadrature,
 )
 from signorini_fem.biortho import dual_shape_values
 from signorini_fem.manufactured import REFLECTION_OFFSET
@@ -637,9 +640,35 @@ def _singular_with_gradient(r, theta):
     return _singular_term(r, theta), sq * np.sin(0.5 * theta), sq * np.cos(0.5 * theta)
 
 
-def assemble_load_einsum(mesh: TriMesh, f, degree: int = 4, refine_near=None, split_x=()) -> np.ndarray:
+def tri_quadrature(degree: int = assembly.TRI_DEGREE):
+    """Barycentric points and unit-sum weights of a triangle rule exact to
+    degree: the package's 6-point rule up to its degree, and above it the
+    conical product of Gauss-Jacobi and Gauss-Legendre nodes, which is exact
+    for total degree 2n - 1 with n points per direction."""
+    if degree <= assembly.TRI_DEGREE:
+        return assembly.tri_quadrature()
+    n = (degree + 2) // 2
+    xj, wj = roots_jacobi(n, 1.0, 0.0)
+    xg, wg = np.polynomial.legendre.leggauss(n)
+    x = 0.5 * (xj + 1.0)
+    s = 0.5 * (xg + 1.0)
+    wx = wj / 4.0
+    ws = wg / 2.0
+    X, S = np.meshgrid(x, s, indexing="ij")
+    WX, WS = np.meshgrid(wx, ws, indexing="ij")
+    xi = X.ravel()
+    eta = (1.0 - X).ravel() * S.ravel()
+    w = 2.0 * (WX * WS).ravel()  # unit-sum normalization (reference area 1/2)
+    bary = np.column_stack([1.0 - xi - eta, xi, eta])
+    return bary, w
+
+
+def assemble_load_einsum(
+    mesh: TriMesh, f, degree: int = assembly.TRI_DEGREE, refine_near=None, split_x=()
+) -> np.ndarray:
     """``assembly.assemble_load`` with its points mapped and its products
-    summed by ``einsum``."""
+    summed by ``einsum``, with ``tri_quadrature(degree)``: at the default
+    degree the package's rule, above it a reference load."""
     bary, w = tri_quadrature(degree)
     coords = mesh.vertices[mesh.triangles]
     area = signed_areas(coords)
@@ -695,7 +724,7 @@ def volume_errors_einsum(mesh: TriMesh, u_values: np.ndarray, sol, max_depth: in
     exact solution evaluated by separate ``u`` and ``grad_u`` calls; with
     graded=False every piece near a transmission point splits down to
     max_depth, the uniform rule the grading is checked against."""
-    bary, w = tri_quadrature(norms.VOLUME_DEGREE)
+    bary, w = tri_quadrature()
     c0, g = norms._affine_data(mesh.vertices[mesh.triangles], u_values[mesh.triangles])
     tps = np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]])
 

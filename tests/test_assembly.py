@@ -21,6 +21,7 @@ from oracles import (
     split_by_lines,
     square_patch,
     traced_peak_mib,
+    tri_quadrature,
     unit_right_triangle,
 )
 
@@ -135,11 +136,11 @@ def test_dirichlet_reduced_stiffness_is_spd():
 
 
 def test_quadrature_rules_exact_on_monomials():
-    # reference-triangle integral of l1^i l2^j l3^k is i! j! k! / (i+j+k+2)! * 2A
-    for degree in (4, 7):
-        bary, w = assembly.tri_quadrature(degree)
+    # reference-triangle integral of l1^i l2^j l3^k is i! j! k! / (i+j+k+2)! * 2A:
+    # the package's rule and the oracle's conical product of degree 7
+    for degree, (bary, w) in ((assembly.TRI_DEGREE, assembly.tri_quadrature()), (7, tri_quadrature(7))):
         assert np.isclose(w.sum(), 1.0, rtol=1e-14)
-        for (i, j, k) in [(1, 0, 0), (2, 1, 0), (2, 2, 0), (1, 1, 2), (4, 0, 0), (2, 1, 1)]:
+        for (i, j, k) in [(1, 0, 0), (2, 1, 0), (2, 2, 0), (1, 1, 2), (4, 0, 0), (2, 1, 1), (3, 2, 2), (7, 0, 0), (5, 1, 1)]:
             if i + j + k > degree:
                 continue
             val = np.sum(w * bary[:, 0] ** i * bary[:, 1] ** j * bary[:, 2] ** k)
@@ -167,8 +168,8 @@ def test_load_zero_density():
 
 def test_load_degree4_vs_degree7(sol):
     m = msh.mesh_at_level(4)
-    l4 = assembly.assemble_load(m, sol.rhs, degree=4, split_x=sol.load_split_x)
-    l7 = assembly.assemble_load(m, sol.rhs, degree=7, split_x=sol.load_split_x)
+    l4 = assembly.assemble_load(m, sol.rhs, split_x=sol.load_split_x)
+    l7 = assemble_load_einsum(m, sol.rhs, 7, split_x=sol.load_split_x)
     assert np.abs(l4 - l7).max() <= 1e-3 * np.abs(l7).max()
 
 
@@ -176,16 +177,16 @@ def test_load_split_lines_matter(sol):
     # the volume load jumps across the cut-off lines; splitting the cells
     # reproduces a high-degree reference, the plain rule does not
     m = msh.mesh_at_level(4)
-    ref = assembly.assemble_load(m, sol.rhs, degree=16, split_x=sol.load_split_x)
-    split = assembly.assemble_load(m, sol.rhs, degree=4, split_x=sol.load_split_x)
-    plain = assembly.assemble_load(m, sol.rhs, degree=4)
+    ref = assemble_load_einsum(m, sol.rhs, 16, split_x=sol.load_split_x)
+    split = assembly.assemble_load(m, sol.rhs, split_x=sol.load_split_x)
+    plain = assembly.assemble_load(m, sol.rhs)
     assert np.abs(split - ref).max() < 1e-6
     assert np.abs(plain - ref).max() > 1e-4
 
 
 def _load_oracle(m, f, degree, refine_near, split_x):
     """Per-triangle load assembly: cut, quadrisect and scatter one cell at a time."""
-    bary, w = assembly.tri_quadrature(degree)
+    bary, w = tri_quadrature(degree)
     grads, _ = assembly.element_gradients(m.vertices[m.triangles])
     points, radius = refine_near
     load = np.zeros(m.num_vertices)
@@ -267,8 +268,8 @@ def test_load_polynomial_exactness():
     def poly(x, y):
         return x**3 - 2.0 * x * y + y**2 + 1.0
 
-    l4 = assembly.assemble_load(m, poly, degree=4)
-    l9 = assembly.assemble_load(m, poly, degree=9)
+    l4 = assembly.assemble_load(m, poly)
+    l9 = assemble_load_einsum(m, poly, 9)
     assert np.allclose(l4, l9, rtol=1e-13)
 
 

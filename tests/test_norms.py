@@ -279,9 +279,9 @@ def _multiplier_l2_oracle(tm, hat, flux, kinks):
     return np.sqrt(_trace_integral_oracle(lambda s, e: (flux(s) - np.interp(s, tm.x, hat)) ** 2, tm.x, kinks))
 
 
-def _volume_errors_oracle(mesh, u_values, sol, max_depth=6, degree=4):
+def _volume_errors_oracle(mesh, u_values, sol, max_depth=6):
     """Per-triangle depth-first quadrisection with scalar geometry."""
-    bary, w = tri_quadrature(degree)
+    bary, w = tri_quadrature()
     grads, _ = element_gradients(mesh.vertices[mesh.triangles])
     vals = u_values[mesh.triangles]
     g = np.einsum("tdk,tk->td", grads, vals)

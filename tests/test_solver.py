@@ -157,10 +157,10 @@ def oracle_cases():
 
 
 @pytest.mark.parametrize("level, obstacle", oracle_cases())
-def test_solve_vi_equals_the_full_space_oracle_bitwise(level, obstacle, sol):
-    # the name is older than the grid solver: the oracle's every step is a
-    # SuperLU solve, solve_vi's a DST-I solve refined against the same
-    # stiffness, so they agree to rounding (at most 4e-14 up to level 7)
+def test_solve_vi_equals_the_full_space_oracle_to_rounding(level, obstacle, sol):
+    # the oracle's every step is a SuperLU solve, solve_vi's a DST-I solve
+    # refined against the same stiffness, so they agree to rounding (at most
+    # 4e-14 up to level 7)
     if isinstance(obstacle, int):
         mesh, tmap, system, g = seeded_contact_problem(level, obstacle)
     else:

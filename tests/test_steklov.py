@@ -214,6 +214,26 @@ def test_blocked_stencil_check_refuses_a_moved_entry_in_any_block(monkeypatch, c
         GridPoisson(m, stiffness)
 
 
+@pytest.mark.parametrize("cells_per_block", [1, assembly.ROW_BLOCK])
+def test_blocked_stencil_check_refuses_an_entry_far_outside_its_block(monkeypatch, cells_per_block):
+    # a block numbers its rows and n cells on either side; an entry between
+    # raster rows 0 and ny - 1 of level 5, 31 rows apart, lies outside that
+    # window in blocks of one row, and inside it in one block
+    monkeypatch.setattr(assembly, "ROW_BLOCK", cells_per_block)
+    m = mesh_at_level(5)
+    A = assemble_stiffness(m)
+    cells = msh.vertex_raster(m)[:-1, 1:-1]
+    ny, n = cells.shape
+    hx, hy = np.ptp(m.vertices, axis=0) / (n + 1, ny)
+    delta = 1e-6 * (hy / hx + hx / hy)
+    one_way = sp.coo_matrix(([delta], ([cells[0, 3]], [cells[-1, 40]])), shape=A.shape)
+    for moved in (perturbed(A, cells[0, 3], cells[-1, 40], delta), (A + one_way).tocsr(), (A + one_way.T).tocsr()):
+        with pytest.raises(SolverError, match="five-point stencil"):
+            check_stencil_unblocked(m, moved)
+        with pytest.raises(SolverError, match="five-point stencil"):
+            GridPoisson(m, moved)
+
+
 def test_grid_refuses_a_mesh_with_an_interior_vertex_missing():
     # the vertex and its six triangles go; the hole leaves one cell empty
     m = mesh_at_level(3)
@@ -251,6 +271,42 @@ def test_fill_refines_against_the_assembled_stiffness():
         w, _ = grid.fill(np.zeros(m.num_vertices), load, free=free)
         rows = np.concatenate([grid.interior, tm.multiplier_vertices[free]])
         assert np.linalg.norm((load - A @ w)[rows]) <= 1e-13 * np.linalg.norm(load[rows])
+
+
+def test_fill_of_a_constant_load_at_level_10_meets_its_backward_error():
+    # a constant interior load with zero Dirichlet data: the refinement ends
+    # with a residual 2.4e-11 of the starting one, a backward error of
+    # 0.27 eps
+    m = mesh_at_level(10)
+    grid = GridPoisson(m, assemble_stiffness(m))
+    load = np.zeros(m.num_vertices)
+    load[grid.interior] = 1.0
+    w, r = grid.fill(np.zeros(m.num_vertices), load)
+    res = np.linalg.norm(r[grid.interior])
+    assert 1e-11 * np.sqrt(grid.interior.shape[0]) < res
+    eta = res / (np.finfo(float).eps * (grid._stiffness_norm * np.linalg.norm(w) + np.linalg.norm(load)))
+    assert eta <= 1.0 < assembly._FILL_BACKWARD
+
+
+def test_fill_whose_refinement_diverges_raises():
+    # one eigenvalue of the grid solve negated: its mode grows by about 2 at
+    # every step, so the residual never falls.  Scaled by 1 + 1e-6 or by 1.5
+    # it still converges; at 1.5 the mode falls by 1/3 a step, and the
+    # twenty steps end at 37 eps
+    m = mesh_at_level(6)
+    tm = trace_map(m)
+    grid = GridPoisson(m, assemble_stiffness(m))
+    load = np.random.default_rng(6).standard_normal(m.num_vertices)
+    free = np.zeros(tm.num_multipliers, dtype=bool)
+    free[::2] = True
+    for scale in (1.0 + 1e-6, 1.5):
+        grid._eig[0, 0] *= scale
+        grid.fill(np.zeros(m.num_vertices), load, free=free)
+        grid._eig[0, 0] /= scale
+    grid._eig[0, 0] *= -1.0
+    for f in (None, free):
+        with pytest.raises(SolverError, match="exceeds contract"):
+            grid.fill(np.zeros(m.num_vertices), load, free=f)
 
 
 @pytest.mark.parametrize("level", [3, 5])
