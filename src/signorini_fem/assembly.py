@@ -12,8 +12,9 @@ refinements where the integrand is not smooth: cells crossed by a known
 vertical jump or kink line of the load are cut along it, and cells within
 2h of a transmission point get one extra quadrisection to control the
 square-root kink there.  Regular cells are evaluated in chunks of whole
-cells; all cut and quadrisected pieces are gathered into one batch, so the
-load is evaluated once per chunk and scattered once.  The closed-form load
+cells; the special cells, crossed or near, go through one clipping pass,
+and all their pieces are gathered into one batch, so the load is
+evaluated once per chunk and scattered once.  The closed-form load
 evaluates each singular term only on its cut-off's support; the points
 are mapped and the rule's products summed coordinate by coordinate, in
 the order ``einsum`` would.  Assembly is serial and deterministic:
@@ -51,11 +52,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .mesh import TriMesh, TraceMap, cells_near, corner_range, signed_areas, vertex_raster
-
-#: Triangles per batch of load and volume-norm evaluations, which bounds the
-#: memory of fine levels.
-TRIANGLE_CHUNK = 1 << 16
+from .mesh import TRIANGLE_CHUNK, TriMesh, TraceMap, cells_near, corner_range, signed_areas, vertex_raster
 
 #: Matrix rows per block of the stiffness build and of its stencil check,
 #: which bounds their transients on fine levels.
@@ -360,8 +357,10 @@ def _split_by_lines(coords: np.ndarray, lines) -> tuple[np.ndarray, np.ndarray]:
     or an area of at most 1e-30 are dropped.  Each polygon then fans out
     from its first vertex.  Returns (pieces, owner): the (p, 3, 2)
     sub-triangles, those of each triangle together and in that order, and
-    the index into coords each came from.  Used where the integrand is
-    smooth on either side of a line but not across.
+    the index into coords each came from.  A triangle that no line crosses
+    comes back whole and in place, its corners bit for bit; an empty batch
+    gives no pieces.  Used where the integrand is smooth on either side of
+    a line but not across.
     """
     poly = np.asarray(coords, dtype=float)
     count = np.full(poly.shape[0], 3)
@@ -413,7 +412,11 @@ def assemble_load(
     crossed triangles are cut along them and integrated piecewise, keeping
     the fixed rule accurate for piecewise-smooth loads.  refine_near, if
     given, is (points, radius): triangles whose closure lies within radius
-    of one of the points get one extra quadrisection of the rule.
+    of one of the points get one extra quadrisection of the rule.  Regular
+    triangles are summed per ``TRIANGLE_CHUNK``.  The special ones, near or
+    crossed, go through one ``_split_by_lines`` pass, which returns an
+    uncrossed one whole; the pieces of the near ones are quadrisected, and
+    every piece is summed against its triangle's hat functions.
     """
     bary, w = tri_quadrature()
     coords = mesh.vertices[mesh.triangles]
@@ -437,22 +440,15 @@ def assemble_load(
         contrib = _weighted_sums(vals, w, bary) * area[sel, None]
         np.add.at(load, mesh.triangles[sel].ravel(), contrib.ravel())
 
+    # every cut or quadrisected piece with the triangle it belongs to, by
+    # triangle; a special cell that no line crosses comes back whole
     special_idx = np.flatnonzero(special)
-    if not special_idx.size:
-        return load
-    # every cut or quadrisected piece with the triangle it belongs to, by triangle
-    crossed = np.flatnonzero(crossing)
-    cut, owner = _split_by_lines(coords[crossed], split_x)
-    whole = np.flatnonzero(special & ~crossing)
-    parent = np.concatenate([whole, crossed[owner]])
-    order = np.argsort(parent, kind="stable")
-    pieces = np.concatenate([coords[whole], cut])[order]
-    parent = parent[order]
+    pieces, owner = _split_by_lines(coords[special_idx], split_x)
+    parent = special_idx[owner]
     refined = near[parent]
-    if np.any(refined):
-        children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
-        pieces = np.concatenate([pieces[~refined], children])
-        parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
+    children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
+    pieces = np.concatenate([pieces[~refined], children])
+    parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
     for start in range(0, pieces.shape[0], TRIANGLE_CHUNK):
         sub = pieces[start : start + TRIANGLE_CHUNK]
         owner = parent[start : start + TRIANGLE_CHUNK]

@@ -35,6 +35,10 @@ HEIGHT = 0.5
 _NX0 = 4
 _NY0 = 2
 
+#: Triangles per batch of the mesh size, the stiffness's element matrices,
+#: the load and the volume norms, which bounds the memory of fine levels.
+TRIANGLE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TriMesh:
@@ -63,17 +67,20 @@ class TriMesh:
         return self.triangles.shape[0]
 
     def max_edge_length(self) -> float:
-        """Mesh size h: the maximal edge length over all triangles."""
+        """Mesh size h: the maximal edge length over all triangles, their
+        corners gathered per ``TRIANGLE_CHUNK``; a maximum and a square root
+        round the same in any order, so h has the bits of one pass."""
         return self._max_edge_length
 
     # cached_property writes the instance dict, which a frozen dataclass allows
     @functools.cached_property
     def _max_edge_length(self) -> float:
-        p = self.vertices[self.triangles]
         h = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            d = p[:, i] - p[:, j]
-            h = max(h, float(np.sqrt(np.max(d[:, 0] ** 2 + d[:, 1] ** 2))))
+        for start in range(0, self.num_triangles, TRIANGLE_CHUNK):
+            p = self.vertices[self.triangles[start : start + TRIANGLE_CHUNK]]
+            for i, j in ((0, 1), (1, 2), (2, 0)):
+                d = p[:, i] - p[:, j]
+                h = max(h, float(np.sqrt(np.max(d[:, 0] ** 2 + d[:, 1] ** 2))))
         return h
 
     @functools.cached_property

@@ -27,7 +27,6 @@ import numpy as np
 
 from .assembly import (
     TRI_DEGREE,
-    TRIANGLE_CHUNK,
     _dst1,
     element_gradients,
     map_points,
@@ -37,7 +36,7 @@ from .assembly import (
     tri_quadrature,
 )
 from .biortho import postprocess_multiplier
-from .mesh import TriMesh, TraceMap, cells_near, signed_areas, trace_grid
+from .mesh import TRIANGLE_CHUNK, TriMesh, TraceMap, cells_near, signed_areas, trace_grid
 
 #: Quadrisection depth of the volume norms near the transmission points.
 VOLUME_DEPTH = 6

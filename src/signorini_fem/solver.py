@@ -105,20 +105,21 @@ def solve_vi(
     g is the obstacle at the multiplier DOFs (scalar or per-DOF array;
     affine obstacles are supported through the array form); as in ``pdas``,
     a non-finite one or max_iter < 1 raises ValueError, here before any
-    fill.  Dirichlet data
-    are the nodal values of sol on Gamma_D; sol is read only to assemble
-    the system when none is given.  The solve is trace first: PDAS runs
-    from the empty active set on (sigma, nu) of ``condense_system``, and
-    the full-space PDAS then starts from the set it returns.  A full-space
-    step is ``system.fill`` of g on the active DOFs, which raises
-    SolverError past its residual contract; the residual it returns gives
-    the active multipliers and, less B lambda, ``residual``.  So u and
-    lambda are those of the full-space system, whatever set the trace
-    stage hands on.  ``iterations`` counts the steps of both stages.  Each
-    stage takes at least one step and at most max_iter; a trace stage that
-    does not converge still hands on its last set.  warm_start=True raises
-    ValueError: the solver does not read the contact interval of the exact
-    solution.
+    fill.  Dirichlet data are the nodal values of sol on Gamma_D; sol is
+    read only to assemble the system when none is given.  The solve is
+    trace first: PDAS runs from the empty active set on (sigma, nu) of
+    ``condense_system``, and the full-space PDAS then starts from the set
+    it returns.  A full-space step is ``system.fill`` of g on the active
+    DOFs, which raises SolverError past its residual contract; the
+    residual it returns gives the active multipliers and, less B lambda,
+    ``residual``.  So u and lambda are those of the full-space system,
+    whatever set the trace stage hands on.  ``iterations`` counts the
+    steps of both stages.  Each stage takes at least one step and at most
+    max_iter, and stops early when its active sets cycle (``pdas``).  A
+    trace stage that does not converge still hands on its last set; a
+    full-space stage that does not raises SolverError, which names the
+    cycle if there is one.  warm_start=True raises ValueError: the solver
+    does not read the contact interval of the exact solution.
     """
     if warm_start:
         raise ValueError("warm_start=True is gone: the solver no longer reads the exact contact interval")
@@ -138,7 +139,7 @@ def solve_vi(
         u, r = system.fill(np.where(active, g, 0.0), free=~active)
         return u[trace], np.where(active, r[trace] / D, 0.0)
 
-    active, lam, steps, converged = pdas(solve_fixed, g, D, active, max_iter)
+    active, lam, steps, converged, cycle = pdas(solve_fixed, g, D, active, max_iter)
     r[trace] -= lam * D  # the saddle residual F - A u - B lambda
     solution = VISolution(
         u=FeFunction(u),
@@ -147,6 +148,12 @@ def solve_vi(
         iterations=trace_steps + steps,
         residual=float(np.max(np.abs(r[system.free_mask]))),
     )
+    if cycle:
+        raise SolverError(
+            f"full-space PDAS did not converge: its active set cycles, step {steps} leads back to the set"
+            f" of step {steps + 1 - cycle}, a cycle of {cycle} sets",
+            solution,
+        )
     if not converged:
         raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations", solution)
     return solution
@@ -159,19 +166,27 @@ def pdas(solve_fixed, g: np.ndarray, D: np.ndarray, active: np.ndarray, max_iter
     active DOFs and the multiplier zero off them, and returns the trace
     values t and the multiplier lam.  The next active set is
     { j : lam_j + (t_j - g_j) / D_j > 0 }; the iteration has converged
-    when it repeats.  Returns (active, lam, iterations, converged), where
-    lam is the last step's multiplier and active the set that follows it.
-    An obstacle with a NaN or infinite entry, or max_iter < 1, raises
-    ValueError before the first step (``_check_pdas_input``).
+    when it repeats.  It stops unconverged after max_iter steps, or at a
+    cycle: a next set that equals one solved before the current step.
+    Returns (active, lam, iterations, converged, cycle), where lam is the
+    last step's multiplier, active the set that follows it and cycle the
+    number of sets in the cycle, 0 if none was found.  An obstacle with a
+    NaN or infinite entry, or max_iter < 1, raises ValueError before the
+    first step (``_check_pdas_input``).
     """
     _check_pdas_input(g, max_iter)
+    solved = {}  # the step that solved each set, keyed by the set's bytes
     for iterations in range(1, max_iter + 1):
         t, lam = solve_fixed(active)
+        solved[active.tobytes()] = iterations
         new_active = (lam + (t - g) / D) > 0.0
         if np.array_equal(new_active, active):
-            return active, lam, iterations, True
+            return active, lam, iterations, True, 0
         active = new_active
-    return active, lam, iterations, False
+        first = solved.get(active.tobytes())
+        if first is not None:
+            return active, lam, iterations, False, iterations + 1 - first
+    return active, lam, iterations, False, 0
 
 
 def _check_pdas_input(g: np.ndarray, max_iter: int) -> None:
@@ -189,8 +204,9 @@ def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, 
 
     The multiplier of trace values t is lambda = nu - sigma t.  Each step
     fixes t = g on the active set and solves the inactive rows of
-    lambda = 0 densely.  Returns (t, lam, active, iterations, converged)
-    as ``pdas`` does, with t the last step's trace values.
+    lambda = 0 densely; on an all-active set that is a solve of no
+    unknowns.  Returns (t, lam, active, iterations, converged) as ``pdas``
+    does, with t the last step's trace values.
     """
     n = nu.shape[0]
     t = np.zeros(n)
@@ -198,14 +214,13 @@ def dense_pdas(sigma: np.ndarray, nu: np.ndarray, g: np.ndarray, D: np.ndarray, 
     def solve_fixed(active):
         inact = ~active
         t[active] = g[active]
-        if np.any(inact):
-            rhs = nu[inact] - sigma[np.ix_(inact, active)] @ t[active]
-            t[inact] = np.linalg.solve(sigma[np.ix_(inact, inact)], rhs)
+        rhs = nu[inact] - sigma[np.ix_(inact, active)] @ t[active]
+        t[inact] = np.linalg.solve(sigma[np.ix_(inact, inact)], rhs)
         lam = np.zeros(n)
         lam[active] = nu[active] - sigma[active] @ t
         return t, lam
 
-    active, lam, iterations, converged = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), max_iter)
+    active, lam, iterations, converged, _ = pdas(solve_fixed, g, D, np.zeros(n, dtype=bool), max_iter)
     return t, lam, active, iterations, converged
 
 

@@ -11,8 +11,9 @@ potential and the consistency flux are computed, edge lists for the
 boundary that the package reads from vertex coordinates, the bounding box
 for the vertex partition that the package slices from the raster, both
 singular terms of the exact solution on every point, ``einsum`` for the
-load's and the volume norms' point maps and sums, and a fresh sparse solve or a
-long-double tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.
+load's and the volume norms' point maps and sums, two paths for the
+load's special cells, and a fresh sparse solve or a long-double
+tridiagonal one, on the 1D Gram matrices, per H^-1 dual norm.
 ``tri_quadrature`` adds the conical-product triangle rules of any degree
 that the reference loads and the exactness checks integrate with.  The
 cone helper and ``grid_positions``, the vertex raster inverted, are views
@@ -35,7 +36,6 @@ from scipy.special import roots_jacobi
 
 from signorini_fem import assembly, norms, solver
 from signorini_fem.assembly import (
-    TRIANGLE_CHUNK,
     FeFunction,
     FeSystem,
     assemble_stiffness,
@@ -46,6 +46,7 @@ from signorini_fem.assembly import (
 from signorini_fem.biortho import dual_shape_values
 from signorini_fem.manufactured import REFLECTION_OFFSET
 from signorini_fem.mesh import (
+    TRIANGLE_CHUNK,
     TraceMap,
     TriMesh,
     build_initial,
@@ -218,6 +219,16 @@ def check_stencil_unblocked(mesh: TriMesh, stiffness) -> None:
         raise SolverError("the stiffness is not the five-point stencil of its grid")
 
 
+def max_edge_length_in_one_piece(mesh: TriMesh) -> float:
+    """``TriMesh.max_edge_length`` with every triangle's corners gathered at once."""
+    p = mesh.vertices[mesh.triangles]
+    h = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        d = p[:, i] - p[:, j]
+        h = max(h, float(np.sqrt(np.max(d[:, 0] ** 2 + d[:, 1] ** 2))))
+    return h
+
+
 def traced_peak_mib(fn, *args):
     """fn(*args) and the peak of the memory it allocated, in MiB, as
     ``tracemalloc`` counts it: numpy's arrays, not memory live before."""
@@ -359,7 +370,7 @@ def full_space_vi(system: FeSystem, g=0.0, max_iter: int = 100) -> VISolution:
         return u[trace], lam
 
     start = np.zeros(n_mult, dtype=bool)
-    active, lam, iterations, converged = pdas(solve_fixed, g, D, start, max_iter)
+    active, lam, iterations, converged, _ = pdas(solve_fixed, g, D, start, max_iter)
     if not converged:
         raise SolverError(f"full-space PDAS did not converge within {max_iter} iterations")
     r = F - A @ u
@@ -668,7 +679,9 @@ def assemble_load_einsum(
 ) -> np.ndarray:
     """``assembly.assemble_load`` with its points mapped and its products
     summed by ``einsum``, with ``tri_quadrature(degree)``: at the default
-    degree the package's rule, above it a reference load."""
+    degree the package's rule, above it a reference load.  Its special
+    cells take two paths, the uncrossed ones whole and the crossed ones
+    clipped, merged by a stable sort on the triangle."""
     bary, w = tri_quadrature(degree)
     coords = mesh.vertices[mesh.triangles]
     area = signed_areas(coords)

@@ -214,13 +214,31 @@ def test_batched_load_matches_per_triangle_oracle(sol, level):
     assert np.abs(load - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
-@pytest.mark.parametrize("level", [2, 3, 4, 5, 6, 7])
-def test_load_equals_the_einsum_load_of_the_unmasked_formulas_bitwise(sol, level):
-    # support masks, blocks and the per-coordinate point mapping move no bit
+@pytest.mark.parametrize(
+    "level, cells",
+    [pytest.param(level, "both", id=str(level)) for level in range(2, 8)]
+    + [
+        pytest.param(level, cells, id=f"{level}-{cells}")
+        for cells in ("near", "crossed", "uncrossed")
+        for level in range(2, 8)
+    ],
+)
+def test_load_equals_the_einsum_load_of_the_unmasked_formulas_bitwise(sol, level, cells):
+    # support masks, blocks and the per-coordinate point mapping move no bit;
+    # the oracle sends near cells and crossed cells down separate paths, so
+    # the one clipping pass is checked against them with only near cells,
+    # only crossed ones, and lines that cross no cell
     m = msh.mesh_at_level(level)
     refine_near = (np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]]), 2.0 * m.max_edge_length())
-    load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=sol.load_split_x)
-    oracle = assemble_load_einsum(m, ExactOracle(sol).rhs, refine_near=refine_near, split_x=sol.load_split_x)
+    split_x = sol.load_split_x
+    if cells == "near":
+        split_x = ()
+    elif cells == "crossed":
+        refine_near = None
+    elif cells == "uncrossed":
+        split_x = (-0.25, 0.0, msh.WIDTH + 0.25)
+    load = assembly.assemble_load(m, sol.rhs, refine_near=refine_near, split_x=split_x)
+    oracle = assemble_load_einsum(m, ExactOracle(sol).rhs, refine_near=refine_near, split_x=split_x)
     assert np.array_equal(load, oracle)
 
 

@@ -11,8 +11,10 @@ from oracles import (
     boundary_edges,
     boundary_sets,
     grid_positions,
+    max_edge_length_in_one_piece,
     refine_loop,
     square_patch,
+    traced_peak_mib,
     unit_right_triangle,
 )
 
@@ -155,6 +157,35 @@ def test_mesh_size_exact_halving():
         # float equality of the constructed coordinates)
         assert np.isclose(2.0 * h[k], h[k - 1], rtol=1e-14, atol=0.0)
         assert np.isclose(h[k], h[0] / 2**k, rtol=1e-13, atol=0.0)
+
+
+def test_mesh_size_in_blocks_equals_the_one_piece_size_bitwise():
+    # a maximum and a square root round the same in any order; levels 8 and
+    # up have 4 to 64 blocks
+    m = msh.build_initial()
+    for level in range(1, 11):
+        if level > 1:
+            m = msh.refine(m)
+        assert m.max_edge_length() == max_edge_length_in_one_piece(m), level
+
+
+@pytest.mark.parametrize("chunk", [1, 5, msh.TRIANGLE_CHUNK])
+@pytest.mark.parametrize(
+    "make",
+    [square_patch, unit_right_triangle, lambda: (msh.mesh_at_level(3),)],
+    ids=["square_patch", "unit_right_triangle", "level_3"],
+)
+def test_mesh_size_of_small_meshes_in_any_blocks_equals_the_one_piece_size(make, chunk, monkeypatch):
+    monkeypatch.setattr(msh, "TRIANGLE_CHUNK", chunk)
+    m = make()[0]
+    assert m.max_edge_length() == max_edge_length_in_one_piece(m)
+
+
+def test_mesh_size_allocates_at_most_16_mib_at_level_9():
+    # 80 MiB with every triangle's corners at once
+    m = msh.mesh_at_level(9)
+    _, peak = traced_peak_mib(m.max_edge_length)
+    assert peak <= 16.0
 
 
 def test_trace_map_counts_and_order():

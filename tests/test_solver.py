@@ -391,6 +391,73 @@ def test_nonconvergence_carries_iterate(sol):
     assert excinfo.value.solution.iterations == 2
 
 
+def test_pdas_stops_at_a_cycle_of_two_sets():
+    # lam > 0 exactly off the active set, and t = g: each set is followed
+    # by its complement, so the third set would be the first
+    g, D = np.zeros(3), np.ones(3)
+    solved = []
+
+    def solve_fixed(active):
+        solved.append(active.copy())
+        return np.zeros(3), np.where(active, -1.0, 1.0)
+
+    start = np.array([True, False, False])
+    active, lam, iterations, converged, cycle = solver.pdas(solve_fixed, g, D, start, 100)
+    assert (iterations, converged, cycle) == (2, False, 2)
+    assert len(solved) == 2
+    assert np.array_equal(active, start)
+    assert np.array_equal(lam, [1.0, -1.0, -1.0])
+
+
+def test_a_cycling_full_space_stage_names_its_cycle(sol, monkeypatch):
+    # the fake fill leaves the inactive trace above the obstacle g = 0 and
+    # gives the active DOFs the multiplier -1, so each full-space set is
+    # followed by its complement.  Its zero-trace residual gives nu = -1,
+    # on which the trace stage ends on the empty set
+    mesh, tmap, system = make_problem(2, sol)
+    trace = system.trace_dofs
+
+    def fill(self, z, free=None):
+        u = np.zeros(mesh.num_vertices)
+        r = np.zeros(mesh.num_vertices)
+        u[trace] = 1.0 if free is None else np.where(free, 1.0, 0.0)
+        r[trace] = -self.lumped_mass
+        return u, r
+
+    monkeypatch.setattr(type(system), "fill", fill)
+    message = r"did not converge: its active set cycles, step 2 leads back to the set of step 1, a cycle of 2 sets"
+    with pytest.raises(SolverError, match=message) as excinfo:
+        solve_vi(mesh, tmap, sol, system=system, max_iter=100)
+    # one trace step, then two full-space steps
+    assert excinfo.value.solution.iterations == 3
+    assert not np.any(excinfo.value.solution.active)
+
+
+@pytest.mark.parametrize("level", [2, 4, 6])
+def test_dense_pdas_with_every_dof_active(level, sol):
+    # the inactive block is 0 x 0: t = g and lam = nu - sigma g
+    _, _, system = make_problem(level, sol)
+    sigma, nu = condense_system(system)
+    g = np.full(nu.shape[0], -1e6)
+    t, lam, active, iterations, converged = solver.dense_pdas(sigma, nu, g, system.lumped_mass, 100)
+    assert converged and np.all(active) and iterations == 2
+    assert np.array_equal(t, g)
+    assert np.allclose(lam, nu - sigma @ g, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("level", [2, 4, 6])
+def test_dense_pdas_with_no_dof_active(level, sol):
+    # the active block is empty: one solve of sigma t = nu, and lam = 0
+    _, _, system = make_problem(level, sol)
+    sigma, nu = condense_system(system)
+    g = np.full(nu.shape[0], 1e6)
+    t, lam, active, iterations, converged = solver.dense_pdas(sigma, nu, g, system.lumped_mass, 100)
+    assert converged and not np.any(active) and iterations == 1
+    assert np.array_equal(lam, np.zeros(nu.shape[0]))
+    ref = np.linalg.solve(sigma, nu)
+    assert np.abs(t - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_no_step_is_refused_before_any_fill(sol, max_iter, monkeypatch):
     # a solve of no step would have no fill's iterate to return
