@@ -2,19 +2,21 @@
 quadrature rules the norms share.
 
 The stiffness integral is exact (piecewise-constant gradients).  The CSR is
-built in blocks of ``ROW_BLOCK`` rows, without the global COO matrix of every
-element entry: a block lists each of its rows' entries in the COO's (triangle,
-i, j) order, which scipy's ``coo_tocsr`` keeps per row, and runs scipy's own
-``sum_duplicates``, which sorts and sums every row on its own, so the blocks
-stacked are the COO's CSR bit for bit.  The load is
+built in blocks of ``TRIANGLE_CHUNK`` rows, without the global COO matrix of
+every element entry: a block lists each of its rows' entries in the COO's
+(triangle, i, j) order, which scipy's ``coo_tocsr`` keeps per row, and runs
+scipy's own ``sum_duplicates``, which sorts and sums every row on its own, so
+the blocks stacked are the COO's CSR bit for bit.  The load is
 integrated with a fixed symmetric triangle rule of degree 4, with two
 refinements where the integrand is not smooth: cells crossed by a known
 vertical jump or kink line of the load are cut along it, and cells within
 2h of a transmission point get one extra quadrisection to control the
-square-root kink there.  Regular cells are evaluated in chunks of whole
-cells; the special cells, crossed or near, go through one clipping pass,
-and all their pieces are gathered into one batch, so the load is
-evaluated once per chunk and scattered once.  The closed-form load
+square-root kink there.  The load walks the cells per chunk to mark the
+special ones, crossed or near, and gathers every cell's corners per chunk:
+no float array spans the mesh.  Regular cells are evaluated in chunks of
+whole cells; the special cells go through one clipping pass, and all their
+pieces are gathered into one batch, so the load is evaluated once per
+chunk and scattered once.  The closed-form load
 evaluates each singular term only on its cut-off's support; the points
 are mapped and the rule's products summed coordinate by coordinate, in
 the order ``einsum`` would.  Assembly is serial and deterministic:
@@ -53,10 +55,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .mesh import TRIANGLE_CHUNK, TriMesh, TraceMap, cells_near, corner_range, signed_areas, vertex_raster
-
-#: Matrix rows per block of the stiffness build and of its stencil check,
-#: which bounds their transients on fine levels.
-ROW_BLOCK = 1 << 16
 
 #: Degree of ``tri_quadrature``'s rule.
 TRI_DEGREE = 4
@@ -267,7 +265,7 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
     The CSR is bit for bit that of the COO matrix with the element matrix
     entry local[t, i, j] at (tri[t, i], tri[t, j]), listed in (t, i, j)
     order, but no such COO is built: the rows come in blocks of
-    ``ROW_BLOCK`` vertices (``_stiffness_blocks``), stacked.  scipy's
+    ``TRIANGLE_CHUNK`` vertices (``_stiffness_blocks``), stacked.  scipy's
     ``coo_tocsr`` keeps each row's entries in input order, and
     ``sum_duplicates`` sorts each row on its own (an unstable sort, so it
     must see the same sequence) and sums its duplicates in order: a row's
@@ -286,10 +284,11 @@ def assemble_stiffness(mesh: TriMesh) -> sp.csr_matrix:
 
 
 def _stiffness_blocks(mesh: TriMesh):
-    """The stiffness's CSR blocks of ``ROW_BLOCK`` rows, in order.
+    """The stiffness's CSR blocks of ``TRIANGLE_CHUNK`` rows, in order.
 
-    The element matrices are computed per ``TRIANGLE_CHUNK`` into one
-    array.  A block's rows take their entries from the triangle corners at
+    The element matrices are computed per ``TRIANGLE_CHUNK`` triangles into
+    one array over the mesh, as a block's rows gather corners from anywhere
+    in it.  A block's rows take their entries from the triangle corners at
     its vertices, in increasing corner f = 3 t + i: corner f holds row
     tri[t, i]'s entries local[t, i, j] in columns tri[t, j].
     """
@@ -302,8 +301,8 @@ def _stiffness_blocks(mesh: TriMesh):
         np.multiply(np.einsum("tdi,tdj->tij", grads, grads), area[:, None, None], out=local[part])
     local = local.reshape(-1, 3)
     corners, start = _corners_by_vertex(tri, n)
-    for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
+    for lo in range(0, n, TRIANGLE_CHUNK):
+        hi = min(lo + TRIANGLE_CHUNK, n)
         f = corners[start[lo] : start[hi]]
         # np.take, as fancy indexing of rows is about 3x slower
         block = sp.csr_matrix(
@@ -412,55 +411,64 @@ def assemble_load(
     crossed triangles are cut along them and integrated piecewise, keeping
     the fixed rule accurate for piecewise-smooth loads.  refine_near, if
     given, is (points, radius): triangles whose closure lies within radius
-    of one of the points get one extra quadrisection of the rule.  Regular
-    triangles are summed per ``TRIANGLE_CHUNK``.  The special ones, near or
-    crossed, go through one ``_split_by_lines`` pass, which returns an
-    uncrossed one whole; the pieces of the near ones are quadrisected, and
-    every piece is summed against its triangle's hat functions.
+    of one of the points get one extra quadrisection of the rule.
+
+    The triangles are walked per ``TRIANGLE_CHUNK``, each chunk gathering
+    its own corners, to fill two one-byte masks: near, and special (near or
+    crossed).  The regular triangles are then gathered and summed in
+    batches of ``TRIANGLE_CHUNK``.  The special ones, their corners
+    gathered once, go through one ``_split_by_lines`` pass, which returns
+    an uncrossed one whole; the pieces of the near ones are quadrisected,
+    and every piece is summed against its triangle's hat functions.  Every
+    evaluator is pointwise and each contribution depends on its own cell
+    only, so the blocks move no bit: the load is scattered regular cells
+    first, in index order, then the special pieces in order.
     """
     bary, w = tri_quadrature()
-    coords = mesh.vertices[mesh.triangles]
-    area = signed_areas(coords)
+    tri = mesh.triangles
     load = np.zeros(mesh.num_vertices)
 
-    if refine_near is None:
-        near = np.zeros(mesh.num_triangles, dtype=bool)
-    else:
-        near = cells_near(coords, *refine_near)
-    crossing = np.zeros(mesh.num_triangles, dtype=bool)
-    x_lo, x_hi = corner_range(coords[..., 0])
-    for c in split_x:
-        crossing |= (x_lo < c) & (c < x_hi)
-    special = near | crossing
+    near, special = np.zeros((2, mesh.num_triangles), dtype=bool)
+    for start in range(0, mesh.num_triangles, TRIANGLE_CHUNK):
+        part = slice(start, start + TRIANGLE_CHUNK)
+        # np.take, as fancy indexing of rows is about 2x slower
+        corners = np.take(mesh.vertices, tri[part], axis=0)
+        if refine_near is not None:
+            near[part] = cells_near(corners, *refine_near)
+        x_lo, x_hi = corner_range(corners[..., 0])
+        special[part] = near[part]
+        for c in split_x:
+            special[part] |= (x_lo < c) & (c < x_hi)
 
     regular = np.flatnonzero(~special)
     for start in range(0, regular.shape[0], TRIANGLE_CHUNK):
-        sel = regular[start : start + TRIANGLE_CHUNK]
-        vals = f(*map_points(bary, coords[sel]))
-        contrib = _weighted_sums(vals, w, bary) * area[sel, None]
-        np.add.at(load, mesh.triangles[sel].ravel(), contrib.ravel())
+        ids = np.take(tri, regular[start : start + TRIANGLE_CHUNK], axis=0)
+        corners = np.take(mesh.vertices, ids, axis=0)
+        vals = f(*map_points(bary, corners))
+        contrib = _weighted_sums(vals, w, bary) * signed_areas(corners)[:, None]
+        np.add.at(load, ids.ravel(), contrib.ravel())
 
-    # every cut or quadrisected piece with the triangle it belongs to, by
-    # triangle; a special cell that no line crosses comes back whole
+    # every cut or quadrisected piece with the special cell it belongs to,
+    # by cell; a special cell that no line crosses comes back whole
     special_idx = np.flatnonzero(special)
-    pieces, owner = _split_by_lines(coords[special_idx], split_x)
-    parent = special_idx[owner]
-    refined = near[parent]
+    cells = mesh.vertices[tri[special_idx]]
+    pieces, owner = _split_by_lines(cells, split_x)
+    refined = near[special_idx[owner]]
     children = quadrisect(pieces[refined]).reshape(-1, 3, 2)
     pieces = np.concatenate([pieces[~refined], children])
-    parent = np.concatenate([parent[~refined], np.repeat(parent[refined], 4)])
+    owner = np.concatenate([owner[~refined], np.repeat(owner[refined], 4)])
     for start in range(0, pieces.shape[0], TRIANGLE_CHUNK):
         sub = pieces[start : start + TRIANGLE_CHUNK]
-        owner = parent[start : start + TRIANGLE_CHUNK]
+        cell = owner[start : start + TRIANGLE_CHUNK]
         x, y = map_points(bary, sub)
         vals = f(x, y)
-        # parent hat functions at the points, from their affine representation
-        v0 = coords[owner, 0]
-        grads = element_gradients(coords[owner])[0][:, None]  # (p, 1, 2, 3)
+        # the cell's hat functions at the points, from their affine representation
+        v0 = cells[cell, 0]
+        grads = element_gradients(cells[cell])[0][:, None]  # (p, 1, 2, 3)
         hats = (x - v0[:, 0, None])[..., None] * grads[..., 0, :] + (y - v0[:, 1, None])[..., None] * grads[..., 1, :]
         hats[..., 0] += 1.0
         contrib = _weighted_sums(vals, w, hats) * signed_areas(sub)[:, None]
-        np.add.at(load, mesh.triangles[owner].ravel(), contrib.ravel())
+        np.add.at(load, tri[special_idx[cell]].ravel(), contrib.ravel())
     return load
 
 
@@ -506,7 +514,7 @@ def _check_stencil(stiffness, cells: np.ndarray, n: int, a: float, b: float) -> 
     """Raise SolverError unless stiffness, restricted to cells (the raster's
     free cells, row by row, n to a row), is the five-point stencil of the
     grid to ``_STENCIL_RTOL`` (a + b).  Runs in blocks of whole raster rows,
-    about ``ROW_BLOCK`` cells each: a block's stiffness rows minus the
+    about ``TRIANGLE_CHUNK`` cells each: a block's stiffness rows minus the
     stencil's rows, numbered relative to the block.  Its rows and the n
     cells on either side are the first columns; every other entry gets a
     column of its own after them, a zero in a Dirichlet column, so no
@@ -514,7 +522,7 @@ def _check_stencil(stiffness, cells: np.ndarray, n: int, a: float, b: float) -> 
     size = cells.shape[0]
     position = np.full(stiffness.shape[1], -1, dtype=stiffness.indices.dtype)
     position[cells] = np.arange(size)
-    step = max(1, ROW_BLOCK // n) * n
+    step = max(1, TRIANGLE_CHUNK // n) * n
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         rows = stiffness[cells[lo:hi]]  # a copy, changed in place

@@ -36,7 +36,9 @@ _NX0 = 4
 _NY0 = 2
 
 #: Triangles per batch of the mesh size, the stiffness's element matrices,
-#: the load and the volume norms, which bounds the memory of fine levels.
+#: the load and the volume norms, and matrix rows per block of the
+#: stiffness build and of its stencil check: the one block size, which
+#: bounds the memory of fine levels.
 TRIANGLE_CHUNK = 1 << 16
 
 

@@ -53,14 +53,14 @@ from .steklov import exact_trace_values
 
 log = logging.getLogger(__name__)
 
-# The 2..10 study peaked at 817 MiB RSS in the calling process and 679 MiB
-# in the worker, two runs on a 7.8 GiB host (BENCH_memory_diet.json).  No
-# sparse factor is built.  The caller reads 791 MiB after level 10's
-# assemble stage and 817 MiB after its norms; the worker's peak is level
-# 10's load on top of the meshes it shares from the fork.  From the 2..9
-# study to the 2..10 one both grew about 3.2x.  Level 11 stays refused
-# until a run of it within this host's 7 GB is measured.
-MAX_LEVEL = 10
+# The 2..11 study ran in 76 s and peaked at 2929 MiB RSS in the calling
+# process and 1347 MiB in the worker, under a 7e9-byte address-space cap
+# on a 7.8 GiB host (BENCH_level11.json).  The caller's peak is level 11's
+# assemble stage; the worker's is level 10's, on top of the meshes it
+# shares from the fork, as level 11's load stays below it.  From the
+# 2..10 study (795 and 388 MiB) the caller grew 3.7x and the worker 3.5x,
+# so level 12's caller alone would need about 11 GB: it stays refused.
+MAX_LEVEL = 11
 
 #: the H^-1 dual norms use a reference trace space this many levels above
 #: the finest study level
@@ -109,9 +109,9 @@ class StudyConfig:
             raise ValueError(f"levels must satisfy 1 <= min <= max, got {self.min_level}..{self.max_level}")
         if self.max_level > MAX_LEVEL:
             raise ValueError(
-                f"max_level {self.max_level} is above {MAX_LEVEL}: level 11 has not been measured within "
-                "this host's 7 GB; the 2..10 study peaked at 817 MiB RSS in the calling process and "
-                "679 MiB in the worker, mostly level 10's assembly and load, which grow about 3.2x per level"
+                f"max_level {self.max_level} is above {MAX_LEVEL}: the 2..11 study peaked at 2929 MiB RSS "
+                "in the calling process and 1347 MiB in the worker, and the caller grew 3.7x from the 2..10 "
+                "study, so level 12 would need about 11 GB, above this host's 7 GB"
             )
         knots_ok = isinstance(self.knots, (tuple, list)) and len(self.knots) == 2
         if not (knots_ok and all(_is_real(k) for k in self.knots)):

@@ -87,7 +87,7 @@ def test_stiffness_of_hand_built_meshes_equals_the_coo_assembly_bitwise():
 @pytest.mark.parametrize("rows", [1, 7, 100])
 def test_stiffness_in_small_blocks_equals_the_coo_assembly_bitwise(monkeypatch, rows):
     # 81 vertices at level 3: one row a block, a partial last block, one block
-    monkeypatch.setattr(assembly, "ROW_BLOCK", rows)
+    monkeypatch.setattr(assembly, "TRIANGLE_CHUNK", rows)
     for level in (2, 3):
         m = msh.mesh_at_level(level)
         assert_same_csr(assembly.assemble_stiffness(m), assemble_stiffness_coo(m))
@@ -215,19 +215,30 @@ def test_batched_load_matches_per_triangle_oracle(sol, level):
 
 
 @pytest.mark.parametrize(
-    "level, cells",
-    [pytest.param(level, "both", id=str(level)) for level in range(2, 8)]
+    "level, cells, chunk",
+    [pytest.param(level, "both", None, id=str(level)) for level in range(2, 8)]
     + [
-        pytest.param(level, cells, id=f"{level}-{cells}")
+        pytest.param(level, cells, None, id=f"{level}-{cells}")
         for cells in ("near", "crossed", "uncrossed")
         for level in range(2, 8)
+    ]
+    + [
+        pytest.param(level, cells, chunk, id=f"{level}-{cells}-chunk{chunk}")
+        for chunk in (7, 1000)
+        for cells in ("both", "near", "crossed", "uncrossed")
+        for level in range(3, 7)
     ],
 )
-def test_load_equals_the_einsum_load_of_the_unmasked_formulas_bitwise(sol, level, cells):
+def test_load_equals_the_einsum_load_of_the_unmasked_formulas_bitwise(sol, level, cells, chunk, monkeypatch):
     # support masks, blocks and the per-coordinate point mapping move no bit;
     # the oracle sends near cells and crossed cells down separate paths, so
     # the one clipping pass is checked against them with only near cells,
-    # only crossed ones, and lines that cross no cell
+    # only crossed ones, and lines that cross no cell.  Levels up to 7 are
+    # one chunk of cells; the small chunks walk the masks, the regular cells
+    # and the special pieces across many, while the oracle keeps its own
+    # one-chunk batches
+    if chunk is not None:
+        monkeypatch.setattr(assembly, "TRIANGLE_CHUNK", chunk)
     m = msh.mesh_at_level(level)
     refine_near = (np.array([[sol.x_left, 0.0], [sol.x_right, 0.0]]), 2.0 * m.max_edge_length())
     split_x = sol.load_split_x

@@ -188,6 +188,14 @@ def test_mesh_size_allocates_at_most_16_mib_at_level_9():
     assert peak <= 16.0
 
 
+def test_load_allocates_at_most_48_mib_at_level_9():
+    # 116 MiB with every triangle's corners, area, masks and x-range at once
+    m, sol = msh.mesh_at_level(9), ExactSolution()
+    m.max_edge_length()
+    _, peak = traced_peak_mib(assembly.system_load, m, sol)
+    assert peak <= 48.0
+
+
 def test_trace_map_counts_and_order():
     # one refinement of the initial mesh has 9 contact vertices, 7 interior
     m2 = msh.refine(msh.build_initial())

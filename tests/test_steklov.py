@@ -183,11 +183,11 @@ def test_map_refuses_a_stiffness_off_the_stencil():
             SteklovMap(m, tm, stiffness=stiffness)
 
 
-@pytest.mark.parametrize("cells_per_block", [1, 5 * 63, assembly.ROW_BLOCK])
+@pytest.mark.parametrize("cells_per_block", [1, 5 * 63, assembly.TRIANGLE_CHUNK])
 def test_blocked_stencil_check_refuses_a_moved_entry_in_any_block(monkeypatch, cells_per_block):
     # level 5 has 32 raster rows of 63 free cells: blocks of one row, of
     # five rows with a last block of two, and one block
-    monkeypatch.setattr(assembly, "ROW_BLOCK", cells_per_block)
+    monkeypatch.setattr(assembly, "TRIANGLE_CHUNK", cells_per_block)
     m = mesh_at_level(5)
     A = assemble_stiffness(m)
     raster = msh.vertex_raster(m)
@@ -214,12 +214,12 @@ def test_blocked_stencil_check_refuses_a_moved_entry_in_any_block(monkeypatch, c
         GridPoisson(m, stiffness)
 
 
-@pytest.mark.parametrize("cells_per_block", [1, assembly.ROW_BLOCK])
+@pytest.mark.parametrize("cells_per_block", [1, assembly.TRIANGLE_CHUNK])
 def test_blocked_stencil_check_refuses_an_entry_far_outside_its_block(monkeypatch, cells_per_block):
     # a block numbers its rows and n cells on either side; an entry between
     # raster rows 0 and ny - 1 of level 5, 31 rows apart, lies outside that
     # window in blocks of one row, and inside it in one block
-    monkeypatch.setattr(assembly, "ROW_BLOCK", cells_per_block)
+    monkeypatch.setattr(assembly, "TRIANGLE_CHUNK", cells_per_block)
     m = mesh_at_level(5)
     A = assemble_stiffness(m)
     cells = msh.vertex_raster(m)[:-1, 1:-1]

@@ -85,13 +85,13 @@ def test_config_validation():
 
 
 def test_level_cap_names_the_measured_reason():
-    assert MAX_LEVEL == 10
-    with pytest.raises(ValueError, match="the 2..10 study peaked at 817 MiB RSS in the calling process") as err:
-        StudyConfig(max_level=11)
-    assert "and 679 MiB in the worker, mostly level 10's assembly and load" in str(err.value)
-    assert "level 11 has not been measured within this host's 7 GB" in str(err.value)
-    assert "which grow about 3.2x per level" in str(err.value)
-    assert StudyConfig(max_level=10).max_level == 10
+    assert MAX_LEVEL == 11
+    with pytest.raises(ValueError, match="the 2..11 study peaked at 2929 MiB RSS in the calling process") as err:
+        StudyConfig(max_level=12)
+    assert "and 1347 MiB in the worker" in str(err.value)
+    assert "the caller grew 3.7x from the 2..10 study" in str(err.value)
+    assert "level 12 would need about 11 GB, above this host's 7 GB" in str(err.value)
+    assert StudyConfig(max_level=11).max_level == 11
 
 
 @pytest.mark.parametrize(
